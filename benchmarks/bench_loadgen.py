@@ -1,10 +1,10 @@
-"""E21 — the load-harness sweep: every workload profile x both front ends.
+"""E21 — the load-harness sweep: every workload profile.
 
 E20 measured one workload shape (uniform closed-loop singles).  The
-PR 8 load harness (:mod:`repro.loadgen`, DESIGN.md §8) makes the rest
-of the serving claims measurable; this benchmark records the full
-profile x front-end matrix over one ``exact`` artifact (plus the
-``multi_tenant`` profile's own three-variant mount set):
+load harness (:mod:`repro.loadgen`, DESIGN.md §8) makes the rest of the
+serving claims measurable; this benchmark records every profile over
+one ``exact`` artifact (plus the ``multi_tenant`` profile's own
+three-variant mount set):
 
 * ``uniform_random`` / ``zipf_hotspot`` — closed-loop singles; the
   Zipf run's engine cache-hit counters show the LRU earning its keep;
@@ -18,9 +18,11 @@ profile x front-end matrix over one ``exact`` artifact (plus the
   experiment measures throughput; the 503 path is the chaos suite's
   job, ``tests/test_loadgen.py::TestChaosAccounting``).
 
-Every run asserts zero failures and, per profile, bit-identical
-per-query answers across the two front ends (the harness's
-ordered-answers digest).  Writes ``benchmarks/results/E21.{txt,json}``
+Every run asserts zero failures and bit-identical per-query answers:
+the served run's ordered-answers digest must equal an in-process
+``query_batch`` replay (:func:`repro.loadgen.replay_digest`).  The
+recorded E21 table predates the retirement of the thread-per-connection
+front end and still carries its rows.  Writes ``benchmarks/results/E21.{txt,json}``
 and merges a ``loadgen`` key into the repo-root ``BENCH_kernels.json``.
 Runnable directly (``python benchmarks/bench_loadgen.py``; ``--quick``
 for the file-free CI smoke) or through the pytest entry point.
@@ -47,27 +49,25 @@ _LIMITS = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=4096)
 
 
 def run(quick=False):
-    """The full sweep: every registered profile, both front ends."""
+    """The full sweep: every registered profile."""
     knobs = loadgen.QUICK if quick else loadgen.DEFAULTS
     results = []
     for name in loadgen.profile_names():
-        report = loadgen.run(
-            name,
-            frontends=oracle.FRONTENDS,
-            seed=SEED,
-            limits=_LIMITS,
-            quick=quick,
-            n=knobs["n"],
+        oracles = loadgen.build_tenants(
+            name, family=knobs["family"], n=knobs["n"],
+            variant=knobs["variant"], seed=SEED,
         )
-        assert report["identical_across_frontends"], (
-            f"profile {name}: answers differ across front ends"
+        r = loadgen.run(
+            name, oracles=oracles, seed=SEED, limits=_LIMITS, quick=quick,
         )
-        for frontend, r in report["frontends"].items():
-            assert r["failures"]["total"] == 0, (
-                f"profile {name} on {frontend}: "
-                f"{r['failures']['by_status']}"
-            )
-            results.append(r)
+        assert r["failures"]["total"] == 0, (
+            f"profile {name}: {r['failures']['by_status']}"
+        )
+        assert r["answers_digest"] == loadgen.replay_digest(
+            name, oracles, requests=r["requests"], seed=SEED,
+            params=r["params"],
+        ), f"profile {name}: served answers differ from in-process"
+        results.append(r)
     return results
 
 
@@ -77,7 +77,7 @@ def _result_table(results):
         lat = r["latency_ms"]
         coalescing = r["server"].get("coalescing")
         rows.append([
-            r["profile"], r["frontend"], r["driver"], r["requests"],
+            r["profile"], r["driver"], r["requests"],
             f"{r['qps']:.0f}", f"{r['query_qps']:.0f}",
             f"{lat['p50']:.2f}", f"{lat['p95']:.2f}", f"{lat['p99']:.2f}",
             f"{lat['max']:.2f}",
@@ -85,7 +85,7 @@ def _result_table(results):
             f"{r['failures']['rate']:.3f}",
         ])
     return format_table(
-        ["profile", "frontend", "driver", "req", "q/s", "query q/s",
+        ["profile", "driver", "req", "q/s", "query q/s",
          "p50 (ms)", "p95 (ms)", "p99 (ms)", "max (ms)", "mean batch",
          "fail rate"],
         rows,
@@ -110,7 +110,7 @@ def _update_root_json(results):
 def persist(results):
     table = _result_table(results)
     record_experiment(
-        "E21", "load harness: workload profiles x serving front ends",
+        "E21", "load harness: workload profiles",
         table, payload=results,
     )
     _update_root_json(results)
@@ -118,9 +118,10 @@ def persist(results):
 
 
 def test_loadgen_sweep():
-    """Acceptance (ISSUE 8): every profile runs clean on both front
-    ends with bit-identical answers; results recorded as E21."""
-    persist(run())
+    """Acceptance: every profile runs clean with answers bit-identical
+    to an in-process replay (file-free; ``python
+    benchmarks/bench_loadgen.py`` records E21)."""
+    print(_result_table(run()))
 
 
 def smoke():

@@ -18,8 +18,8 @@ Examples::
     python -m repro serve --artifact na=/tmp/na,cache_size=100000 \\
         --artifact es=/tmp/es,backend=parallel \\
         --max-inflight 32 --default-timeout-ms 2000
-    # the coalescing async front end (keep-alive + micro-batching)
-    python -m repro serve --artifact /tmp/oracle --frontend async \\
+    # tune the request coalescer (keep-alive + micro-batching)
+    python -m repro serve --artifact /tmp/oracle \\
         --coalesce-window-ms 0.5 --coalesce-max 512
     # variant-specific parameters beyond --eps/--r
     python -m repro apsp --algo spanner --n 200 --params k=3
@@ -254,22 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080)
     limits = oracle.DEFAULT_LIMITS
     p_serve.add_argument(
-        "--frontend", default="threaded", choices=oracle.FRONTENDS,
-        help="HTTP front end: 'threaded' (one thread per connection) or "
-             "'async' (keep-alive + request coalescing: concurrent "
-             "single queries are answered by one vectorized gather; "
-             "default %(default)s)",
-    )
-    p_serve.add_argument(
         "--coalesce-window-ms", type=float,
         default=limits.coalesce_window_ms,
-        help="async frontend: max milliseconds a single query parks "
-             "waiting for batch-mates (default %(default)s)",
+        help="max milliseconds a single query parks waiting for "
+             "batch-mates; concurrent singles are answered by one "
+             "vectorized gather (default %(default)s)",
     )
     p_serve.add_argument(
         "--coalesce-max", type=int, default=limits.coalesce_max,
-        help="async frontend: parked queries that trigger an immediate "
-             "flush before the window expires (default %(default)s)",
+        help="parked queries that trigger an immediate flush before "
+             "the window expires (default %(default)s)",
     )
     p_serve.add_argument(
         "--max-inflight", type=int, default=limits.max_inflight,
@@ -338,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--profile", required=True, choices=loadgen.profile_names(),
         help="workload profile to run (see list below)",
-    )
-    p_load.add_argument(
-        "--frontend", default="both", choices=oracle.FRONTENDS + ("both",),
-        help="HTTP front end(s) to drive; 'both' also cross-checks that "
-             "the two return bit-identical answers (default %(default)s)",
     )
     p_load.add_argument(
         "--artifact", action="append", default=None,
@@ -714,9 +703,6 @@ def _parse_artifact_mounts(entries):
 def _main_loadgen(args) -> int:
     """``repro loadgen``: drive one profile, print the metrics table,
     write the JSON report."""
-    frontends = (
-        oracle.FRONTENDS if args.frontend == "both" else (args.frontend,)
-    )
     limits = None
     if args.max_inflight is not None:
         import dataclasses
@@ -729,7 +715,6 @@ def _main_loadgen(args) -> int:
     )
     report = loadgen.run(
         args.profile,
-        frontends=frontends,
         mounts=mounts,
         family=args.family,
         n=args.n,
@@ -748,30 +733,23 @@ def _main_loadgen(args) -> int:
         f"{t['name']}({t['variant']}, n={t['n']})" for t in report["tenants"]
     )
     print(f"profile: {args.profile}  seed={args.seed}  tenants: {tenants}")
-    rows = []
-    for fe, r in report["frontends"].items():
-        lat = r["latency_ms"]
+    lat = report["latency_ms"]
 
-        def ms(v):
-            return "-" if v is None else f"{v:.2f}"
+    def ms(v):
+        return "-" if v is None else f"{v:.2f}"
 
-        rows.append([
-            fe, r["driver"], r["requests"], r["ok"],
-            f"{r['failures']['rate']:.3f}",
-            f"{r['qps']:.0f}", f"{r['query_qps']:.0f}",
-            ms(lat["p50"]), ms(lat["p95"]), ms(lat["p99"]), ms(lat["max"]),
-            f"{r['duration_s']:.2f}",
-        ])
     print(format_table(
-        ["frontend", "driver", "req", "ok", "fail_rate", "qps",
+        ["driver", "req", "ok", "fail_rate", "qps",
          "query_qps", "p50_ms", "p95_ms", "p99_ms", "max_ms", "dur_s"],
-        rows,
+        [[
+            report["driver"], report["requests"], report["ok"],
+            f"{report['failures']['rate']:.3f}",
+            f"{report['qps']:.0f}", f"{report['query_qps']:.0f}",
+            ms(lat["p50"]), ms(lat["p95"]), ms(lat["p99"]), ms(lat["max"]),
+            f"{report['duration_s']:.2f}",
+        ]],
     ))
-    if "identical_across_frontends" in report:
-        print(
-            "answers identical across frontends: "
-            f"{report['identical_across_frontends']}"
-        )
+    print(f"answers digest: {report['answers_digest']}")
     out = args.out or f"loadgen-{args.profile}.json"
     loadgen.write_report(report, out)
     print(f"report: {out}")
@@ -803,7 +781,6 @@ def _main_serving(args) -> int:
             mmap=args.mmap,
             cache_size=args.cache_size,
             limits=limits,
-            frontend=args.frontend,
         )
         return 0
 

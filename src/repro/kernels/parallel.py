@@ -402,17 +402,13 @@ def _attach_shared(slots):
     for slot in slots:
         if slot[0] == "shm":
             _, name, shape, dtype = slot
+            # Attaching re-registers the segment with the resource
+            # tracker (bpo-39959), but forked workers share the parent's
+            # tracker, whose registry is a set: the duplicate is a no-op
+            # and the parent's unlink retires the one entry.  Do not
+            # unregister here — that drops the parent's entry and its
+            # later unlink fails inside the tracker (KeyError).
             shm = shared_memory.SharedMemory(name=name)
-            try:
-                # Attaching registers the segment with the resource
-                # tracker as if this process owned it (bpo-39959); undo
-                # that so worker exits don't try to unlink the parent's
-                # segments (the parent unlinks them itself).
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
             handles.append(shm)
             payload.append(np.ndarray(shape, np.dtype(dtype), buffer=shm.buf))
         else:

@@ -18,9 +18,9 @@ run — applied to the Dory–Parter distance-oracle servers (PR 6/7):
   retries disabled so failures are observed, not masked.
 * :mod:`repro.loadgen.metrics` — per-run report: p50/p95/p99/max/mean
   latency, q/s, failure rate by status code, duration, and an
-  ordered-answers digest for cross-frontend fidelity checks.
-* :mod:`repro.loadgen.harness` — ties them together behind a real HTTP
-  front end (``threaded`` or ``async``) and scrapes the server's own
+  ordered-answers digest for fidelity checks.
+* :mod:`repro.loadgen.harness` — ties them together behind the real
+  HTTP front end (the server ``repro serve`` runs) and scrapes its own
   ``/info`` counters into the report.
 
 Entry points: ``repro loadgen --profile NAME`` (CLI),
@@ -36,6 +36,7 @@ from .harness import (
     QUICK,
     build_tenants,
     load_mounts,
+    replay_digest,
     run,
     run_profile,
     scrape_info,
@@ -90,6 +91,7 @@ __all__ = [
     "poisson_schedule",
     "profile_names",
     "register_profile",
+    "replay_digest",
     "run",
     "run_closed_loop",
     "run_open_loop",

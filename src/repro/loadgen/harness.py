@@ -1,9 +1,9 @@
-"""The run harness: profile x driver x front end -> one JSON report.
+"""The run harness: profile x driver -> one JSON report.
 
 This is the llm-d-benchmark "launcher" equivalent for the oracle
 serving stack: pick a named :class:`~repro.loadgen.profiles.WorkloadProfile`,
-mount one or more artifacts behind a real HTTP front end (``threaded``
-or ``async`` — the same code paths ``repro serve`` runs), drive the
+mount one or more artifacts behind the real HTTP front end (the same
+:class:`~repro.oracle.AsyncOracleServer` ``repro serve`` runs), drive the
 profile's deterministic request sequence with the matching driver, and
 reduce the outcomes to the fixed metrics table
 (:mod:`repro.loadgen.metrics`), annotated with the server's own
@@ -15,20 +15,19 @@ asserts the two agree exactly).
 The sweep axes come from the registries: profiles from
 :func:`repro.loadgen.profiles.all_profiles`, variants from
 :mod:`repro.variants` (:func:`sweepable_variants` lists every
-oracle-buildable ``(variant, kind)`` — the same derivation PR 5's
-benchmark plans use), front ends from :data:`repro.oracle.FRONTENDS`.
+oracle-buildable ``(variant, kind)`` — the same derivation the
+benchmark plans use).
 
-Entry points: :func:`run` (build tenants once, run one profile against
-one or more front ends, compare answers bit-for-bit) backs the
-``repro loadgen`` CLI and the E21 benchmark; :func:`run_profile` is the
-single-(profile, frontend) core the tests drive directly.
+Entry points: :func:`run` (resolve the knobs, build or load the tenants,
+run one profile) backs the ``repro loadgen`` CLI and the E21 benchmark;
+:func:`run_profile` is the core over pre-built tenants the tests drive
+directly.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,14 +37,12 @@ from ..graph import generators
 from ..oracle import (
     DEFAULT_LIMITS,
     DistanceOracle,
-    FRONTENDS,
     OracleClient,
     OracleRouter,
     ServingLimits,
     ShardedOracle,
     build_oracle,
     is_sharded_artifact,
-    make_server,
     start_async_server,
 )
 from ..telemetry import MetricsSnapshot, parse_exposition
@@ -60,6 +57,7 @@ from .profiles import (
 __all__ = [
     "build_tenants",
     "load_mounts",
+    "replay_digest",
     "run",
     "run_profile",
     "scrape_metrics",
@@ -159,41 +157,8 @@ def load_mounts(
 
 
 # ----------------------------------------------------------------------
-# Server lifecycle (both front ends behind one surface)
+# Server scrapes
 # ----------------------------------------------------------------------
-
-def _start_frontend(
-    frontend: str,
-    oracles: Sequence[Tuple[str, DistanceOracle]],
-    limits: Optional[ServingLimits],
-):
-    """Start one front end over the mounted oracles; returns
-    ``(base_url, stop_callable)``."""
-    if frontend not in FRONTENDS:
-        raise LoadgenError(
-            f"unknown frontend {frontend!r}; expected one of {FRONTENDS}"
-        )
-    router = OracleRouter()
-    for name, oracle in oracles:
-        router.mount(name, oracle, limits=limits)
-    if frontend == "async":
-        handle = start_async_server(router, limits=limits)
-        base = "http://%s:%s" % handle.server_address[:2]
-        return base, handle.drain_and_shutdown
-    server = make_server(router, limits=limits)
-    thread = threading.Thread(
-        target=server.serve_forever, name="loadgen-threaded", daemon=True
-    )
-    thread.start()
-    base = "http://%s:%s" % server.server_address[:2]
-
-    def stop():
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-    return base, stop
-
 
 def scrape_info(base_url: str, timeout_s: float = 10.0) -> Dict[str, object]:
     """One ``GET /info`` snapshot (merged, all mounts)."""
@@ -207,8 +172,8 @@ def scrape_info(base_url: str, timeout_s: float = 10.0) -> Dict[str, object]:
 def scrape_metrics(base_url: str, timeout_s: float = 10.0) -> MetricsSnapshot:
     """One parsed ``GET /metrics`` snapshot (the registry is
     process-global, so loadgen scrapes *around* each run and reports the
-    delta — a second front end in the same process starts from the
-    first's counters)."""
+    delta — a second run in the same process starts from the first's
+    counters)."""
     with OracleClient(base_url, max_attempts=1, timeout_s=timeout_s) as client:
         return parse_exposition(client.metrics_text())
 
@@ -311,12 +276,11 @@ def _server_section(info: Dict[str, object]) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Run one (profile, frontend)
+# Run one profile over pre-built tenants
 # ----------------------------------------------------------------------
 
 def run_profile(
     profile_name: str,
-    frontend: str,
     oracles: Sequence[Tuple[str, DistanceOracle]],
     *,
     requests: int = DEFAULTS["requests"],
@@ -329,12 +293,12 @@ def run_profile(
     open_workers: Optional[int] = None,
     timeout_s: float = 30.0,
 ) -> Tuple[Dict[str, object], List[QueryOutcome]]:
-    """Drive one profile against one front end; returns
-    ``(report, outcomes)``.
+    """Serve ``oracles`` over HTTP and drive one profile against them;
+    returns ``(report, outcomes)``.
 
     The report is the per-run metrics block from
     :func:`repro.loadgen.metrics.summarize` plus run identity (profile,
-    resolved params, seed, driver), driver stats, the scraped server
+    resolved params, seed, driver, tenants), driver stats, the scraped server
     counters, and the ordered-answers digest the fidelity check
     compares.  ``driver=None`` uses the profile's default; ``limits``
     defaults to the stock :data:`~repro.oracle.DEFAULT_LIMITS`.
@@ -348,7 +312,12 @@ def run_profile(
     resolved = profile.resolve_params(params, n=ctx.first_tenant[1])
     reqs = profile.build_requests(ctx, **resolved)
     drv = driver or profile.driver
-    base, stop = _start_frontend(frontend, oracles, limits or DEFAULT_LIMITS)
+    limits = limits or DEFAULT_LIMITS
+    router = OracleRouter()
+    for name, oracle in oracles:
+        router.mount(name, oracle, limits=limits)
+    handle = start_async_server(router, limits=limits)
+    base = "http://%s:%s" % handle.server_address[:2]
     try:
         metrics_before = scrape_metrics(base)
         if drv == "closed":
@@ -368,17 +337,20 @@ def run_profile(
         info = scrape_info(base)
         metrics_after = scrape_metrics(base)
     finally:
-        stop()
+        handle.drain_and_shutdown()
     server = _server_section(info)
     server["metrics"] = _metrics_section(metrics_after.delta(metrics_before))
     report = summarize(outcomes, duration)
     report.update({
         "profile": profile.name,
-        "frontend": frontend,
         "driver": drv,
         "seed": int(seed),
         "params": resolved,
-        "tenants": [name for name, _ in oracles],
+        "tenants": [
+            {"name": name, "variant": o.artifact.variant,
+             "kind": o.kind, "n": o.n}
+            for name, o in oracles
+        ],
         "driver_stats": driver_stats,
         "server": server,
         "answers_digest": answers_digest(outcomes),
@@ -386,13 +358,51 @@ def run_profile(
     return report, outcomes
 
 
+def replay_digest(
+    profile_name: str,
+    oracles: Sequence[Tuple[str, DistanceOracle]],
+    *,
+    requests: int,
+    seed: int = 0,
+    params: Optional[Dict[str, object]] = None,
+) -> str:
+    """The answers digest of the profile's seeded request sequence
+    answered in-process by each tenant's ``query_batch`` — what a served
+    :func:`run_profile` over the same tenants must reproduce bit for
+    bit (no HTTP, no coalescer, no server)."""
+    profile = get_profile(profile_name)
+    ctx = ProfileContext(
+        tenants=tuple((name, o.n) for name, o in oracles),
+        requests=int(requests),
+        seed=int(seed),
+    )
+    resolved = profile.resolve_params(params, n=ctx.first_tenant[1])
+    engines = dict(oracles)
+    outcomes = []
+    for i, req in enumerate(profile.build_requests(ctx, **resolved)):
+        if req.kind == "batch":
+            pairs = np.asarray(req.payload["pairs"], dtype=np.int64)
+            us, vs = pairs[:, 0], pairs[:, 1]
+        else:
+            us, vs = [req.payload["u"]], [req.payload["v"]]
+        got = [
+            float(x) if np.isfinite(x) else None
+            for x in engines[req.tenant].query_batch(us, vs)
+        ]
+        outcomes.append(QueryOutcome(
+            index=i, tenant=req.tenant, kind=req.kind, status=200,
+            latency_ms=0.0, answer=got if req.kind == "batch" else got[0],
+            pairs=req.pairs,
+        ))
+    return answers_digest(outcomes)
+
+
 # ----------------------------------------------------------------------
-# Run a whole sweep (the CLI / benchmark entry point)
+# The CLI / benchmark entry point
 # ----------------------------------------------------------------------
 
 def run(
     profile_name: str,
-    frontends: Sequence[str] = FRONTENDS,
     *,
     oracles: Optional[Sequence[Tuple[str, DistanceOracle]]] = None,
     mounts: Optional[Sequence[Tuple]] = None,
@@ -409,14 +419,13 @@ def run(
     quick: bool = False,
     timeout_s: float = 30.0,
 ) -> Dict[str, object]:
-    """One profile against one or more front ends, tenants built once.
+    """One profile run, knobs resolved; returns the :func:`run_profile`
+    report plus ``quick``.
 
     Tenant sources, in precedence order: ``oracles`` (pre-built
     engines), ``mounts`` (on-disk artifact mount tuples), else built
     from ``family``/``n``/``variant``.  Explicit knobs beat the
-    ``quick``/full defaults.  When two or more front ends run, the
-    report carries ``identical_across_frontends`` — ordered
-    answers-digest equality, i.e. bit-identical per-query results.
+    ``quick``/full defaults.
     """
     base_knobs = QUICK if quick else DEFAULTS
     family = family or base_knobs["family"]
@@ -434,32 +443,14 @@ def run(
                 profile_name, family=family, n=n, variant=variant, seed=seed
             )
 
-    per_frontend: Dict[str, Dict[str, object]] = {}
-    for frontend in frontends:
-        report, _ = run_profile(
-            profile_name, frontend, oracles,
-            requests=requests, concurrency=concurrency, rate=rate,
-            seed=seed, driver=driver, params=params, limits=limits,
-            timeout_s=timeout_s,
-        )
-        per_frontend[frontend] = report
-
-    full: Dict[str, object] = {
-        "profile": profile_name,
-        "seed": int(seed),
-        "requests": int(requests),
-        "quick": bool(quick),
-        "tenants": [
-            {"name": name, "variant": o.artifact.variant,
-             "kind": o.kind, "n": o.n}
-            for name, o in oracles
-        ],
-        "frontends": per_frontend,
-    }
-    if len(per_frontend) > 1:
-        digests = {r["answers_digest"] for r in per_frontend.values()}
-        full["identical_across_frontends"] = len(digests) == 1
-    return full
+    report, _ = run_profile(
+        profile_name, oracles,
+        requests=requests, concurrency=concurrency, rate=rate,
+        seed=seed, driver=driver, params=params, limits=limits,
+        timeout_s=timeout_s,
+    )
+    report["quick"] = bool(quick)
+    return report
 
 
 def write_report(report: Dict[str, object], path: str) -> str:

@@ -67,7 +67,7 @@ class QueryOutcome:
     infinite latencies are excluded from the percentile summary but the
     outcome still counts as a failure.  ``answer`` holds the served
     distance(s) (``None`` distances are JSON's unreachable/inf) so runs
-    can be compared bit-for-bit across front ends; ``pairs`` is how many
+    can be compared bit-for-bit across runs; ``pairs`` is how many
     (u, v) queries the request carried (1 for a single, the batch length
     for an explicit batch).
     """
@@ -177,9 +177,10 @@ def answers_digest(outcomes: Sequence[QueryOutcome]) -> str:
     """SHA-256 over the ordered (status, answer) sequence.
 
     The request sequence for a seeded profile is identical across runs
-    and front ends, so equal digests mean the two runs returned
-    **bit-identical answers query by query** — the cross-frontend
-    fidelity check compares exactly this.
+    and mounts, so equal digests mean the two runs returned
+    **bit-identical answers query by query** — the fidelity checks
+    (served vs in-process replay, sharded vs plain mount) compare
+    exactly this.
     """
     canon: List[Tuple] = [
         (o.index, o.status_key, o.answer)

@@ -18,9 +18,9 @@ end, the preprocess/query split production distance services amortize:
 * :mod:`repro.oracle.service` — :class:`OracleService` (JSON
   request/response semantics), :class:`OracleRouter` (many named
   artifacts served from one process with per-artifact routing and a
-  merged ``/info``), and two stdlib HTTP front ends
-  (``repro serve --frontend {threaded,async}``), no new dependencies;
-* :mod:`repro.oracle.coalesce` — :class:`QueryCoalescer`: the async
+  merged ``/info``), and the stdlib asyncio HTTP front end
+  (:class:`AsyncOracleServer`, ``repro serve``), no new dependencies;
+* :mod:`repro.oracle.coalesce` — :class:`QueryCoalescer`: the HTTP
   front end's micro-batcher that turns bursts of concurrent single
   queries into one vectorized ``query_batch`` gather (the E19 45-244x
   batch advantage applied to single-query traffic);
@@ -76,12 +76,10 @@ from .sharded import (
     save_sharded_artifact,
 )
 from .service import (
-    FRONTENDS,
     AsyncOracleServer,
     AsyncServerHandle,
     OracleRouter,
     OracleService,
-    make_server,
     serve,
     start_async_server,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "DistanceOracle",
     "FAULTS",
     "FORMAT_VERSION",
-    "FRONTENDS",
     "FaultInjector",
     "InjectedFault",
     "MATRIX_VARIANTS",
@@ -129,7 +126,6 @@ __all__ = [
     "build_oracle",
     "graph_fingerprint",
     "load_artifact",
-    "make_server",
     "save_artifact",
     "serve",
     "start_async_server",

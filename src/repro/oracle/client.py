@@ -11,14 +11,15 @@ as-is (a ``400`` will not become a ``200`` by retrying it).  The CLI's
 load-generation harness points at a fleet.
 
 The client holds one **keep-alive** connection and reuses it across
-calls — against the async front end every query after the first skips
+calls — against the HTTP front end every query after the first skips
 the TCP handshake, which is most of a single query's cost.  A reused
 socket can always have gone stale between requests (server drained,
 idle timeout, HTTP/1.0 peer closing per-request); the client detects
 the stale-socket error, transparently reconnects exactly once, and
 counts the event in :attr:`OracleClient.reconnects`.  Servers that
-answer ``Connection: close`` (the threaded front end) simply cost a
-fresh connection per call — correct, just slower, and *not* counted
+answer ``Connection: close`` (an HTTP/1.0-style peer, or an error
+response sent before the body was read) simply cost a fresh connection
+per call — correct, just slower, and *not* counted
 as a reconnect.
 
 No new dependencies: ``http.client`` + ``json`` only.
@@ -145,7 +146,7 @@ class OracleClient:
         name: Optional[str] = None,
     ) -> List[Dict[str, object]]:
         """Send a burst of requests over one ``POST /stream[/<name>]``
-        newline-delimited channel (async front end only).
+        newline-delimited channel.
 
         Every request dict is written as one JSON line on a dedicated
         long-lived connection, pipelined — the server parks single
@@ -385,8 +386,9 @@ class OracleClient:
         if request_id is not None:
             self.last_request_id = request_id
         if resp.will_close:
-            # Server asked for Connection: close (e.g. the threaded
-            # front end) — drop quietly; not a stale-socket event.
+            # Server asked for Connection: close (e.g. an error sent
+            # before the body was read) — drop quietly; not a
+            # stale-socket event.
             self.close()
         else:
             self._conn_used = True

@@ -11,9 +11,10 @@ and fan the results back to each waiter.
 :class:`QueryCoalescer` is deliberately thread-based, not
 asyncio-native: waiters receive :class:`concurrent.futures.Future`
 objects, so the coalescer is unit-testable without an event loop and
-usable from any front end (the asyncio server bridges with
-``asyncio.wrap_future``).  One daemon flusher thread per coalescer —
-the threaded front end never constructs one, so it pays nothing.
+usable from any caller (the asyncio server bridges with
+``asyncio.wrap_future``).  One daemon flusher thread per coalescer,
+created when the HTTP front end attaches it to a mount — a service
+used in-process never constructs one, so it pays nothing.
 
 A parked batch flushes on the **first** of three triggers:
 

@@ -9,8 +9,8 @@ lever: a process-global :data:`FAULTS` injector with a small set of
     artifact.load       fired on every load_artifact call
     artifact.save       fired at each save stage (see below)
     engine.query_batch  fired on every DistanceOracle.query_batch call
-    service.handle      fired inside admission, before dispatch (under
-                        the async front end, coalesced single queries
+    service.handle      fired inside admission, before dispatch (behind
+                        the HTTP front end, coalesced single queries
                         fire it once per *flush*, in the flush worker —
                         a delay stalls the whole micro-batch, exactly
                         like every member request stalling)

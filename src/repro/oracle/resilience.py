@@ -197,11 +197,11 @@ class ServingLimits:
     answered one vectorized pass at a time with a deadline check
     between, so a blown deadline reports how many pairs completed.
 
-    ``coalesce_window_ms`` / ``coalesce_max`` bound the async
-    front end's request coalescer (:mod:`repro.oracle.coalesce`):
-    concurrent single queries park for at most the window (or until the
-    size trigger fills a batch), then one vectorized gather answers all
-    of them.  The threaded front end ignores both.
+    ``coalesce_window_ms`` / ``coalesce_max`` bound the HTTP front
+    end's request coalescer (:mod:`repro.oracle.coalesce`): concurrent
+    single queries park for at most the window (or until the size
+    trigger fills a batch), then one vectorized gather answers all of
+    them.
 
     ``telemetry`` controls whether starting a server with these limits
     turns on the process-global metrics registry

@@ -30,25 +30,19 @@ Every request now runs through the resilience layer
   instance), new queries get ``503``, in-flight requests finish up to
   the drain deadline, then the process exits 0.
 
-Two HTTP front ends share those semantics (both stdlib-only), selected
-by ``repro serve --frontend {threaded,async}``:
+The HTTP front end is a stdlib asyncio server with keep-alive
+(:class:`AsyncOracleServer`) that **coalesces** concurrent single
+queries: requests park in a per-artifact
+:class:`~repro.oracle.coalesce.QueryCoalescer`, flush on a bounded
+window or a size trigger, and are answered by *one* vectorized
+``query_batch`` gather run in a worker thread (the loop never blocks).
+Explicit batches, certificates, paths and info bypass the coalescer
+straight to a worker thread.  ``/info`` carries per-artifact
+``coalescing`` counters.
 
-* **threaded** (default) — a ``http.server.ThreadingHTTPServer``: one
-  connection per request (HTTP/1.0), one thread per connection.  Simple
-  and battle-tested; every single query pays the full per-request cost.
-* **async** — an asyncio server with keep-alive
-  (:class:`AsyncOracleServer`) that **coalesces** concurrent single
-  queries: requests park in a per-artifact
-  :class:`~repro.oracle.coalesce.QueryCoalescer`, flush on a bounded
-  window or a size trigger, and are answered by *one* vectorized
-  ``query_batch`` gather run in a worker thread (the loop never
-  blocks).  Explicit batches, certificates, paths and info bypass the
-  coalescer straight to a worker thread.  ``/info`` grows per-artifact
-  ``coalescing`` counters.  Failure semantics are identical to the
-  threaded front end (DESIGN.md §7).
-
-Routes are the same on both: ``POST /query[/<name>]`` with a JSON body,
-``GET /info[/<name>]`` and ``GET /healthz``.  Requests batch naturally:
+Routes: ``POST /query[/<name>]`` with a JSON body, ``POST
+/stream[/<name>]`` (newline-delimited JSON), ``GET /info[/<name>]``,
+``GET /metrics`` and ``GET /healthz``.  Requests batch naturally:
 a ``pairs`` list (or parallel ``us`` / ``vs`` arrays) is answered
 chunk by chunk in vectorized engine passes.
 
@@ -73,7 +67,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from http.client import responses as _HTTP_REASONS
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,16 +95,9 @@ __all__ = [
     "AsyncServerHandle",
     "OracleRouter",
     "OracleService",
-    "OracleHTTPServer",
-    "FRONTENDS",
-    "make_server",
     "serve",
     "start_async_server",
 ]
-
-#: The serving front ends ``repro serve --frontend`` selects between.
-FRONTENDS = ("threaded", "async")
-
 
 def _clean(value: float) -> Optional[float]:
     """JSON-safe distance: ``inf`` (unreachable) becomes ``null``."""
@@ -124,8 +110,13 @@ _SERVING_LOG = logging.getLogger(SERVING_LOGGER)
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
+#: The ``frontend`` value of logs, ``/info`` ``http`` and the HTTP
+#: metric labels: constant since the thread-per-connection front end
+#: was retired, kept so existing scrapers and log queries still match.
+_FRONTEND = "async"
+
+
 def _log_request(
-    frontend: str,
     mount: Optional[str],
     status: int,
     duration_s: float,
@@ -140,14 +131,14 @@ def _log_request(
     _SERVING_LOG.log(
         level,
         "query frontend=%s mount=%s status=%d duration_ms=%.3f trace_id=%s",
-        frontend,
+        _FRONTEND,
         mount or "-",
         status,
         duration_s * 1000.0,
         trace_id,
         extra={
             "event": "request",
-            "frontend": frontend,
+            "frontend": _FRONTEND,
             "mount": mount or "",
             "status": status,
             "duration_ms": round(duration_s * 1000.0, 3),
@@ -156,14 +147,14 @@ def _log_request(
     )
 
 
-def _count_http_error(frontend: str, status: int) -> None:
+def _count_http_error(status: int) -> None:
     """Count a request rejected before it reached a mounted service."""
     if _metrics.ENABLED:
-        _instr.HTTP_ERRORS.labels(frontend, str(status)).inc()
+        _instr.HTTP_ERRORS.labels(_FRONTEND, str(status)).inc()
 
 
 def _healthz(server) -> Tuple[int, Dict[str, object]]:
-    """The `/healthz` body both front ends serve: liveness plus the
+    """The `/healthz` body: liveness plus the
     basics an operator wants without grepping ``/info`` — version,
     uptime, and how many artifacts are mounted."""
     body: Dict[str, object] = {
@@ -224,8 +215,8 @@ class OracleService:
     def attach_coalescer(self) -> QueryCoalescer:
         """Create (once) the coalescer :meth:`submit_coalesced` parks
         queries in, bounded by ``limits.coalesce_window_ms`` /
-        ``limits.coalesce_max``.  Only the async front end calls this —
-        a service without one pays nothing."""
+        ``limits.coalesce_max``.  Only the HTTP front end calls this —
+        a service used in-process pays nothing."""
         if self.coalescer is None:
             self.coalescer = QueryCoalescer(
                 self.oracle,
@@ -246,7 +237,7 @@ class OracleService:
         arms a deadline (capped at the server max).  Every failure maps
         to a typed JSON error — never an exception out of this method.
 
-        ``trace`` (attached by the HTTP front ends) collects per-stage
+        ``trace`` (attached by the HTTP front end) collects per-stage
         spans; a request with ``"debug": true`` gets it back in the
         response body.
         """
@@ -345,7 +336,7 @@ class OracleService:
     ) -> "Future[Tuple[int, Dict[str, object]]]":
         """Answer one *single* distance request via the coalescer.
 
-        The async front end's fast path: the query parks in the
+        The HTTP front end's fast path: the query parks in the
         coalescer (holding an admission slot — parked occupancy counts
         against ``max_inflight`` exactly like an in-flight thread) and
         the returned future resolves to the same ``(status, body)``
@@ -729,80 +720,6 @@ class OracleRouter:
         return 200, merged
 
 
-# ----------------------------------------------------------------------
-# HTTP front end (stdlib only)
-# ----------------------------------------------------------------------
-
-class OracleHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server carrying an :class:`OracleRouter`.
-
-    Adds the process-level resilience state: the ``draining`` flag
-    (SIGTERM flips it; ``/healthz`` reports it; new queries are shed),
-    the client-disconnect counter, and :meth:`drain_and_shutdown` —
-    the graceful-exit sequence.
-    """
-
-    daemon_threads = True
-    # Deep accept backlog: load shedding is admission control's job
-    # (observable 503s + /info counters), not the kernel's — with the
-    # stdlib default of 5, a burst of simultaneous connects gets reset
-    # at the TCP layer before the resilience layer ever sees it.
-    request_queue_size = 128
-    router: OracleRouter
-    limits: ServingLimits
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.limits = DEFAULT_LIMITS
-        self.draining = False
-        self.started_at = time.monotonic()
-        self._http_lock = threading.Lock()
-        self._disconnects = 0
-        self._drain_started = False
-
-    # ------------------------------------------------------------------
-    def count_disconnect(self) -> None:
-        """Record a client that vanished mid-response."""
-        with self._http_lock:
-            self._disconnects += 1
-        if _metrics.ENABLED:
-            _instr.CLIENT_DISCONNECTS.labels("threaded").inc()
-
-    def http_stats(self) -> Dict[str, object]:
-        """Transport-level counters (merged into ``GET /info``)."""
-        with self._http_lock:
-            return {
-                "frontend": "threaded",
-                "client_disconnects": self._disconnects,
-                "draining": self.draining,
-            }
-
-    # ------------------------------------------------------------------
-    def drain_and_shutdown(self, timeout: Optional[float] = None) -> bool:
-        """The graceful exit: stop admitting, drain in-flight work up to
-        ``timeout`` (default ``limits.drain_timeout_s``), then stop the
-        accept loop.  Idempotent; returns True when every in-flight
-        request finished inside the budget.
-
-        Must not be called from the ``serve_forever`` thread
-        (``shutdown()`` would deadlock) — the signal handler runs it on
-        a helper thread.
-        """
-        with self._http_lock:
-            if self._drain_started:
-                return True
-            self._drain_started = True
-            self.draining = True
-        timeout = self.limits.drain_timeout_s if timeout is None else timeout
-        end = time.monotonic() + timeout
-        drained = True
-        for svc in self.router.services():
-            drained &= svc.admission.drain(max(0.0, end - time.monotonic()))
-        self.shutdown()
-        self.router.close()
-        return drained
-
-
 def _split_route(path: str, prefix: str) -> Tuple[bool, Optional[str]]:
     """Match ``/prefix`` or ``/prefix/<name>``; returns (matched, name)."""
     if path == prefix:
@@ -814,202 +731,70 @@ def _split_route(path: str, prefix: str) -> Tuple[bool, Optional[str]]:
     return False, None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: OracleHTTPServer
-
-    def _send_payload(
-        self,
-        status: int,
-        payload: bytes,
-        content_type: str,
-        headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            for key, value in headers:
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-response: count it, drop the
-            # connection, keep the serving thread alive.
-            self.server.count_disconnect()
-            self.close_connection = True
-
-    def _respond(
-        self,
-        status: int,
-        body: Dict[str, object],
-        headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        if _metrics.ENABLED:
-            serialize_start = time.perf_counter()
-            payload = json.dumps(body).encode()
-            _instr.observe_stage(
-                None, "serialize", time.perf_counter() - serialize_start
-            )
-        else:
-            payload = json.dumps(body).encode()
-        self._send_payload(status, payload, "application/json", headers)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path == "/healthz":
-            self._respond(*_healthz(self.server))
-            return
-        if self.path == "/metrics":
-            self._send_payload(
-                200, _REGISTRY.render().encode(), _METRICS_CONTENT_TYPE
-            )
-            return
-        matched, name = _split_route(self.path, "/info")
-        if matched:
-            status, body = self.server.router.info(name)
-            if status == 200 and name is None:
-                body["http"] = self.server.http_stats()
-            self._respond(status, body)
-        else:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        start = time.perf_counter()
-        # The request ID exists from the moment the headers are parsed —
-        # every /query response (including pre-service rejections)
-        # echoes it, so any failure can be grepped in the server logs.
-        request_id = (
-            clean_trace_id(self.headers.get("X-Request-Id")) or new_trace_id()
-        )
-        id_header = [("X-Request-Id", request_id)]
-
-        def _reject(
-            status: int,
-            body: Dict[str, object],
-            headers: Sequence[Tuple[str, str]] = (),
-        ) -> None:
-            _count_http_error("threaded", status)
-            self._respond(status, body, list(headers) + id_header)
-
-        if _split_route(self.path, "/stream")[0]:
-            # Streaming needs a connection owned by an event loop; the
-            # thread-per-request front end cannot hold one open.
-            _reject(501, {
-                "error": "newline-delimited streaming is only served by "
-                "the async front end (repro serve --frontend async)"
-            })
-            return
-        matched, name = _split_route(self.path, "/query")
-        if not matched:
-            _reject(404, {"error": f"unknown path {self.path!r}"})
-            return
-        if self.server.draining:
-            retry = self.server.limits.retry_after_s
-            _reject(
-                503,
-                {
-                    "error": "server is draining for shutdown; retry "
-                    "against another instance",
-                    "draining": True,
-                    "retry_after": retry,
-                },
-                headers=[("Retry-After", f"{retry:g}")],
-            )
-            return
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            _reject(
-                411, {"error": "Content-Length header is required"}
-            )
-            return
-        try:
-            length = int(raw_length)
-        except ValueError:
-            _reject(
-                400,
-                {"error": f"malformed Content-Length {raw_length!r}"},
-            )
-            return
-        if length <= 0:
-            _reject(
-                400,
-                {
-                    "error": f"Content-Length must be positive, got "
-                    f"{length} (send a JSON object body)"
-                },
-            )
-            return
-        if length > self.server.limits.max_body_bytes:
-            _reject(
-                413,
-                {
-                    "error": f"request body of {length} bytes exceeds "
-                    f"this server's max_body_bytes="
-                    f"{self.server.limits.max_body_bytes}",
-                    "max_body_bytes": self.server.limits.max_body_bytes,
-                },
-            )
-            return
-        try:
-            request = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError) as exc:
-            _reject(400, {"error": f"malformed JSON request: {exc}"})
-            return
-        trace = RequestTrace(
-            trace_id=request_id,
-            debug=isinstance(request, dict) and request.get("debug") is True,
-        )
-        _instr.observe_stage(trace, "parse", time.perf_counter() - start)
-        svc, rstatus, err = self.server.router._resolve(name)
-        if svc is None:
-            _reject(rstatus, err)
-            return
-        status, body = svc.handle(request, trace)
-        headers = list(id_header)
-        if status == 503 and "retry_after" in body:
-            headers.append(("Retry-After", f"{float(body['retry_after']):g}"))
-        self._respond(status, body, headers)
-        _log_request(
-            "threaded", svc.name, status, time.perf_counter() - start, trace
-        )
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
-
-
-def make_server(
-    oracle: Union[DistanceOracle, OracleRouter],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    limits: Optional[ServingLimits] = None,
-) -> OracleHTTPServer:
-    """Build (but do not start) the HTTP server for one oracle or a
-    whole router; ``port=0`` picks a free port
-    (``server.server_address`` reports the bound one).  ``limits``
-    bounds the HTTP body size and the drain budget (and, when the
-    router is built here from a bare oracle, its request lifecycle)."""
-    if isinstance(oracle, OracleRouter):
-        router = oracle
-    else:
-        router = OracleRouter()
-        router.mount(oracle.artifact.variant, oracle, limits=limits)
-    server = OracleHTTPServer((host, port), _Handler)
-    server.router = router
-    server.limits = limits or DEFAULT_LIMITS
-    if server.limits.telemetry:
-        _metrics.enable()
-    _register_server_metrics(server.started_at)
-    return server
-
-
 # ----------------------------------------------------------------------
 # Async front end: keep-alive + request coalescing (stdlib asyncio)
 # ----------------------------------------------------------------------
 
+#: Most header lines one request may carry (the ``http.client`` limit
+#: the stdlib server enforces); more is a 431.
+_MAX_HEADERS = 100
+
+
+class _HeadRejected(Exception):
+    """A request head refused before routing: ``status`` is the typed
+    reply, ``headers`` what was parsed so far (for ``X-Request-Id``)."""
+
+    def __init__(self, status: int, message: str, headers: Dict[str, str]):
+        super().__init__(message)
+        self.status = status
+        self.headers = headers
+
+
+async def _read_head(
+    reader,
+) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
+    """Read one request head: ``(method, path, version, headers)`` with
+    lower-cased header names, or None on EOF before a request line.
+
+    Raises :class:`_HeadRejected` for the framing the stdlib server also
+    refuses: a request line over the reader's line limit (414), one
+    that is not ``METHOD PATH VERSION`` (400), a header line over the
+    limit or more than :data:`_MAX_HEADERS` headers (431)."""
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _HeadRejected(414, "request line too long", {})
+        if not line:
+            return None
+        if line not in (b"\r\n", b"\n"):
+            break
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise _HeadRejected(400, "malformed HTTP request line", {})
+    headers: Dict[str, str] = {}
+    count = 0
+    while True:
+        try:
+            hline = await reader.readline()
+        except ValueError:
+            raise _HeadRejected(431, "request header line too long", headers)
+        if hline in (b"\r\n", b"\n", b""):
+            break
+        count += 1
+        if count > _MAX_HEADERS:
+            raise _HeadRejected(
+                431, f"more than {_MAX_HEADERS} request headers", headers
+            )
+        key, _, val = hline.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = val.strip()
+    return parts[0], parts[1], parts[2], headers
+
+
 class AsyncOracleServer:
     """An asyncio HTTP/1.1 server that coalesces single queries.
 
-    Same routes, same JSON semantics, same failure mapping as
-    :class:`OracleHTTPServer` — but connections are keep-alive and
+    Connections are keep-alive (HTTP/1.0 clients must ask for it), and
     concurrent single distance queries park in each mounted service's
     :class:`~repro.oracle.coalesce.QueryCoalescer`, so a burst of N
     singles costs *one* vectorized gather instead of N engine calls.
@@ -1019,7 +804,7 @@ class AsyncOracleServer:
 
     Construct, then ``await start()`` on a running loop (or use
     :func:`start_async_server` for a background-thread harness, or
-    ``serve(frontend="async")`` for the CLI foreground path).
+    :func:`serve` for the CLI foreground path).
     """
 
     def __init__(
@@ -1046,19 +831,19 @@ class AsyncOracleServer:
         self._writers: set = set()
         self._conn_tasks: set = set()
 
-    # -- the surface shared with OracleHTTPServer ----------------------
+    # ------------------------------------------------------------------
     def count_disconnect(self) -> None:
         """Record a client that vanished mid-response."""
         with self._lock:
             self._disconnects += 1
         if _metrics.ENABLED:
-            _instr.CLIENT_DISCONNECTS.labels("async").inc()
+            _instr.CLIENT_DISCONNECTS.labels(_FRONTEND).inc()
 
     def http_stats(self) -> Dict[str, object]:
         """Transport-level counters (merged into ``GET /info``)."""
         with self._lock:
             return {
-                "frontend": "async",
+                "frontend": _FRONTEND,
                 "client_disconnects": self._disconnects,
                 "draining": self.draining,
             }
@@ -1089,7 +874,9 @@ class AsyncOracleServer:
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port,
-            backlog=128,  # match OracleHTTPServer.request_queue_size
+            # Deep accept backlog: load shedding is admission control's
+            # job (observable 503s + /info counters), not the kernel's.
+            backlog=128,
         )
         self.server_address = self._server.sockets[0].getsockname()[:2]
         return self
@@ -1114,10 +901,10 @@ class AsyncOracleServer:
             return True
         timeout = self.limits.drain_timeout_s if timeout is None else timeout
         end = time.monotonic() + timeout
-        # The listener stays open while draining — like the threaded
-        # front end, late arrivals get a *told* rejection (503 +
-        # Retry-After, ``/healthz`` flips) rather than a connection
-        # refusal; ``_dispatch`` checks ``self.draining``.
+        # The listener stays open while draining — late arrivals get a
+        # *told* rejection (503 + Retry-After, ``/healthz`` flips) rather
+        # than a connection refusal; ``_dispatch`` checks
+        # ``self.draining``.
         # Coalescer close joins its flusher thread — run it (and the
         # admission waits) in the pool so parked waiters' responses can
         # still be written by the loop while we wait.
@@ -1156,27 +943,22 @@ class AsyncOracleServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if line in (b"\r\n", b"\n"):
-                    continue
-                parts = line.decode("latin-1").strip().split()
-                if len(parts) != 3:
+                try:
+                    head = await _read_head(reader)
+                except _HeadRejected as exc:
+                    _count_http_error(exc.status)
+                    request_id = (
+                        clean_trace_id(exc.headers.get("x-request-id"))
+                        or new_trace_id()
+                    )
                     await self._write(
-                        writer, 400,
-                        {"error": "malformed HTTP request line"},
-                        (), keep=False,
+                        writer, exc.status, {"error": str(exc)},
+                        (("X-Request-Id", request_id),), keep=False,
                     )
                     break
-                method, path, _version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    hline = await reader.readline()
-                    if hline in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, val = hline.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = val.strip()
+                if head is None:
+                    break
+                method, path, version, headers = head
                 stream_matched, stream_name = _split_route(path, "/stream")
                 if method == "POST" and stream_matched:
                     # The connection becomes a long-lived ndjson duplex
@@ -1184,7 +966,11 @@ class AsyncOracleServer:
                     # connection is spent when the stream ends.
                     await self._serve_stream(reader, writer, stream_name)
                     break
-                want_close = "close" in headers.get("connection", "").lower()
+                connection = headers.get("connection", "").lower()
+                if version == "HTTP/1.0":
+                    want_close = "keep-alive" not in connection
+                else:
+                    want_close = "close" in connection
                 status, body, extra, must_close = await self._dispatch(
                     method, path, headers, reader
                 )
@@ -1198,8 +984,8 @@ class AsyncOracleServer:
             asyncio.IncompleteReadError,
         ):
             self.count_disconnect()
-        except (asyncio.LimitOverrunError, ValueError):
-            pass  # oversized or undecodable header line: drop the conn
+        except ValueError:
+            pass  # a /stream line over the reader limit: drop the conn
         finally:
             self._writers.discard(writer)
             self._conn_tasks.discard(task)
@@ -1224,7 +1010,7 @@ class AsyncOracleServer:
         """
         if self.draining:
             retry = self.limits.retry_after_s
-            _count_http_error("async", 503)
+            _count_http_error(503)
             await self._write(writer, 503, {
                 "error": "server is draining for shutdown; retry "
                 "against another instance",
@@ -1234,7 +1020,7 @@ class AsyncOracleServer:
             return
         svc, status, err = self.router._resolve(name)
         if svc is None:
-            _count_http_error("async", status)
+            _count_http_error(status)
             await self._write(writer, status, err, (), keep=False)
             return
         writer.write(
@@ -1325,11 +1111,11 @@ class AsyncOracleServer:
         id_header = (("X-Request-Id", request_id),)
         matched, name = _split_route(path, "/query")
         if not matched:
-            _count_http_error("async", 404)
+            _count_http_error(404)
             return 404, {"error": f"unknown path {path!r}"}, id_header, True
         if self.draining:
             retry = self.limits.retry_after_s
-            _count_http_error("async", 503)
+            _count_http_error(503)
             return 503, {
                 "error": "server is draining for shutdown; retry "
                 "against another instance",
@@ -1338,25 +1124,26 @@ class AsyncOracleServer:
             }, (("Retry-After", f"{retry:g}"),) + id_header, True
         raw_length = headers.get("content-length")
         if raw_length is None:
-            _count_http_error("async", 411)
+            _count_http_error(411)
             return 411, {
                 "error": "Content-Length header is required"
             }, id_header, True
-        try:
-            length = int(raw_length)
-        except ValueError:
-            _count_http_error("async", 400)
+        # ASCII digits only: int() would also take "+16", "1_6" and
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            _count_http_error(400)
             return 400, {
                 "error": f"malformed Content-Length {raw_length!r}"
             }, id_header, True
-        if length <= 0:
-            _count_http_error("async", 400)
+        length = int(raw_length)
+        if length == 0:
+            _count_http_error(400)
             return 400, {
                 "error": f"Content-Length must be positive, got "
                 f"{length} (send a JSON object body)"
             }, id_header, True
         if length > self.limits.max_body_bytes:
-            _count_http_error("async", 413)
+            _count_http_error(413)
             return 413, {
                 "error": f"request body of {length} bytes exceeds "
                 f"this server's max_body_bytes="
@@ -1367,7 +1154,7 @@ class AsyncOracleServer:
         try:
             request = json.loads(raw)
         except (ValueError, json.JSONDecodeError) as exc:
-            _count_http_error("async", 400)
+            _count_http_error(400)
             return 400, {
                 "error": f"malformed JSON request: {exc}"
             }, id_header, False
@@ -1378,7 +1165,7 @@ class AsyncOracleServer:
         _instr.observe_stage(trace, "parse", time.perf_counter() - start)
         svc, status, err = self.router._resolve(name)
         if svc is None:
-            _count_http_error("async", status)
+            _count_http_error(status)
             return status, err, id_header, False
         if self._coalescable(request):
             status, body = await asyncio.wrap_future(
@@ -1396,9 +1183,7 @@ class AsyncOracleServer:
             extra = (
                 ("Retry-After", f"{float(body['retry_after']):g}"),
             ) + extra
-        _log_request(
-            "async", svc.name, status, time.perf_counter() - start, trace
-        )
+        _log_request(svc.name, status, time.perf_counter() - start, trace)
         return status, body, extra, False
 
     @staticmethod
@@ -1446,10 +1231,9 @@ class AsyncOracleServer:
 
 class AsyncServerHandle:
     """An :class:`AsyncOracleServer` hosted on a background event-loop
-    thread, exposing the threaded server's surface
-    (``server_address``, ``draining``, ``http_stats``,
-    ``drain_and_shutdown``) so tests and benchmarks treat the two
-    front ends interchangeably."""
+    thread, driven synchronously (``server_address``, ``draining``,
+    ``http_stats``, ``drain_and_shutdown``) by tests, benchmarks and the
+    load harness."""
 
     def __init__(self, server: AsyncOracleServer, loop, thread):
         self.server = server
@@ -1506,9 +1290,9 @@ def start_async_server(
     port: int = 0,
     limits: Optional[ServingLimits] = None,
 ) -> AsyncServerHandle:
-    """Start the async front end on a background event-loop thread and
+    """Start the HTTP front end on a background event-loop thread and
     return its :class:`AsyncServerHandle` (``port=0`` picks a free
-    port).  The foreground CLI path is ``serve(frontend="async")``."""
+    port).  The foreground CLI path is :func:`serve`."""
     if isinstance(oracle, OracleRouter):
         router = oracle
     else:
@@ -1525,8 +1309,8 @@ def start_async_server(
 
 
 def _announce(router: OracleRouter, base: str) -> None:
-    """The startup lines both front ends print (smoke tests parse the
-    ``healthz`` line for the bound address — keep them identical)."""
+    """The startup lines (smoke tests parse the ``healthz`` line for the
+    bound address)."""
     for name in router.names:
         oracle = router.service(name).oracle
         print(
@@ -1538,14 +1322,33 @@ def _announce(router: OracleRouter, base: str) -> None:
     print(f"GET {base}/info (merged), GET {base}/healthz", flush=True)
 
 
-def _serve_async(
-    router: OracleRouter,
-    host: str,
-    port: int,
-    limits: Optional[ServingLimits],
-    install_signal_handlers: bool,
+def serve(
+    artifacts: Union[str, Sequence[Tuple]],
+    host: str = "127.0.0.1",
+    port: int = 8080,
+    mmap: bool = False,
+    cache_size: Optional[int] = None,
+    limits: Optional[ServingLimits] = None,
+    install_signal_handlers: bool = True,
 ) -> None:
-    """The foreground body of ``serve(frontend="async")``."""
+    """Load one or many artifacts and serve them forever on an
+    :class:`AsyncOracleServer` (the ``repro serve`` body).
+
+    ``artifacts`` is a single artifact-directory path, or a sequence of
+    ``(name, path)`` / ``(name, path, options)`` tuples (``name=None``
+    defaults to the manifest variant) for multi-artifact routing with
+    per-mount overrides.
+
+    SIGTERM/SIGINT (when handlers can be installed — main thread only)
+    triggers the graceful drain: ``/healthz`` flips to draining, new
+    queries are shed with ``503``, in-flight requests finish up to
+    ``limits.drain_timeout_s``, and the function returns (exit 0).
+    """
+    if isinstance(artifacts, str):
+        artifacts = [(None, artifacts)]
+    router = OracleRouter.load(
+        artifacts, mmap=mmap, cache_size=cache_size, limits=limits
+    )
 
     async def _run() -> None:
         server = AsyncOracleServer(router, host=host, port=port, limits=limits)
@@ -1568,75 +1371,7 @@ def _serve_async(
         asyncio.run(_run())
     except KeyboardInterrupt:
         return
+    finally:
+        router.close()
     # wait_stopped only returns after a completed drain.
     print("drained in-flight requests; shutting down")
-
-
-def serve(
-    artifacts: Union[str, Sequence[Tuple]],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    mmap: bool = False,
-    cache_size: Optional[int] = None,
-    limits: Optional[ServingLimits] = None,
-    install_signal_handlers: bool = True,
-    frontend: str = "threaded",
-) -> None:
-    """Load one or many artifacts and serve them forever (the
-    ``repro serve`` body).
-
-    ``artifacts`` is a single artifact-directory path, or a sequence of
-    ``(name, path)`` / ``(name, path, options)`` tuples (``name=None``
-    defaults to the manifest variant) for multi-artifact routing with
-    per-mount overrides.
-
-    ``frontend`` selects the transport: ``"threaded"`` (default, one
-    thread per connection) or ``"async"`` (keep-alive + request
-    coalescing; see :class:`AsyncOracleServer`).
-
-    SIGTERM/SIGINT (when handlers can be installed — main thread only)
-    triggers the graceful drain: ``/healthz`` flips to draining, new
-    queries are shed with ``503``, in-flight requests finish up to
-    ``limits.drain_timeout_s``, and the function returns (exit 0).
-    """
-    if frontend not in FRONTENDS:
-        raise ValueError(
-            f"unknown frontend {frontend!r}; expected one of {FRONTENDS}"
-        )
-    if isinstance(artifacts, str):
-        artifacts = [(None, artifacts)]
-    router = OracleRouter.load(
-        artifacts, mmap=mmap, cache_size=cache_size, limits=limits
-    )
-    if frontend == "async":
-        _serve_async(router, host, port, limits, install_signal_handlers)
-        return
-    server = make_server(router, host=host, port=port, limits=limits)
-    bound_host, bound_port = server.server_address[:2]
-    _announce(router, f"http://{bound_host}:{bound_port}")
-
-    if (
-        install_signal_handlers
-        and threading.current_thread() is threading.main_thread()
-    ):
-        def _graceful(signum, frame):
-            # shutdown() deadlocks if called from the serve_forever
-            # thread, and a signal handler interrupts exactly that
-            # thread — hand the drain to a helper.
-            threading.Thread(
-                target=server.drain_and_shutdown,
-                name="oracle-drain",
-                daemon=True,
-            ).start()
-
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    if server.draining:
-        print("drained in-flight requests; shutting down")

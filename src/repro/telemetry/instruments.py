@@ -1,10 +1,11 @@
 """The serving stack's fixed metric table (DESIGN.md §9).
 
 Every metric the stack exposes is declared here, once — the service
-layer, the coalescer, the engine, and the front ends import these
+layer, the coalescer, the engine, and the HTTP front end import these
 handles instead of re-registering by name, so the name/label/bucket
-contract lives in one place and ``GET /metrics`` is the same table on
-both front ends.
+contract lives in one place.  The ``frontend`` label is constant
+(``"async"``, the only front end); it stays so existing scrapers keep
+matching.
 
 =============================================  =======================
 metric                                         labels
@@ -145,12 +146,14 @@ SHARD_UP = REGISTRY.gauge(
 HTTP_ERRORS = REGISTRY.counter(
     "repro_http_errors_total",
     "Requests rejected before reaching a mounted service (bad route, "
-    "bad body, unknown artifact, draining), by front end and status.",
+    "bad request head or body, unknown artifact, draining), by status "
+    "(the frontend label is always async).",
     ("frontend", "status"),
 )
 CLIENT_DISCONNECTS = REGISTRY.counter(
     "repro_client_disconnects_total",
-    "Clients that vanished mid-response, by front end.",
+    "Clients that vanished mid-response (the frontend label is always "
+    "async).",
     ("frontend",),
 )
 

@@ -2,7 +2,7 @@
 
 Every ``POST /query`` gets a trace ID at parse time — taken from the
 client's ``X-Request-Id`` header when it sends a well-formed one,
-generated otherwise — and both front ends echo it back as
+generated otherwise — and the HTTP front end echoes it back as
 ``X-Request-Id`` on the response, so one failed request can be matched
 across client error messages, server logs, and a distributed call
 graph.

@@ -5,10 +5,11 @@ threshold, drain), per-request deadline handling inside a parked batch,
 and fault-injected flush failures mapping to *per-request* errors.
 HTTP level: the asyncio front end's keep-alive connections, coalesced
 ``/query`` singles showing up as multi-query batches in ``/info``,
-explicit-batch bypass, and the keep-alive client's transparent
-reconnect.  The frontend-agnostic failure-semantics contract (503/504/
-413/400, drain, disconnect accounting) is exercised for *both* front
-ends by the parametrized chaos suite in ``test_resilience.py``.
+explicit-batch bypass, served answers bit-identical to in-process
+``query_batch`` (single, batch and ``/stream``; tz and matrix mounts),
+and the keep-alive client's transparent reconnect.  The
+failure-semantics contract (503/504/413/431/400, drain, disconnect
+accounting) is exercised by the chaos suite in ``test_resilience.py``.
 """
 
 import json
@@ -27,7 +28,6 @@ from repro.oracle import (
     FAULTS,
     OracleClient,
     build_oracle,
-    make_server,
     start_async_server,
 )
 from repro.oracle.coalesce import CoalescerClosed, QueryCoalescer
@@ -158,6 +158,36 @@ class TestCoalescerUnit:
 # HTTP: the async front end
 # ----------------------------------------------------------------------
 
+def assert_served_matches_query_batch(base, engine, queries, name=None):
+    """Single ``/query`` posts, one batch ``/query`` and one ``/stream``
+    burst (singles plus a batch line) must all return exactly what an
+    in-process ``engine.query_batch`` over ``queries`` returns (JSON
+    ``null`` is an unreachable ``inf``)."""
+    us = np.array([u for u, _ in queries], dtype=np.int64)
+    vs = np.array([v for _, v in queries], dtype=np.int64)
+    want = [
+        float(x) if np.isfinite(x) else None
+        for x in engine.query_batch(us, vs)
+    ]
+    pairs = [[u, v] for u, v in queries]
+    with OracleClient(base) as c:
+        singles = [
+            c.query({"u": u, "v": v}, name=name) for u, v in queries
+        ]
+        status, batch = c.query({"pairs": pairs}, name=name)
+        streamed = c.stream_queries(
+            [{"u": u, "v": v} for u, v in queries] + [{"pairs": pairs}],
+            name=name,
+        )
+    assert [s for s, _ in singles] == [200] * len(queries)
+    assert [body["distance"] for _, body in singles] == want
+    assert status == 200 and batch["distances"] == want
+    assert [r["status"] for r in streamed] == [200] * (len(queries) + 1)
+    assert [r["distance"] for r in streamed[:-1]] == want
+    assert streamed[-1]["distances"] == want
+
+
+
 @pytest.fixture
 def async_server(artifact):
     import dataclasses
@@ -227,38 +257,25 @@ class TestAsyncFrontend:
             after = handle.router.services()[0].coalescer.stats()["coalesced"]
         assert after == before  # the batch never parked
 
-    def test_results_bit_identical_across_frontends(self, artifact, exact):
+    @pytest.mark.parametrize("variant", ["exact", "tz"])
+    def test_served_answers_bit_identical_to_query_batch(
+        self, graph, variant
+    ):
+        art = build_oracle(graph, variant=variant, rng=np.random.default_rng(2))
         rng = np.random.default_rng(11)
-        n = artifact.n
-        queries = [(int(rng.integers(n)), int(rng.integers(n)))
-                   for _ in range(60)]
-
-        threaded = make_server(DistanceOracle(artifact, cache_size=0))
-        t = threading.Thread(target=threaded.serve_forever, daemon=True)
-        t.start()
-        base_t = "http://%s:%s" % threaded.server_address[:2]
+        queries = [
+            (int(rng.integers(art.n)), int(rng.integers(art.n)))
+            for _ in range(60)
+        ]
+        handle = start_async_server(DistanceOracle(art, cache_size=0))
         try:
-            with OracleClient(base_t) as c:
-                got_threaded = [
-                    c.query({"u": u, "v": v})[1]["distance"]
-                    for u, v in queries
-                ]
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-            t.join(timeout=5)
-
-        handle = start_async_server(DistanceOracle(artifact, cache_size=0))
-        base_a = "http://%s:%s" % handle.server_address[:2]
-        try:
-            with OracleClient(base_a) as c:
-                got_async = [
-                    c.query({"u": u, "v": v})[1]["distance"]
-                    for u, v in queries
-                ]
+            assert_served_matches_query_batch(
+                "http://%s:%s" % handle.server_address[:2],
+                DistanceOracle(art, cache_size=0),
+                queries,
+            )
         finally:
             handle.drain_and_shutdown()
-        assert got_threaded == got_async
 
     def test_out_of_range_vertex_is_400_not_batch_poison(
         self, async_server, exact

@@ -16,9 +16,10 @@ Four verification layers, matching the satellite checklist:
   ``/info`` admission counters: report 200s == admitted, report 503s ==
   rejected, and every issued request accounted for (nothing silently
   dropped at the transport layer).
-* **Cross-frontend fidelity** — a seeded ``zipf_hotspot`` run returns
-  bit-identical per-query answers on the threaded and async front
-  ends, and the async run's ``/info`` shows coalesced batches > 0.
+* **Served fidelity** — a seeded ``zipf_hotspot`` run's answers digest
+  equals an in-process ``DistanceOracle.query_batch`` replay of the
+  same request sequence (bit-identical per-query answers), and the
+  run's ``/info`` shows coalesced batches > 0.
 
 Plus the CLI surface: ``repro loadgen --quick`` against a prebuilt
 artifact writes a well-formed JSON report.
@@ -306,7 +307,8 @@ class TestProfileSchema:
 # ----------------------------------------------------------------------
 
 class TestChaosAccounting:
-    @pytest.mark.parametrize("frontend", oracle.FRONTENDS)
+    # The single param keeps the historical ``[async]`` test id.
+    @pytest.mark.parametrize("frontend", ["async"])
     def test_burst_report_matches_admission_counters(
         self, frontend, engine, monkeypatch
     ):
@@ -320,10 +322,11 @@ class TestChaosAccounting:
         FAULTS.arm_from_env()
         limits = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=2)
         report, outcomes = loadgen.run_profile(
-            "burst", frontend, [("exact", engine)],
+            "burst", [("exact", engine)],
             requests=48, seed=21, limits=limits,
             params={"burst_size": 16, "gap_ms": 300.0},
         )
+        assert report["server"]["http"]["frontend"] == frontend
         serving = report["server"]["mounts"]["exact"]["serving"]
         by_status = report["failures"]["by_status"]
         assert set(by_status) <= {"503"}, by_status
@@ -337,34 +340,40 @@ class TestChaosAccounting:
 
 
 # ----------------------------------------------------------------------
-# Satellite 4: cross-frontend fidelity
+# Satellite 4: served answers == in-process replay
 # ----------------------------------------------------------------------
 
-class TestCrossFrontendFidelity:
-    def test_zipf_answers_bit_identical_and_async_coalesces(self, engine):
+class TestServedFidelity:
+    def test_zipf_answers_match_in_process_replay_and_coalesce(self, engine):
         report = loadgen.run(
-            "zipf_hotspot", frontends=oracle.FRONTENDS,
-            oracles=[("exact", engine)],
+            "zipf_hotspot", oracles=[("exact", engine)],
             requests=160, concurrency=8, seed=33,
         )
-        assert report["identical_across_frontends"] is True
-        threaded = report["frontends"]["threaded"]
-        asynchronous = report["frontends"]["async"]
-        assert threaded["answers_digest"] == asynchronous["answers_digest"]
-        for r in (threaded, asynchronous):
-            assert r["failures"]["total"] == 0
-            assert r["qps"] > 0
-            lat = r["latency_ms"]
-            assert lat["p50"] is not None and lat["p50"] <= lat["p99"]
-        coalescing = asynchronous["server"]["coalescing"]
+        assert report["failures"]["total"] == 0
+        assert report["answers_digest"] == loadgen.replay_digest(
+            "zipf_hotspot", [("exact", engine)], requests=160, seed=33
+        )
+        assert report["qps"] > 0
+        lat = report["latency_ms"]
+        assert lat["p50"] is not None and lat["p50"] <= lat["p99"]
+        coalescing = report["server"]["coalescing"]
         assert coalescing["batches"] > 0
         assert coalescing["coalesced"] >= coalescing["batches"]
-        assert "coalescing" not in threaded["server"]
 
-    def test_seeded_runs_replay_identically_on_one_frontend(self, engine):
+    def test_batch_mix_matches_in_process_replay(self, engine):
+        report, _ = loadgen.run_profile(
+            "batch_single_mix", [("exact", engine)],
+            requests=60, concurrency=4, seed=5,
+        )
+        assert report["failures"]["total"] == 0
+        assert report["answers_digest"] == loadgen.replay_digest(
+            "batch_single_mix", [("exact", engine)], requests=60, seed=5
+        )
+
+    def test_seeded_runs_replay_identically(self, engine):
         reports = [
             loadgen.run_profile(
-                "uniform_random", "threaded", [("exact", engine)],
+                "uniform_random", [("exact", engine)],
                 requests=60, concurrency=4, seed=9,
             )[0]
             for _ in range(2)
@@ -395,15 +404,14 @@ class TestLoadgenCLI:
         ])
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "p50_ms" in printed and "answers identical" in printed
+        assert "p50_ms" in printed and "answers digest" in printed
         report = json.loads(out.read_text())
-        assert set(report["frontends"]) == set(oracle.FRONTENDS)
-        assert report["identical_across_frontends"] is True
-        for r in report["frontends"].values():
-            assert r["failures"]["total"] == 0
-            assert r["latency_ms"]["p99"] is not None
-            assert r["qps"] > 0
-            assert r["tenants"] == ["small"]
+        assert report["quick"] is True
+        assert report["failures"]["total"] == 0
+        assert report["latency_ms"]["p99"] is not None
+        assert report["qps"] > 0
+        assert [t["name"] for t in report["tenants"]] == ["small"]
+        assert report["answers_digest"] in printed
 
     def test_bad_profile_param_exits_2(self, artifact_dir, tmp_path,
                                        capsys):

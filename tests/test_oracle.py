@@ -10,7 +10,6 @@ gracefully.
 
 import json
 import os
-import threading
 import urllib.request
 
 import numpy as np
@@ -29,8 +28,8 @@ from repro.oracle import (
     build_oracle,
     graph_fingerprint,
     load_artifact,
-    make_server,
     save_artifact,
+    start_async_server,
 )
 
 
@@ -447,9 +446,7 @@ class TestService:
         assert match in body["error"]
 
     def test_http_roundtrip(self, service):
-        server = make_server(service.oracle, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = start_async_server(service.oracle, port=0)
         try:
             host, port = server.server_address[:2]
             base = f"http://{host}:{port}"
@@ -475,8 +472,7 @@ class TestService:
                 urllib.request.urlopen(bad)
             assert err.value.code == 400
         finally:
-            server.shutdown()
-            server.server_close()
+            server.drain_and_shutdown()
 
 
 class TestCLI:

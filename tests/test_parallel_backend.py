@@ -17,6 +17,9 @@ Three concerns (ISSUE 3):
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -394,6 +397,53 @@ class TestPersistentPool:
     def test_exported_from_kernels(self):
         assert kernels.shutdown_pool is par.shutdown_pool
         assert kernels.pool_active is par.pool_active
+
+
+class TestSharedMemoryTracker:
+    """Forked workers share the parent's resource tracker: attaching a
+    segment must not unregister it, or the parent's unlink fails inside
+    the tracker with ``KeyError: '/psm_...'``."""
+
+    SCRIPT = textwrap.dedent("""
+        import numpy as np
+        from repro.kernels import parallel as par
+
+        par.MIN_PARALLEL_CELLS = 0
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            s = rng.random((30, 20))
+            t = rng.random((20, 25))
+            par.minplus_parallel(s, t)
+        print("pool_active=%s" % par.pool_active(), flush=True)
+        par.shutdown_pool()
+    """)
+
+    @staticmethod
+    def _segments():
+        if not os.path.isdir("/dev/shm"):
+            return None
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+    def test_forced_pool_map_no_tracker_keyerror_no_leak(self):
+        if not par.fork_available():
+            pytest.skip("no fork start method: the pool rung never runs")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src)
+        env[par.ENV_WORKERS_VAR] = "2"
+        env.pop(ENV_BACKEND_VAR, None)
+        before = self._segments()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if par.numba_available():
+            pytest.skip("numba present: the fork pool rung is not used")
+        assert "pool_active=True" in proc.stdout
+        assert "KeyError: '/psm_" not in proc.stderr, proc.stderr
+        if before is not None:
+            assert self._segments() - before == set()
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.oracle import (
     ServingLimits,
     build_oracle,
     load_artifact,
-    make_server,
     save_artifact,
     start_async_server,
 )
@@ -445,11 +444,34 @@ def _post(base, body, path="/query", timeout=5):
         return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
+def _raw_exchange(srv, request: bytes, timeout=5):
+    """Send raw bytes, read until the server closes; returns
+    ``(status, headers, body, closed)`` — ``closed`` is False when the
+    read timed out with the connection still open."""
+    host, port = srv.server_address[:2]
+    chunks = []
+    closed = True
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except socket.timeout:
+            closed = False
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(
+        line.split(": ", 1) for line in lines[1:] if ": " in line
+    )
+    return int(lines[0].split()[1]), headers, body, closed
+
+
 class TestHTTPChaos:
-    # Every HTTP-level chaos scenario runs against BOTH front ends: the
-    # typed-error / drain / disconnect contracts are frontend-agnostic
-    # (ISSUE 7 acceptance).
-    @pytest.fixture(params=["threaded", "async"])
+    # The single param keeps the historical ``[async]`` test ids.
+    @pytest.fixture(params=["async"])
     def server(self, request, bunches_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
@@ -458,24 +480,12 @@ class TestHTTPChaos:
         )
         router = OracleRouter()
         router.mount("tz", DistanceOracle(bunches_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            host, port = handle.server_address[:2]
-            try:
-                yield handle, f"http://{host}:{port}"
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        host, port = handle.server_address[:2]
         try:
-            yield server, f"http://{host}:{port}"
+            yield handle, f"http://{host}:{port}"
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            handle.drain_and_shutdown()
 
     def test_typed_errors_only_and_threads_recover(self, server):
         _, base = server
@@ -526,7 +536,9 @@ class TestHTTPChaos:
             reply = sock.recv(512).decode()
         assert "411" in reply.splitlines()[0]
 
-    @pytest.mark.parametrize("header", ["-5", "0", "banana"])
+    @pytest.mark.parametrize(
+        "header", ["-5", "0", "banana", "1_6", "+16"]
+    )
     def test_bad_content_length_is_400(self, server, header):
         srv, base = server
         host, port = srv.server_address[:2]
@@ -537,6 +549,88 @@ class TestHTTPChaos:
             )
             reply = sock.recv(512).decode()
         assert "400" in reply.splitlines()[0]
+
+    def test_unsupported_method_is_501(self, server):
+        srv, _ = server
+        status, _, body, closed = _raw_exchange(
+            srv, b"PUT /query HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert status == 501 and "PUT" in json.loads(body)["error"]
+        assert closed
+
+    def test_http10_closes_unless_keep_alive_asked(self, server):
+        srv, _ = server
+        # HTTP/1.0 without keep-alive: answered, then closed (probes
+        # that read until EOF must see EOF).
+        status, headers, body, closed = _raw_exchange(
+            srv, b"GET /healthz HTTP/1.0\r\n\r\n", timeout=3
+        )
+        assert status == 200 and json.loads(body)["ok"] is True
+        assert headers["Connection"] == "close"
+        assert closed
+        # An explicit keep-alive holds the connection for a second
+        # request on the same socket.
+        host, port = srv.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /healthz HTTP/1.0\r\n"
+                    b"Connection: keep-alive\r\n\r\n"
+                )
+                reply = sock.recv(4096).decode()
+                assert reply.startswith("HTTP/1.1 200")
+                assert "Connection: keep-alive" in reply
+
+    def _http_errors(self, base, status):
+        from repro.telemetry import parse_exposition
+
+        with urllib.request.urlopen(base + "/metrics", timeout=5) as resp:
+            snap = parse_exposition(resp.read().decode())
+        return snap.value(
+            "repro_http_errors_total", frontend="async", status=str(status)
+        )
+
+    def test_header_count_cap_is_431(self, server):
+        srv, base = server
+        many = "".join(f"X-Pad-{i}: {i}\r\n" for i in range(98))
+        # 100 headers (Host + 98 + Connection) is the cap: still served.
+        status, _, _, _ = _raw_exchange(
+            srv,
+            f"GET /healthz HTTP/1.1\r\nHost: t\r\n{many}"
+            "Connection: close\r\n\r\n".encode(),
+        )
+        assert status == 200
+        before = self._http_errors(base, 431)
+        status, headers, body, closed = _raw_exchange(
+            srv,
+            f"POST /query HTTP/1.1\r\nX-Request-Id: too-many\r\n"
+            f"{many}{many}\r\n".encode(),
+        )
+        assert status == 431 and "100" in json.loads(body)["error"]
+        assert headers["X-Request-Id"] == "too-many"
+        assert closed
+        assert self._http_errors(base, 431) == before + 1
+
+    def test_overlong_header_line_is_431(self, server):
+        srv, base = server
+        before = self._http_errors(base, 431)
+        status, headers, body, closed = _raw_exchange(
+            srv,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+            + b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert status == 431 and "too long" in json.loads(body)["error"]
+        assert headers.get("X-Request-Id")
+        assert closed
+        assert self._http_errors(base, 431) == before + 1
+
+    def test_overlong_request_line_is_414(self, server):
+        srv, _ = server
+        status, headers, _, closed = _raw_exchange(
+            srv, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        )
+        assert status == 414 and headers.get("X-Request-Id")
+        assert closed
 
     def test_client_disconnect_counted_not_crashed(self, server):
         srv, base = server
@@ -639,7 +733,8 @@ class TestMetricsAccounting:
     that reached the mounted service appears in ``repro_requests_total``
     once, under the status the client saw, and nothing else."""
 
-    @pytest.fixture(params=["threaded", "async"])
+    # The single param keeps the historical ``[async]`` test ids.
+    @pytest.fixture(params=["async"])
     def server(self, request, bunches_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
@@ -647,23 +742,12 @@ class TestMetricsAccounting:
         )
         router = OracleRouter()
         router.mount("tz", DistanceOracle(bunches_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            base = "http://%s:%s" % handle.server_address[:2]
-            try:
-                yield request.param, base
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             yield request.param, base
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
     def _scrape(self, base):
         from repro.telemetry import parse_exposition
@@ -727,7 +811,8 @@ class TestMetricsAccounting:
 # ----------------------------------------------------------------------
 
 class TestSigtermDrain:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    # The single param keeps the historical ``[async]`` test id.
+    @pytest.mark.parametrize("frontend", ["async"])
     def test_sigterm_drains_inflight_and_exits_zero(
         self, matrix_artifact, tmp_path, frontend
     ):
@@ -743,8 +828,7 @@ class TestSigtermDrain:
         env["REPRO_FAULTS"] = "service.handle=delay:seconds=0.8"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--artifact", path, "--port", "0", "--drain-timeout", "10",
-             "--frontend", frontend],
+             "--artifact", path, "--port", "0", "--drain-timeout", "10"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True,
         )
@@ -757,6 +841,8 @@ class TestSigtermDrain:
                     base = line.split("GET ")[1].split("/info")[0]
                     break
             assert base, "server never printed its URL"
+            with urllib.request.urlopen(base + "/info", timeout=5) as resp:
+                assert json.loads(resp.read())["http"]["frontend"] == frontend
             results = {}
 
             def inflight():

@@ -2,7 +2,8 @@
 bit-identity, the /stream channel, supervision, and concurrent readers.
 
 The contract under test everywhere: a sharded oracle — any shard count,
-pool or serial, either front end — answers **bit-identically** to the
+pool or serial, in-process or served over HTTP — answers
+**bit-identically** to the
 single-process :class:`~repro.oracle.DistanceOracle` over the same
 artifact (DESIGN.md §10).
 """
@@ -11,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -31,13 +31,14 @@ from repro.oracle import (
     is_sharded_artifact,
     load_artifact,
     load_sharded_artifact,
-    make_server,
     save_artifact,
     save_sharded_artifact,
     start_async_server,
 )
 from repro.oracle.faults import FAULTS
 from repro.oracle.sharded import shard_of
+
+from test_coalesce import assert_served_matches_query_batch  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -369,24 +370,21 @@ class TestFrontends:
         finally:
             handle.drain_and_shutdown()
 
-    def test_threaded_frontend_digest_equality(self, router_pair, art_u):
+    def test_sharded_mount_matches_in_process_query_batch(
+        self, router_pair, ref_u
+    ):
         router = OracleRouter.load(router_pair)
-        server = make_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router)
+        base = "http://%s:%s" % handle.server_address[:2]
+        us, vs = _pairs(ref_u.n, 60, seed=37)
+        queries = [(int(u), int(v)) for u, v in zip(us, vs)]
         try:
-            with OracleClient(base) as client:
-                body = self._batch(art_u.n)
-                st_s, out_s = client.query(body, name="s")
-                st_p, out_p = client.query(body, name="p")
-            assert st_s == st_p == 200
-            assert out_s["distances"] == out_p["distances"]
+            for name in ("s", "p"):
+                assert_served_matches_query_batch(
+                    base, ref_u, queries, name=name
+                )
         finally:
-            server.shutdown()
-            server.server_close()
-            router.close()
-            thread.join(timeout=5)
+            handle.drain_and_shutdown()
 
     def test_mount_option_shards_partitions_plain(self, router_pair):
         _, plain = router_pair[1]
@@ -469,22 +467,6 @@ class TestStreamChannel:
         assert lines[0]["status"] == 200 and "distance" in lines[0]
         assert lines[1]["status"] == 400
         assert lines[2]["status"] == 200 and "distances" in lines[2]
-
-    def test_threaded_stream_is_501(self, sharded_dir):
-        router = OracleRouter.load([("tz", sharded_dir)])
-        server = make_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
-        try:
-            with OracleClient(base) as client:
-                out = client.stream_queries([{"u": 1, "v": 2}], name="tz")
-            assert out[0]["status"] == 501
-        finally:
-            server.shutdown()
-            server.server_close()
-            router.close()
-            thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
@@ -594,19 +576,22 @@ class TestConcurrentReaders:
 # ----------------------------------------------------------------------
 
 class TestLoadgenShards:
-    def test_zipf_hotspot_reports_per_shard_counts(self, sharded_dir):
+    def test_zipf_hotspot_reports_per_shard_counts(self, sharded_dir, ref_u):
         from repro.loadgen import harness
 
         oracles = harness.load_mounts([("tz", sharded_dir)])
         try:
             report, outcomes = harness.run_profile(
-                "zipf_hotspot", "async", oracles,
+                "zipf_hotspot", oracles,
                 requests=120, concurrency=8, seed=4,
             )
         finally:
             for _, o in oracles:
                 o.close()
         assert report["failures"]["total"] == 0
+        assert report["answers_digest"] == harness.replay_digest(
+            "zipf_hotspot", [("tz", ref_u)], requests=120, seed=4
+        )
         shard_counts = report["server"]["metrics"]["shard_queries_total"]["tz"]
         assert set(shard_counts) == {"0", "1", "2", "3"}
         assert sum(shard_counts.values()) >= 120

@@ -5,7 +5,7 @@ instrument semantics and Prometheus text round-trip, the zero-overhead
 disabled path (no allocations attributed to the metrics module),
 request traces and their HTTP surface (``X-Request-Id`` echo, debug
 span bodies), build-phase profiling through the round ledger, the
-structured request log, and — against BOTH real front ends — the
+structured request log, and — against the real HTTP front end — the
 accounting identity that ``/metrics`` deltas reconcile exactly with
 what a client observed.
 """
@@ -13,7 +13,6 @@ what a client observed.
 import dataclasses
 import json
 import logging
-import threading
 import time
 import tracemalloc
 import urllib.error
@@ -34,7 +33,6 @@ from repro.oracle import (
     OracleRouter,
     OracleService,
     build_oracle,
-    make_server,
     start_async_server,
 )
 from repro.telemetry import (
@@ -399,7 +397,8 @@ def _scrape(base):
 
 
 class TestHTTPTelemetry:
-    @pytest.fixture(params=["threaded", "async"])
+    # The single param keeps the historical ``[async]`` test ids.
+    @pytest.fixture(params=["async"])
     def server(self, request, exact_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
@@ -408,23 +407,12 @@ class TestHTTPTelemetry:
         )
         router = OracleRouter()
         router.mount("exact", DistanceOracle(exact_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            base = "http://%s:%s" % handle.server_address[:2]
-            try:
-                yield request.param, base
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             yield request.param, base
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
     def test_metrics_endpoint_parses_and_counts(self, server):
         frontend, base = server
@@ -481,7 +469,7 @@ class TestHTTPTelemetry:
         assert headers["X-Request-Id"] == "reject-404"
 
     def test_debug_body_returns_spans(self, server):
-        frontend, base = server
+        _, base = server
         status, body, _ = _post(
             base, {"u": 0, "v": 3, "debug": True}, path="/query/exact",
             headers={"X-Request-Id": "dbg-1"},
@@ -491,9 +479,7 @@ class TestHTTPTelemetry:
         assert trace["id"] == "dbg-1"
         spans = trace["spans_ms"]
         assert "parse" in spans and "admission" in spans
-        assert "gather" in spans
-        if frontend == "async":
-            assert "park" in spans
+        assert "gather" in spans and "park" in spans
         # Non-debug requests stay clean.
         status, body, _ = _post(base, {"u": 0, "v": 3}, path="/query/exact")
         assert "trace" not in body
@@ -535,35 +521,28 @@ class TestHTTPTelemetry:
 
 class TestClientRequestId:
     def test_last_id_lands_in_transport_error_messages(self, exact_artifact):
-        server = make_server(DistanceOracle(exact_artifact), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(DistanceOracle(exact_artifact), port=0)
+        base = "http://%s:%s" % handle.server_address[:2]
         client = OracleClient(base, max_attempts=2, backoff_s=0.01)
         status, _ = client.query({"u": 0, "v": 1})
         assert status == 200
         rid = client.last_request_id
         assert rid is not None
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        handle.drain_and_shutdown()
         with pytest.raises(OracleClientError) as err:
             client.query({"u": 0, "v": 2})
         assert f"(last X-Request-Id: {rid})" in str(err.value)
 
     def test_metrics_text_scrapes(self, exact_artifact):
-        server = make_server(DistanceOracle(exact_artifact), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(DistanceOracle(exact_artifact), port=0)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             with OracleClient(base) as client:
                 client.query({"u": 0, "v": 1})
                 snap = parse_exposition(client.metrics_text())
             assert snap.total("repro_requests_total") >= 1.0
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +554,7 @@ class TestLoadgenMetrics:
         from repro import loadgen
 
         report, outcomes = loadgen.run_profile(
-            "uniform_random", "threaded",
+            "uniform_random",
             [("exact", DistanceOracle(exact_artifact))],
             requests=24, concurrency=4,
         )

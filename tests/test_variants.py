@@ -12,7 +12,6 @@ registry existed) loading and replaying bit-identically.
 
 import json
 import os
-import threading
 import urllib.error
 import urllib.request
 
@@ -27,8 +26,8 @@ from repro.oracle import (
     OracleRouter,
     build_oracle,
     load_artifact,
-    make_server,
     save_artifact,
+    start_async_server,
 )
 from repro.variants import (
     EmulatorConstruction,
@@ -469,9 +468,7 @@ class TestRouter:
             router.mount("a/b", DistanceOracle(art))
 
     def test_http_per_artifact_routes(self, router):
-        server = make_server(router, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = start_async_server(router, port=0)
         try:
             host, port = server.server_address[:2]
             base = f"http://{host}:{port}"
@@ -493,8 +490,7 @@ class TestRouter:
                     f"{base}/query", data=json.dumps({"u": 0, "v": 1}).encode()))
             assert err.value.code == 400
         finally:
-            server.shutdown()
-            server.server_close()
+            server.drain_and_shutdown()
 
     def test_cli_serve_mount_parsing(self):
         from repro.cli import _parse_artifact_mounts
