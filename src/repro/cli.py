@@ -845,8 +845,14 @@ def _main_serving(args) -> int:
 
 def _main_query_remote(args) -> int:
     """``repro query --url``: the same queries over HTTP, through the
-    retrying :class:`repro.oracle.OracleClient`."""
-    client = oracle.OracleClient(args.url)
+    retrying :class:`repro.oracle.OracleClient` (closed on exit, so its
+    keep-alive socket does not outlive the command)."""
+    with oracle.OracleClient(args.url) as client:
+        return _query_remote(args, client)
+
+
+def _query_remote(args, client) -> int:
+    """The body of :func:`_main_query_remote` over an open ``client``."""
 
     def run(request):
         if args.timeout_ms is not None:

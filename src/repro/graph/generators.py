@@ -50,23 +50,47 @@ __all__ = [
 #: materialize gigabytes; G(n, p) switches to O(m)-memory sampling.
 _DENSE_PAIR_LIMIT = 1 << 26
 
+#: Uniform draws per chunk of the small-graph G(n, p) pair walk.  Each
+#: chunk's temporaries stay under glibc's 128 KiB mmap threshold: freeing
+#: a larger mmap'd block raises that threshold for the rest of the
+#: process, which left a server that generates its graph before loading
+#: an artifact ~7 MB larger (measured PSS at n = 6000 with 2^20 chunks).
+_PAIR_CHUNK = 1 << 13
+
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
     """G(n, p): each of the ``n(n-1)/2`` edges present independently w.p. ``p``.
 
-    Small graphs enumerate the pair universe directly (bit-for-bit the
-    historical sampling for a given seed); past ``_DENSE_PAIR_LIMIT``
-    pairs the edge *count* is drawn Binomial(n(n-1)/2, p)-exact and the
-    edge *set* by rejection sampling, so giant sparse instances
-    (n = 10^5+) cost O(m) memory instead of O(n^2).
+    Small graphs walk the pair universe in row-major upper-triangle order
+    with one uniform draw per pair, in chunks of ``_PAIR_CHUNK`` draws
+    (bit-for-bit the historical ``np.triu_indices`` sampling for a given
+    seed, including the generator state afterwards, in O(chunk + m)
+    memory); past ``_DENSE_PAIR_LIMIT`` pairs the edge *count* is drawn
+    Binomial(n(n-1)/2, p)-exact and the edge *set* by rejection sampling,
+    so giant sparse instances (n = 10^5+) cost O(m) memory instead of
+    O(n^2).
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
     total = n * (n - 1) // 2
     if total <= _DENSE_PAIR_LIMIT:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        return Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
+        # Row i of the upper triangle holds the pairs (i, i+1..n-1) at
+        # flat positions row_start[i] .. row_start[i+1] - 1.
+        row_start = np.concatenate(
+            [[0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))]
+        )
+        rows, cols = [], []
+        for lo in range(0, total, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, total)
+            flat = lo + np.flatnonzero(rng.random(hi - lo) < p)
+            i = np.searchsorted(row_start, flat, side="right") - 1
+            rows.append(i)
+            cols.append(flat - row_start[i] + i + 1)
+        if not rows:
+            return Graph(n, np.empty((0, 2), dtype=np.int64))
+        return Graph(
+            n, np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
+        )
     m = int(rng.binomial(total, p))
     pairs = np.empty((0, 2), dtype=np.int64)
     while pairs.shape[0] < m:

@@ -739,6 +739,10 @@ def _split_route(path: str, prefix: str) -> Tuple[bool, Optional[str]]:
 #: the stdlib server enforces); more is a 431.
 _MAX_HEADERS = 100
 
+#: The asyncio stream reader's line limit (``asyncio.start_server``'s
+#: default): a longer request, header or ``/stream`` line is refused.
+_STREAM_LINE_LIMIT = 1 << 16
+
 
 class _HeadRejected(Exception):
     """A request head refused before routing: ``status`` is the typed
@@ -789,6 +793,23 @@ async def _read_head(
         key, _, val = hline.decode("latin-1").partition(":")
         headers[key.strip().lower()] = val.strip()
     return parts[0], parts[1], parts[2], headers
+
+
+async def _lingering_close(reader, writer, timeout: float = 1.0) -> None:
+    """Half-close, then discard what the client is still sending (up to
+    EOF or ``timeout``) so closing does not reset the connection — a
+    reset can destroy the reply before the client has read it."""
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def _discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(_discard(), timeout)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 class AsyncOracleServer:
@@ -874,6 +895,7 @@ class AsyncOracleServer:
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port,
+            limit=_STREAM_LINE_LIMIT,
             # Deep accept backlog: load shedding is admission control's
             # job (observable 503s + /info counters), not the kernel's.
             backlog=128,
@@ -964,7 +986,9 @@ class AsyncOracleServer:
                     # The connection becomes a long-lived ndjson duplex
                     # channel; the response is unframed, so the
                     # connection is spent when the stream ends.
-                    await self._serve_stream(reader, writer, stream_name)
+                    await self._serve_stream(
+                        reader, writer, stream_name, headers
+                    )
                     break
                 connection = headers.get("connection", "").lower()
                 if version == "HTTP/1.0":
@@ -984,8 +1008,6 @@ class AsyncOracleServer:
             asyncio.IncompleteReadError,
         ):
             self.count_disconnect()
-        except ValueError:
-            pass  # a /stream line over the reader limit: drop the conn
         finally:
             self._writers.discard(writer)
             self._conn_tasks.discard(task)
@@ -995,7 +1017,9 @@ class AsyncOracleServer:
             except Exception:  # noqa: BLE001 — already-gone transport
                 pass
 
-    async def _serve_stream(self, reader, writer, name: Optional[str]) -> None:
+    async def _serve_stream(
+        self, reader, writer, name: Optional[str], headers: Dict[str, str]
+    ) -> None:
         """``POST /stream[/<name>]``: a long-lived newline-delimited
         JSON channel feeding the mount's coalescer directly.
 
@@ -1006,8 +1030,15 @@ class AsyncOracleServer:
         ``/query`` posts — a pipelined client burst coalesces into one
         vectorized gather without per-request HTTP framing.  A blank
         line (or EOF) ends the stream; the response is unframed ndjson
-        under ``Connection: close``, so the connection is spent.
+        under ``Connection: close``, so the connection is spent.  A line
+        over the reader's 64 KiB line limit is answered in order with a
+        ``413`` line carrying the stream's ``X-Request-Id`` (counted in
+        ``repro_http_errors_total``), and ends the stream.
         """
+        request_id = (
+            clean_trace_id(headers.get("x-request-id")) or new_trace_id()
+        )
+        id_header = (("X-Request-Id", request_id),)
         if self.draining:
             retry = self.limits.retry_after_s
             _count_http_error(503)
@@ -1016,17 +1047,18 @@ class AsyncOracleServer:
                 "against another instance",
                 "draining": True,
                 "retry_after": retry,
-            }, (("Retry-After", f"{retry:g}"),), keep=False)
+            }, (("Retry-After", f"{retry:g}"),) + id_header, keep=False)
             return
         svc, status, err = self.router._resolve(name)
         if svc is None:
             _count_http_error(status)
-            await self._write(writer, status, err, (), keep=False)
+            await self._write(writer, status, err, id_header, keep=False)
             return
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
+            + f"X-Request-Id: {request_id}\r\n".encode("latin-1")
+            + b"Connection: close\r\n\r\n"
         )
         await writer.drain()
 
@@ -1057,20 +1089,34 @@ class AsyncOracleServer:
                 await writer.drain()
 
         drain_task = asyncio.create_task(_drain_responses())
+        overlong = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The rest of an overlong line cannot be resynced
+                    # with, so its typed reply is the stream's last.
+                    overlong = True
+                    _count_http_error(413)
+                    await window.acquire()
+                    await queue.put(self._answered(413, {
+                        "error": "stream line exceeds the "
+                        f"{_STREAM_LINE_LIMIT}-byte line limit; send "
+                        "large batches as POST /query",
+                        "max_line_bytes": _STREAM_LINE_LIMIT,
+                        "request_id": request_id,
+                    }))
+                    break
                 if not line or line in (b"\r\n", b"\n"):
                     break
                 await window.acquire()
                 try:
                     request = json.loads(line)
                 except (ValueError, json.JSONDecodeError) as exc:
-                    done: "asyncio.Future" = self._loop.create_future()
-                    done.set_result(
-                        (400, {"error": f"malformed JSON request: {exc}"})
-                    )
-                    await queue.put(done)
+                    await queue.put(self._answered(
+                        400, {"error": f"malformed JSON request: {exc}"}
+                    ))
                     continue
                 if self._coalescable(request):
                     fut = asyncio.wrap_future(svc.submit_coalesced(request))
@@ -1082,6 +1128,14 @@ class AsyncOracleServer:
         finally:
             await queue.put(None)
             await drain_task
+        if overlong:
+            await _lingering_close(reader, writer)
+
+    def _answered(self, status: int, body: Dict[str, object]):
+        """A resolved future carrying an in-stream reply."""
+        done: "asyncio.Future" = self._loop.create_future()
+        done.set_result((status, body))
+        return done
 
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], reader

@@ -43,9 +43,10 @@ firing the same ``artifact.save`` fault-point stages.
 :func:`repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks`, whose
 per-source-range blocks are already canonical, and writes each shard as
 soon as its vertex range is complete: peak resident arc memory is
-``O(n^{1+1/k} / S)`` plus one in-flight block, not the whole relation
-(the manifest records ``stats.peak_resident_arcs``).  Other variants
-build in memory and re-partition.
+``O(n^{1+1/k} / S)`` plus one in-flight block, not the whole relation,
+or the generator's cluster-pass working set if that is larger (the
+manifest records ``stats.peak_resident_arcs``).  Other variants build
+in memory and re-partition.
 
 **ShardedOracle** — routes batched queries by vertex id to a persistent
 pool of forked worker processes, one per shard, each mmap-loading only
@@ -424,8 +425,9 @@ def build_sharded_oracle(
     from :func:`~repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks`
     in ascending source ranges and each shard's files are written (and
     the buffers dropped) as soon as its range completes — peak resident
-    arc memory is one shard plus one in-flight block, recorded in the
-    manifest as ``stats.peak_resident_arcs``.  The hierarchy sampling,
+    arc memory is one shard plus one in-flight block, or the generator's
+    cluster-pass working set if larger, recorded in the manifest as
+    ``stats.peak_resident_arcs``.  The hierarchy sampling,
     the per-range arc rule, and the canonical ordering are exactly
     :func:`build_oracle`'s, so the merged load is bit-identical to an
     unsharded build with the same seed.  Any other variant builds in
@@ -505,8 +507,11 @@ def build_sharded_oracle(
             buf_w.clear()
             buffered = 0
 
-        for lo, hi, bs, bd, bw in iter_tz_bunch_arc_blocks(g, hierarchy):
-            peak = max(peak, buffered + bs.size)
+        for block in iter_tz_bunch_arc_blocks(g, hierarchy):
+            lo, hi, bs, bd, bw = block
+            # The generator holds its cluster pass before the first block
+            # and only the block it yields afterwards.
+            peak = max(peak, block.pass_arcs, buffered + bs.size)
             # Close out every shard whose range this block has passed.
             while cur < eff - 1 and lo >= int(bounds[cur + 1]):
                 _flush(cur)

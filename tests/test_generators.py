@@ -64,6 +64,37 @@ class TestErdosRenyi:
         assert 0.8 * expected < g.m < 1.2 * expected
 
 
+def _historical_dense_gnp(n, p, rng):
+    """The original small-graph G(n, p): one draw per upper-triangle
+    pair, enumerated with ``np.triu_indices``."""
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < p
+    return Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
+
+
+class TestDenseGnpChunking:
+    @pytest.mark.parametrize("n, p, seed", [
+        (0, 0.5, 1), (1, 0.5, 2), (2, 1.0, 3), (9, 0.4, 4),
+        (300, 0.05, 5), (1500, 0.003, 6), (1600, 0.6, 7),
+    ])
+    def test_matches_historical_enumeration(self, n, p, seed):
+        """Same edges, same order, and the same generator state after
+        (the next draw agrees), across one and several chunks."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gen.erdos_renyi(n, p, ours)
+        want = _historical_dense_gnp(n, p, theirs)
+        assert np.array_equal(got.edges(), want.edges())
+        assert ours.random() == theirs.random()
+
+    def test_small_chunks_match(self, monkeypatch):
+        monkeypatch.setattr(gen, "_PAIR_CHUNK", 7)
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        got = gen.erdos_renyi(60, 0.2, ours)
+        want = _historical_dense_gnp(60, 0.2, theirs)
+        assert np.array_equal(got.edges(), want.edges())
+        assert ours.random() == theirs.random()
+
+
 class TestGnm:
     def test_exact_edge_count(self, rng):
         g = gen.gnm_random(20, 30, rng)

@@ -632,6 +632,41 @@ class TestHTTPChaos:
         assert status == 414 and headers.get("X-Request-Id")
         assert closed
 
+    def test_overlong_stream_line_is_413(self, server):
+        """A /stream ndjson line over the 64 KiB reader limit (a 9000-pair
+        batch, ~72 KB) gets a typed in-stream 413 after the earlier
+        lines' answers, is counted, and the stream closes cleanly."""
+        srv, base = server
+        before = self._http_errors(base, 413)
+        pairs = [[i % 50, (i * 7) % 50] for i in range(9000)]
+        big = json.dumps({"pairs": pairs}).encode()
+        assert len(big) > 70_000
+        status, headers, body, closed = _raw_exchange(
+            srv,
+            b"POST /stream/tz HTTP/1.1\r\nHost: t\r\n"
+            b"X-Request-Id: big-line\r\n\r\n"
+            b'{"u": 0, "v": 1}\n' + big + b"\n" + b'{"u": 1, "v": 2}\n',
+        )
+        assert status == 200 and headers["X-Request-Id"] == "big-line"
+        lines = [json.loads(line) for line in body.splitlines() if line]
+        assert [line["status"] for line in lines] == [200, 413]
+        assert "line limit" in lines[1]["error"]
+        assert lines[1]["request_id"] == "big-line"
+        assert lines[1]["max_line_bytes"] == 1 << 16
+        assert closed
+        assert self._http_errors(base, 413) == before + 1
+
+    def test_stream_refusal_carries_request_id(self, server):
+        srv, _ = server
+        status, headers, body, closed = _raw_exchange(
+            srv,
+            b"POST /stream/nope HTTP/1.1\r\nHost: t\r\n"
+            b"X-Request-Id: no-mount\r\n\r\n",
+        )
+        assert status == 404 and headers["X-Request-Id"] == "no-mount"
+        assert "error" in json.loads(body)
+        assert closed
+
     def test_client_disconnect_counted_not_crashed(self, server):
         srv, base = server
         host, port = srv.server_address[:2]
@@ -713,6 +748,24 @@ class TestHTTPChaos:
         _, base = server
         assert cli.main(["query", "--url", base, "--u", "0", "--v", "1"]) == 0
         assert "d(0, 1) <=" in capsys.readouterr().out
+
+    def test_cli_query_url_closes_its_client(self, server):
+        """``repro query --url`` must not leave its keep-alive socket to
+        the garbage collector: under ``-W error::ResourceWarning`` an
+        unclosed socket reports on stderr."""
+        _, base = server
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(__file__), "..", "src"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "repro",
+             "query", "--url", base, "--u", "0", "--v", "1", "--cert"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "d(0, 1) <=" in proc.stdout
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
     def test_cli_query_rejects_both_sources(self, capsys):
         code = cli.main([

@@ -240,8 +240,9 @@ class TestShardedLayout:
 class TestStreamingMemory:
     def test_peak_resident_arcs_regression_guard(self, tmp_path, monkeypatch):
         """The streamed build must hold only a shard plus one in-flight
-        distance block — never the whole relation (the regression this
-        guards: buffering every level's arcs until save time)."""
+        block, or the generator's own cluster-pass working set — never
+        the whole relation (the regression this guards: buffering every
+        level's arcs until save time)."""
         import repro.emulator.thorup_zwick as tz
 
         base = gen.make_family("er_sparse", 400, seed=7)
@@ -249,13 +250,9 @@ class TestStreamingMemory:
         rng = np.random.default_rng(3)
         for u, v in base.edges():
             g.add_edge(int(u), int(v), float(rng.integers(1, 5)))
-        orig = tz._global_distance_shards
-        monkeypatch.setattr(
-            tz, "_global_distance_shards",
-            lambda graph, sources, shard_size=None: orig(
-                graph, sources, shard_size=40
-            ),
-        )
+        # Grow one n-sized top-level cluster per group: the weighted
+        # relax holds a whole group's labels until its fixpoint.
+        monkeypatch.setattr(tz, "_GROUP_LABELS", g.n)
         path = str(tmp_path / "streamed")
         manifest = build_sharded_oracle(
             g, path, shards=8, variant="tz", r=2,
@@ -264,8 +261,9 @@ class TestStreamingMemory:
         stats = manifest["stats"]
         total = stats["bunch_edges"]
         assert total > 0
-        # 8 shards x 40-row blocks: resident high-water must stay well
-        # under the full relation, and the result still bit-identical.
+        # 8 shards x 7-source spill ranges x one-cluster groups: the
+        # resident high-water must stay well under the full relation,
+        # and the result still bit-identical.
         assert stats["peak_resident_arcs"] < total / 2
         art = build_oracle(g, variant="tz", r=2, rng=np.random.default_rng(0))
         merged = load_sharded_artifact(path, verify=True)
@@ -273,6 +271,22 @@ class TestStreamingMemory:
             np.asarray(merged.arrays["bunch_ds"]),
             np.asarray(art.arrays["bunch_ds"]),
         )
+
+    def test_peak_counts_the_cluster_pass(self, tmp_path):
+        """The generator's own working set is part of the high-water: with
+        default groups the weighted relax holds every top-level label
+        (|S_r| clusters of n each) at once."""
+        base = gen.make_family("er_sparse", 400, seed=7)
+        g = WeightedGraph(base.n)
+        rng = np.random.default_rng(3)
+        for u, v in base.edges():
+            g.add_edge(int(u), int(v), float(rng.integers(1, 5)))
+        manifest = build_sharded_oracle(
+            g, str(tmp_path / "streamed"), shards=8, variant="tz", r=2,
+            rng=np.random.default_rng(0),
+        )
+        stats = manifest["stats"]
+        assert stats["peak_resident_arcs"] >= stats["set_sizes"][-1] * g.n
 
 
 # ----------------------------------------------------------------------
