@@ -9,11 +9,8 @@ construction loop at n ∈ {256, 1024, 4096}, plus a batched-only
 n = 10^4 data point that the per-vertex path cannot reach in comparable
 time (the sharded build keeps memory at O(shard · n)).
 
-E18: the backend matrix on sparse min-plus — reference vs csr vs
-parallel at n ∈ {256, 1024, 4096} — recording the parallel rung the
-host provided (numba / multiprocessing / serial) and the worker count,
-so the perf trajectory of the parallel backend stays machine-readable
-across machines with and without numba.
+E18: the backend matrix on sparse min-plus — reference vs csr at
+n ∈ {256, 1024, 4096}; recorded by direct runs only (no pytest floor).
 
 Writes the structured numbers both to ``benchmarks/results/E1[67].json``
 (via :func:`conftest.record_experiment`'s JSON mode) and to the repo-root
@@ -196,26 +193,15 @@ def run_emulator(repeats=3, sizes=EMULATOR_SIZES, sharded_only=EMULATOR_SHARDED_
 
 
 def run_backend_matrix(repeats=3, sizes=BACKEND_SIZES):
-    """E18: sparse min-plus across the reference / csr / parallel
-    backends on identical operands; the per-row fidelity tests already
-    prove the outputs bit-identical, so only wall clock is recorded."""
-    from repro.kernels import parallel as par
-
+    """E18: sparse min-plus on the reference and csr backends on
+    identical operands; the per-row fidelity tests already prove the
+    outputs bit-identical, so only wall clock is recorded."""
     rng = np.random.default_rng(2021)
-    mode = par.parallel_mode()
-    workers = par.worker_count()
     results = []
     for n in sizes:
         s = sparse_minplus_case(n, rng)
         ref_t = best_of(lambda: ref.minplus_reference(s, s), repeats)
         csr_t = best_of(lambda: kernels.minplus_csr(s, s), repeats)
-        # Warm up the numba rung once so the one-time JIT compile stays
-        # out of the timings (the pool rung forks per call by design —
-        # that cost is part of what E18 measures).
-        kernels.minplus(s, s, backend="parallel")
-        par_t = best_of(
-            lambda: kernels.minplus(s, s, backend="parallel"), repeats
-        )
         results.append(
             {
                 "kernel": "sparse_minplus",
@@ -223,11 +209,7 @@ def run_backend_matrix(repeats=3, sizes=BACKEND_SIZES):
                 "rho_per_row": round(float(np.isfinite(s).sum() / n), 2),
                 "reference_s": ref_t,
                 "csr_s": csr_t,
-                "parallel_s": par_t,
-                "parallel_mode": mode,
-                "workers": workers,
-                "parallel_vs_csr": csr_t / par_t,
-                "parallel_vs_reference": ref_t / par_t,
+                "csr_vs_reference": ref_t / csr_t,
             }
         )
     return results
@@ -291,23 +273,19 @@ def _backend_table(results):
             r["n"],
             _fmt_ms(r["reference_s"]),
             _fmt_ms(r["csr_s"]),
-            _fmt_ms(r["parallel_s"]),
-            f"{r['parallel_vs_csr']:.2f}x",
-            f"{r['parallel_mode']}/{r['workers']}",
+            f"{r['csr_vs_reference']:.1f}x",
         ]
         for r in results
     ]
     return format_table(
-        ["n", "reference (ms)", "csr (ms)", "parallel (ms)",
-         "parallel vs csr", "mode/workers"],
-        rows,
+        ["n", "reference (ms)", "csr (ms)", "csr vs reference"], rows
     )
 
 
 def persist_backends(results):
     table = _backend_table(results)
     record_experiment(
-        "E18", "min-plus backend matrix: reference vs csr vs parallel", table,
+        "E18", "min-plus backend matrix: reference vs csr", table,
         payload=results,
     )
     _update_root_json("backend_matrix", results)
@@ -349,26 +327,6 @@ def test_emulator_construction_speedup():
     persist_emulator(results)
     assert by[1024] >= 5.0
     assert any(r["n"] == EMULATOR_SHARDED_ONLY and r["vectorized_s"] for r in results)
-
-
-def test_parallel_backend_speedup():
-    """Acceptance (ISSUE 3): with numba available, the parallel backend
-    beats csr by >= 2x on min-plus at n = 4096.  Without numba the matrix
-    is still recorded (the multiprocessing/serial rungs are correctness
-    fallbacks, not speed claims), so the floor is skipped."""
-    from repro.kernels import parallel as par
-
-    results = run_backend_matrix()
-    persist_backends(results)
-    if not par.numba_available():
-        import pytest
-
-        pytest.skip(
-            f"numba unavailable (parallel rung: {par.parallel_mode()}); "
-            "E18 recorded without the 2x floor"
-        )
-    by = {r["n"]: r["parallel_vs_csr"] for r in results}
-    assert by[4096] >= 2.0
 
 
 def smoke():

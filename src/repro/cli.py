@@ -4,7 +4,7 @@ Examples::
 
     python -m repro emulator --family er_sparse --n 150 --eps 0.5 --r 2
     python -m repro apsp --algo 2eps --family grid --n 120
-    python -m repro apsp --algo near-additive --n 400 --backend parallel
+    python -m repro apsp --algo near-additive --n 400 --backend csr
     python -m repro mssp --family path --n 200 --num-sources 14
     python -m repro families
 
@@ -16,7 +16,7 @@ Examples::
     python -m repro serve --artifact tz=/tmp/tz --artifact na=/tmp/na
     # per-mount cache/backend overrides + serving limits
     python -m repro serve --artifact na=/tmp/na,cache_size=100000 \\
-        --artifact es=/tmp/es,backend=parallel \\
+        --artifact es=/tmp/es,backend=reference \\
         --max-inflight 32 --default-timeout-ms 2000
     # tune the request coalescer (keep-alive + micro-batching)
     python -m repro serve --artifact /tmp/oracle \\
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
              "route name; repeat the flag to serve several artifacts "
              "from one process (POST /query/<name>).  Per-mount "
              "overrides append as ,key=value — e.g. "
-             "NAME=PATH,cache_size=100000,backend=parallel,shards=4 "
+             "NAME=PATH,cache_size=100000,backend=csr,shards=4 "
              "(a sharded-layout path is detected and served by its "
              "worker pool automatically; shards=S on a plain artifact "
              "partitions it in memory)",
@@ -403,8 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # so overwrite that layer too (it sits above the process default).
         os.environ[kernels.ENV_BACKEND_VAR] = args.backend
         kernels.set_default_backend(args.backend)
-        if args.backend == "parallel":
-            print(f"kernel backend: parallel ({kernels.parallel_mode()})")
 
     if args.command == "loadgen":
         try:

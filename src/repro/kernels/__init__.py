@@ -17,10 +17,8 @@ Backends are selected per call (``backend=``), per process
 (:func:`set_default_backend` or the ``REPRO_KERNEL_BACKEND`` environment
 variable), or forced for a whole pipeline (:func:`force_backend` — how
 tests prove the vectorized kernels are bit-identical to the original
-implementations).  The ``parallel`` backend
-(:mod:`repro.kernels.parallel`) JIT-compiles the hot kernels with numba
-when importable and falls back to a forked multiprocessing shard pool
-otherwise; ``"auto"`` promotes large operands to it when profitable.
+implementations).  Every kernel runs in-process; ``"auto"`` picks the
+dense or csr min-plus kernel by operand density.
 """
 
 from .bfs import batched_bfs, multi_source_bfs, sharded_bfs
@@ -40,16 +38,7 @@ from .csr import (
     slab_gather_owners,
 )
 from .minplus import auto_block, finite_fraction, minplus, minplus_csr, minplus_dense
-from .parallel import (
-    ENV_WORKERS_VAR,
-    ParallelFallback,
-    numba_available,
-    parallel_mode,
-    parallel_profitable,
-    pool_active,
-    shutdown_pool,
-    worker_count,
-)
+from .parallel import ParallelFallback, shutdown_pool
 from .postprocess import fold_in_edges
 from .relax import hop_limited_relax
 from .topk import filter_rows, masked_row_argmin
@@ -58,7 +47,6 @@ __all__ = [
     "BACKENDS",
     "CsrParts",
     "ENV_BACKEND_VAR",
-    "ENV_WORKERS_VAR",
     "ParallelFallback",
     "auto_block",
     "batched_bfs",
@@ -75,15 +63,10 @@ __all__ = [
     "minplus_csr",
     "minplus_dense",
     "multi_source_bfs",
-    "numba_available",
-    "parallel_mode",
-    "parallel_profitable",
-    "pool_active",
     "resolve_backend",
     "shutdown_pool",
     "set_default_backend",
     "sharded_bfs",
     "slab_gather",
     "slab_gather_owners",
-    "worker_count",
 ]

@@ -17,13 +17,9 @@ bit-packed frontier advanced by a segmented ``bitwise_or.reduceat`` over
 the CSR (cost ``nnz · waves / 64`` words — the winner when many deep
 waves flood the graph together).  Both produce identical level maps.
 
-``backend="parallel"`` (or ``"auto"`` on large operands when the
-parallel backend is profitable) expands waves through
-:mod:`repro.kernels.parallel` instead — one independent BFS per wave
-under a numba ``prange`` or a forked worker pool; levels are
-scheme-independent, so the output is identical.  ``multi_source_bfs``
-runs a single wave and has nothing to parallelize; it treats
-``"parallel"`` as the default vectorized path.
+``backend="reference"`` routes to the per-source loops of
+:mod:`repro.kernels.reference`; every other backend runs the vectorized
+waves.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import parallel as par
 from .config import resolve_backend
 from .csr import slab_gather, slab_gather_owners
 from .reference import batched_bfs_reference, multi_source_bfs_reference
@@ -100,13 +95,9 @@ def batched_bfs(
     """
     max_dist = np.floor(max_dist)
     sources = np.asarray(list(sources), dtype=np.int64)
-    resolved = resolve_backend(backend)
-    if resolved == "reference":
+    if resolve_backend(backend) == "reference":
         return batched_bfs_reference(indptr, indices, n, sources, max_dist)
-    resolved = par.maybe_promote(resolved, sources.size * n)
     radii = np.full(sources.size, max_dist)
-    if resolved == "parallel":
-        return par.bfs_waves_parallel(indptr, indices, n, sources, radii)
     dist = np.full((sources.size, n), np.inf)
     if sources.size == 0 or n == 0:
         return dist
@@ -162,7 +153,7 @@ def sharded_bfs(
         # One live (n, shard) float block per shard (the yielded view is
         # the working array itself, so the whole budget buys shard rows).
         shard_size = max(1, _SHARD_FLOAT_BUDGET // max(n, 1))
-    resolved = par.maybe_promote(resolve_backend(backend), sources.size * n)
+    resolved = resolve_backend(backend)
     for lo in range(0, sources.size, shard_size):
         hi = min(sources.size, lo + shard_size)
         if resolved == "reference":
@@ -171,10 +162,6 @@ def sharded_bfs(
                 block[i - lo] = multi_source_bfs_reference(
                     indptr, indices, n, [int(sources[i])], radii[i]
                 )
-        elif resolved == "parallel":
-            block = par.bfs_waves_parallel(
-                indptr, indices, n, sources[lo:hi], radii[lo:hi]
-            )
         else:
             work = np.full((n, hi - lo), np.inf)
             if n:

@@ -10,18 +10,14 @@ Resolution order:
 2. the ``backend=`` argument passed at the call site;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable (read at call time,
    so a test harness or a CI leg can re-route a whole process without
-   touching code — the parallel-backend CI matrix leg runs the tier-1
-   suite this way);
+   touching code);
 4. the process-wide default (``"auto"``).
 
 ``"auto"`` lets each kernel pick between its implementations by operand
-density and size (large operands promote to ``"parallel"`` when that
-backend is profitable on the host — see :mod:`repro.kernels.parallel`);
-``"reference"`` routes to the original Python-loop implementations kept
-in :mod:`repro.kernels.reference`, which every other backend must match
-bit-for-bit (see DESIGN.md); ``"parallel"`` routes to the numba-JIT
-implementations when numba is importable and to a forked
-shared-memory ``multiprocessing`` shard pool otherwise.
+density (the min-plus product runs ``"dense"`` on dense operands, else
+``"csr"``); ``"reference"`` routes to the original Python-loop
+implementations kept in :mod:`repro.kernels.reference`, which every
+other backend must match bit-for-bit (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ __all__ = [
     "resolve_backend",
 ]
 
-BACKENDS = ("auto", "dense", "csr", "reference", "parallel")
+BACKENDS = ("auto", "dense", "csr", "reference")
 
 #: Environment variable naming a backend to use for every kernel call
 #: that does not pass an explicit ``backend=`` (layer 3 above).
@@ -98,8 +94,8 @@ def force_backend(name: str) -> Iterator[None]:
     """Force every kernel dispatch to ``name`` inside the ``with`` block,
     overriding call-site ``backend=`` arguments and the environment
     variable.  Used by the fidelity tests to run full pipelines on the
-    ``reference`` (or ``parallel``) backends.  Process-global: do not
-    nest from concurrent threads."""
+    ``reference`` backend.  Process-global: do not nest from concurrent
+    threads."""
     global _forced_backend
     prev = _forced_backend
     _forced_backend = _validate(name)

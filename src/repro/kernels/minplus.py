@@ -14,9 +14,6 @@ over the tropical semiring (zero element ``inf``):
 * ``reference`` — the original per-row Python loop
   (:func:`repro.kernels.reference.minplus_reference`), kept as the
   semantic oracle.
-* ``parallel`` — :mod:`repro.kernels.parallel`: the same segment reduce
-  JIT-compiled over a numba ``prange`` when numba is importable, a
-  forked shard pool running :func:`minplus_csr` on row blocks otherwise.
 
 ``min`` over floats is exact regardless of evaluation order and each
 candidate value is computed by the same single addition in every backend,
@@ -29,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import parallel as par
 from .config import resolve_backend
 from .csr import _slab_positions, dense_to_csr
 from .reference import minplus_reference
@@ -149,30 +145,16 @@ def minplus(
 
     ``backend=None`` defers to :mod:`repro.kernels.config` (default
     ``"auto"``: ``dense`` when the finite fraction of ``s`` exceeds
-    ``dense_threshold``; otherwise promote to ``parallel`` when that
-    backend is profitable on the host and the output exceeds
-    :data:`repro.kernels.parallel.AUTO_PARALLEL_CELLS` cells, else
-    ``csr`` — the parallel rungs shard the csr algorithm, so the density
-    rule outranks promotion).  ``"reference"`` reproduces the original
-    code paths exactly: the Python gather loop, with the same density
-    fallback to the dense kernel.
+    ``dense_threshold``, else ``csr``).  ``"reference"`` reproduces the
+    original code paths exactly: the Python gather loop, with the same
+    density fallback to the dense kernel.
     """
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     _validate(s, t)
     resolved = resolve_backend(backend)
     if resolved == "auto":
-        if finite_fraction(s) > dense_threshold:
-            # Dense operands keep the blocked-broadcast kernel: the
-            # parallel rungs shard the *csr* algorithm, which the density
-            # rule exists to avoid here.
-            resolved = "dense"
-        else:
-            resolved = par.maybe_promote("auto", s.shape[0] * t.shape[1])
-            if resolved == "auto":
-                resolved = "csr"
-    if resolved == "parallel":
-        return par.minplus_parallel(s, t)
+        resolved = "dense" if finite_fraction(s) > dense_threshold else "csr"
     if resolved == "dense":
         return minplus_dense(s, t, block=block)
     if resolved == "csr":

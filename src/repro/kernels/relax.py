@@ -6,13 +6,9 @@ relaxation: per hop, every arc contributes a candidate which a single
 vectorized core that :func:`repro.graph.distances.hop_limited_bellman_ford`
 and ``(S, d)``-source detection (Theorem 11) run on.
 
-The numpy implementation doubles as the semantic baseline (it *is* the
-original code path, so ``"reference"`` routes here too).
-``backend="parallel"`` — or ``"auto"`` on large seed matrices when the
-parallel backend is profitable — relaxes source rows through
-:mod:`repro.kernels.parallel`: rows evolve independently under the
-per-hop Jacobi update (candidates always read the previous hop), so a
-numba ``prange`` or a row-sharded pool produces the identical matrix.
+The numpy implementation is the only one: it doubles as the semantic
+baseline (it *is* the original code path), so every backend name routes
+here.
 """
 
 from __future__ import annotations
@@ -21,20 +17,29 @@ from typing import Optional
 
 import numpy as np
 
-from . import parallel as par
 from .config import resolve_backend
 
 __all__ = ["hop_limited_relax"]
 
 
-def _relax_rounds(
+def hop_limited_relax(
     dist: np.ndarray,
     origins: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
     max_hops: int,
+    backend: Optional[str] = None,
 ) -> np.ndarray:
-    """The numpy relaxation rounds on one block of source rows."""
+    """Relax the directed arcs ``origins -> targets`` (with ``weights``)
+    for ``max_hops`` rounds starting from the ``(num_sources, n)`` seed
+    matrix ``dist``; stops early at a fixpoint.  Returns a new matrix.
+
+    ``backend=None`` defers to :mod:`repro.kernels.config`, which
+    validates the name; every backend runs the same numpy rounds.
+    """
+    if max_hops <= 0 or targets.size == 0 or dist.size == 0:
+        return dist.copy()
+    resolve_backend(backend)
     order = np.argsort(targets, kind="stable")
     targets, origins, weights = targets[order], origins[order], weights[order]
     group_starts = np.flatnonzero(
@@ -50,27 +55,3 @@ def _relax_rounds(
         if np.array_equal(dist, prev):
             break
     return dist
-
-
-def hop_limited_relax(
-    dist: np.ndarray,
-    origins: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    max_hops: int,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Relax the directed arcs ``origins -> targets`` (with ``weights``)
-    for ``max_hops`` rounds starting from the ``(num_sources, n)`` seed
-    matrix ``dist``; stops early at a fixpoint.  Returns a new matrix.
-
-    ``backend=None`` defers to :mod:`repro.kernels.config`; every backend
-    is bit-identical (the per-hop reduction is a ``min`` over the same
-    single-addition candidates in any order).
-    """
-    if max_hops <= 0 or targets.size == 0 or dist.size == 0:
-        return dist.copy()
-    resolved = par.maybe_promote(resolve_backend(backend), dist.size)
-    if resolved == "parallel":
-        return par.relax_parallel(dist, origins, targets, weights, max_hops)
-    return _relax_rounds(dist, origins, targets, weights, max_hops)

@@ -17,7 +17,6 @@ lever: a process-global :data:`FAULTS` injector with a small set of
     coalesce.flush      fired in the coalescer's flush worker before the
                         batched gather; an ``error`` fault maps to a
                         per-request 500 for every parked query
-    parallel.worker     fired inside a shard-pool worker, per task
     sharded.worker      fired inside a ShardedOracle shard worker, per
                         received request (a ``kill`` here is a shard
                         worker dying mid-burst — what the sharded
@@ -28,13 +27,13 @@ zero overhead on the serving hot path.  Arm programmatically::
 
     from repro.oracle.faults import FAULTS
     FAULTS.arm("service.handle", "delay", seconds=0.2)
-    FAULTS.arm("parallel.worker", "kill", times=1)
+    FAULTS.arm("sharded.worker", "kill", times=1)
     FAULTS.arm("artifact.save", "error", stage="manifest")  # torn write
 
-or from the environment (read once at import; forked pool workers
+or from the environment (read once at import; forked shard workers
 inherit it), e.g.::
 
-    REPRO_FAULTS="service.handle=delay:seconds=0.2,parallel.worker=kill"
+    REPRO_FAULTS="service.handle=delay:seconds=0.2,sharded.worker=kill"
 
 Fault kinds:
 
@@ -44,7 +43,7 @@ Fault kinds:
   point after every write stage, so the injection simulates a crash
   with exactly that much data on disk);
 * ``kill`` — ``SIGKILL`` the *current process* (meaningful at
-  ``parallel.worker``: the forked shard worker dies mid-task, which is
+  ``sharded.worker``: the forked shard worker dies mid-request, which is
   what the pool supervisor must survive).
 
 Gating parameters:
@@ -88,7 +87,6 @@ FAULT_POINTS = (
     "engine.query_batch",
     "service.handle",
     "coalesce.flush",
-    "parallel.worker",
     "sharded.worker",
 )
 

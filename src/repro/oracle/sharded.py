@@ -67,10 +67,11 @@ to the unsharded oracle, pool or no pool.  Dispatch is pipelined
 sub-batches to all shards concurrently.
 
 **Failure semantics** (DESIGN.md §10, consistent with §7): a worker
-that dies or stops making progress within the
-``REPRO_POOL_TIMEOUT`` budget tears the pool down; the batch is retried
-on a rebuilt pool **once** (a :class:`ParallelFallback` warning), and a
-second failure degrades permanently to in-process serial backends over
+that dies or stops making progress within the ``REPRO_POOL_TIMEOUT``
+budget (read once, when the oracle starts its pool) tears the pool
+down; the batch is retried on a rebuilt pool **once** (a
+:class:`ParallelFallback` warning), and a second failure degrades
+permanently to in-process serial backends over
 the same mmap'd shard files — same routing code, same kernel, still
 bit-identical, just slower.  ``repro_shard_up`` drops to 0 on degrade.
 The ``sharded.worker`` fault point fires inside each worker per
@@ -965,7 +966,8 @@ class _ShardPool:
     """A persistent pool of forked workers, one per shard, each bound to
     its own :class:`ShardBackend` over a dedicated pipe."""
 
-    def __init__(self, backends: Sequence[ShardBackend]):
+    def __init__(self, backends: Sequence[ShardBackend], timeout: float):
+        self._timeout = timeout
         ctx = multiprocessing.get_context("fork")
         self._procs = []
         self._conns = []
@@ -984,7 +986,7 @@ class _ShardPool:
     ) -> Dict[int, List]:
         """Pipelined dispatch: send to every requested shard, then
         collect — shards compute concurrently.  Worker death, a torn
-        pipe, or no progress within the ``REPRO_POOL_TIMEOUT`` budget
+        pipe, or no progress within the pool's hung-worker budget
         raises :class:`_PoolBroken`; a clean ``("error", exc)`` reply is
         re-raised after all replies are drained (the pool stays
         consistent)."""
@@ -993,7 +995,7 @@ class _ShardPool:
                 self._conns[s].send(ops)
         except (BrokenPipeError, OSError) as exc:
             raise _PoolBroken(f"shard pipe send failed: {exc}")
-        deadline = time.monotonic() + pool_timeout()
+        deadline = time.monotonic() + self._timeout
         results: Dict[int, List] = {}
         error: Optional[BaseException] = None
         for s in requests:
@@ -1007,7 +1009,7 @@ class _ShardPool:
                 if time.monotonic() >= deadline:
                     raise _PoolBroken(
                         f"shard {s} worker made no progress within "
-                        f"{pool_timeout()}s (REPRO_POOL_TIMEOUT)"
+                        f"{self._timeout}s (REPRO_POOL_TIMEOUT)"
                     )
             try:
                 status, payload = conn.recv()
@@ -1195,6 +1197,9 @@ class ShardedOracle(DistanceOracle):
                 "pass pool=False for in-process serial sharding"
             )
         if want_pool:
+            # Read once: a rebuilt pool reuses this budget, and a bad
+            # value fails the load instead of every later batch.
+            self._pool_timeout = pool_timeout()
             self._start_pool()
         else:
             self._degraded = self.shards > 1 and pool is not False
@@ -1276,7 +1281,7 @@ class ShardedOracle(DistanceOracle):
     def _start_pool(self) -> None:
         import weakref
 
-        pool = _ShardPool(self._backends)
+        pool = _ShardPool(self._backends, self._pool_timeout)
         self._pool = pool
         # Finalize the *pool*, not the oracle: workers die with the
         # parent even when close() is never called.

@@ -327,27 +327,6 @@ class TestBatchedBuildFidelity:
         with pytest.raises(ValueError):
             build_emulator(g, 0.4, 2, hierarchy=h, method="gpu")
 
-    def test_build_emulator_parallel_backend(self):
-        # force_backend("parallel") must run the batched path on the
-        # parallel BFS substrate and stay bit-identical to the reference
-        # loop (whichever degradation rung this host provides).
-        for g in graph_cases():
-            h = sample_hierarchy(g.n, 2, np.random.default_rng(21))
-            with kernels.force_backend("parallel"):
-                fast = build_emulator(g, 0.4, 2, hierarchy=h)
-            slow = build_emulator(g, 0.4, 2, hierarchy=h, method="reference")
-            assert_same_graph(fast.emulator, slow.emulator)
-            assert fast.stats == slow.stats
-
-    def test_build_emulator_cc_parallel_backend(self):
-        g = gen.make_family("er_sparse", 60, seed=22)
-        with kernels.force_backend("parallel"):
-            fast = build_emulator_cc(g, 0.4, 2, rng=np.random.default_rng(22))
-        with kernels.force_backend("reference"):
-            slow = build_emulator_cc(g, 0.4, 2, rng=np.random.default_rng(22))
-        assert_same_graph(fast.emulator, slow.emulator)
-        assert fast.ledger.total == slow.ledger.total
-
     def test_build_emulator_hierarchy_reuse(self):
         # The same pre-sampled hierarchy must flow through both paths and
         # come back attached to the result.

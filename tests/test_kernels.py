@@ -5,7 +5,10 @@ Fidelity policy (DESIGN.md §3): every vectorized backend must agree
 ``reference`` backend (the original Python-loop implementations), on
 random, empty, and disconnected inputs.  Plus a pipeline regression:
 ``apsp_two_plus_eps`` is bit-identical whether it runs on the vectorized
-kernels or the reference ones.
+kernels or the reference ones.  Also the layered backend resolution
+(``force_backend`` > call-site ``backend=`` > ``REPRO_KERNEL_BACKEND`` >
+process default), the sharded-BFS block layout and the fold-in
+post-processing kernel.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph.distances import hop_limited_bellman_ford, multi_source_bfs
 from repro.kernels import reference as ref
+from repro.kernels.config import ENV_BACKEND_VAR
 from repro.matmul import filter_rows, minplus_power, minplus_product, row_sparse_minplus
 from repro.toolkit import kd_nearest_bfs, source_detection, source_detection_k
 
@@ -50,9 +54,6 @@ class TestMinplusBackends:
             assert exact_equal(kernels.minplus_csr(s, t), expected)
             assert exact_equal(kernels.minplus_dense(s, t), expected)
             assert exact_equal(kernels.minplus(s, t), expected)
-            assert exact_equal(
-                kernels.minplus(s, t, backend="parallel"), expected
-            )
 
     def test_csr_chunking_invariant(self, rng):
         s = random_minplus_matrix(rng, 25, 25, 0.3)
@@ -218,10 +219,6 @@ class TestBfsKernels:
             )
             got = kernels.batched_bfs(g.indptr, g.indices, g.n, sources, max_dist)
             assert exact_equal(got, want)
-            got_par = kernels.batched_bfs(
-                g.indptr, g.indices, g.n, sources, max_dist, backend="parallel"
-            )
-            assert exact_equal(got_par, want)
 
     def test_batched_batch_size_invariant(self):
         g = gen.make_family("er_sparse", 50, seed=5)
@@ -303,8 +300,8 @@ class TestBackendConfig:
 
     def test_force_backend_restores_on_error(self, monkeypatch):
         # Neutralize the env-var layer: this test is about the forced and
-        # default layers only (the CI matrix leg exports
-        # REPRO_KERNEL_BACKEND=parallel process-wide).
+        # default layers only (a run may export REPRO_KERNEL_BACKEND
+        # process-wide).
         monkeypatch.delenv(kernels.ENV_BACKEND_VAR, raising=False)
         with pytest.raises(RuntimeError):
             with kernels.force_backend("reference"):
@@ -347,12 +344,135 @@ class TestPipelineRegression:
         assert exact_equal(fast.estimates, slow.estimates)
         assert fast.ledger.total == slow.ledger.total
 
-    @pytest.mark.parametrize("family", ["er_sparse", "ring_of_cliques"])
-    def test_apsp_two_plus_eps_parallel_backend(self, family):
-        g = gen.make_family(family, 90, seed=9)
-        with kernels.force_backend("parallel"):
-            fast = apsp_two_plus_eps(g, 0.5, rng=np.random.default_rng(42))
+
+# ----------------------------------------------------------------------
+# Backend resolution order
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
+
+
+class TestResolutionOrder:
+    def test_forced_beats_everything(self, monkeypatch, clean_env):
+        monkeypatch.setenv(ENV_BACKEND_VAR, "csr")
+        with kernels.force_backend("dense"):
+            assert kernels.resolve_backend("reference") == "dense"
+
+    def test_call_site_beats_env(self, monkeypatch, clean_env):
+        monkeypatch.setenv(ENV_BACKEND_VAR, "csr")
+        assert kernels.resolve_backend("dense") == "dense"
+
+    def test_env_beats_default(self, monkeypatch, clean_env):
+        monkeypatch.setenv(ENV_BACKEND_VAR, "reference")
+        assert kernels.resolve_backend() == "reference"
+        assert kernels.get_default_backend() == "auto"  # layer 4 untouched
+
+    def test_default_when_nothing_set(self, clean_env):
+        assert kernels.resolve_backend() == kernels.get_default_backend()
+
+    def test_empty_env_value_ignored(self, monkeypatch, clean_env):
+        monkeypatch.setenv(ENV_BACKEND_VAR, "")
+        assert kernels.resolve_backend() == kernels.get_default_backend()
+
+    @pytest.mark.parametrize("value", ["bogus", "Parallel", "gpu", "parallel"])
+    def test_invalid_env_value_names_variable(self, monkeypatch, clean_env, value):
+        monkeypatch.setenv(ENV_BACKEND_VAR, value)
+        with pytest.raises(ValueError, match=ENV_BACKEND_VAR):
+            kernels.resolve_backend()
+
+    def test_every_backend_name_accepted(self, clean_env):
+        for name in kernels.BACKENDS:
+            assert kernels.resolve_backend(name) == name
+
+    def test_backends_tuple(self):
+        assert kernels.BACKENDS == ("auto", "dense", "csr", "reference")
+
+    def test_env_var_routes_whole_pipeline(self, monkeypatch, clean_env):
+        # REPRO_KERNEL_BACKEND and an untouched call site.
+        monkeypatch.setenv(ENV_BACKEND_VAR, "reference")
+        g = gen.make_family("tree", 50, seed=2)
+        got = kernels.batched_bfs(g.indptr, g.indices, g.n, np.arange(g.n), 4)
+        want = ref.batched_bfs_reference(g.indptr, g.indices, g.n, np.arange(g.n), 4)
+        assert exact_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Sharded BFS block layout
+# ----------------------------------------------------------------------
+
+class TestShardLayout:
+    def test_default_blocks_are_column_contiguous(self, clean_env):
+        g = gen.make_family("er_sparse", 60, seed=1)
+        blocks = list(
+            kernels.sharded_bfs(g.indptr, g.indices, g.n, np.arange(g.n), 4)
+        )
+        assert blocks
+        for _, _, block in blocks:
+            if block.shape[0] > 1:  # 1-row blocks are trivially both orders
+                assert block.flags["F_CONTIGUOUS"]
+                assert not block.flags["C_CONTIGUOUS"]
+            # per-vertex columns are the contiguous axis
+            assert block[:, 0].flags["C_CONTIGUOUS"]
+
+    def test_blocks_value_identical_to_batched(self, clean_env):
+        g = gen.make_family("grid", 64, seed=2)
+        sources = np.arange(g.n)
+        full = kernels.batched_bfs(g.indptr, g.indices, g.n, sources, 6)
+        for lo, hi, block in kernels.sharded_bfs(
+            g.indptr, g.indices, g.n, sources, 6, shard_size=9
+        ):
+            assert exact_equal(block, full[lo:hi])
+
+
+# ----------------------------------------------------------------------
+# Post-processing kernel
+# ----------------------------------------------------------------------
+
+class TestFoldInEdges:
+    def _reference_fold(self, estimates, e, weights=None):
+        out = estimates.copy()
+        if len(e):
+            w = np.ones(len(e)) if weights is None else weights
+            np.minimum.at(out, (e[:, 0], e[:, 1]), w)
+            np.minimum.at(out, (e[:, 1], e[:, 0]), w)
+        np.fill_diagonal(out, 0.0)
+        return out
+
+    def test_matches_minimum_at(self, rng, clean_env, small_er):
+        est = rng.random((small_er.n, small_er.n)) * 5.0
+        e = small_er.edges()
+        want = self._reference_fold(est, e)
+        got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1])
+        assert exact_equal(got, want)
+
+    def test_reference_backend_path(self, rng, clean_env, small_er):
+        est = rng.random((small_er.n, small_er.n)) * 5.0
+        e = small_er.edges()
+        want = self._reference_fold(est, e)
         with kernels.force_backend("reference"):
-            slow = apsp_two_plus_eps(g, 0.5, rng=np.random.default_rng(42))
-        assert exact_equal(fast.estimates, slow.estimates)
-        assert fast.ledger.total == slow.ledger.total
+            got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1])
+        assert exact_equal(got, want)
+
+    def test_weighted_fold(self, rng, clean_env, small_er):
+        est = rng.random((small_er.n, small_er.n)) * 5.0
+        e = small_er.edges()
+        w = rng.random(len(e)) * 3.0
+        want = self._reference_fold(est, e, w)
+        got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1], weights=w)
+        assert exact_equal(got, want)
+
+    def test_empty_edges_still_zero_diagonal(self, clean_env):
+        est = np.full((4, 4), 9.0)
+        got = kernels.fold_in_edges(
+            est, np.empty(0, np.int64), np.empty(0, np.int64)
+        )
+        assert np.array_equal(np.diag(got), np.zeros(4))
+        assert (got[~np.eye(4, dtype=bool)] == 9.0).all()
+
+    def test_in_place_and_returns_same_array(self, clean_env, triangle):
+        est = np.full((3, 3), 7.0)
+        e = triangle.edges()
+        out = kernels.fold_in_edges(est, e[:, 0], e[:, 1])
+        assert out is est

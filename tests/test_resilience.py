@@ -5,8 +5,8 @@ registered fault point — slow query past deadline, worker kill
 mid-batch, torn artifact write, client disconnect, over-admission
 burst — the server returns only typed JSON errors
 (``503``/``504``/``409``/``413``/``4xx``), ``/healthz`` reflects
-draining, thread counts return to baseline, a killed pool worker
-degrades to the next backend rung with a :class:`ParallelFallback`
+draining, thread counts return to baseline, a hung shard-pool worker
+is timed out and its pool rebuilt with a :class:`ParallelFallback`
 warning instead of hanging, and an interrupted ``save_artifact`` leaves
 either the old artifact or no artifact — never a half-written directory
 that ``load_artifact`` accepts.
@@ -119,10 +119,15 @@ class TestFaultInjector:
     def test_env_spec_parses_and_arms(self):
         inj = FaultInjector()
         n = inj.arm_from_env(
-            "service.handle=delay:seconds=0.5,parallel.worker=kill"
+            "service.handle=delay:seconds=0.5,sharded.worker=kill"
         )
         assert n == 2
         assert inj.armed
+
+    def test_removed_kernel_pool_point_is_unknown(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "parallel.worker=kill")
+        with pytest.raises(ValueError, match="unknown fault point"):
+            FaultInjector().arm_from_env()
 
     @pytest.mark.parametrize("spec", [
         "service.handle",                 # no kind
@@ -917,106 +922,78 @@ class TestSigtermDrain:
 
 
 # ----------------------------------------------------------------------
-# Pool supervision (forced 2-worker pool)
+# Pool supervision budget (the sharded oracle's worker pool)
 # ----------------------------------------------------------------------
 
-def _random_minplus(rng, rows, cols, keep=0.4):
-    m = rng.uniform(1, 10, size=(rows, cols))
-    m[rng.random((rows, cols)) > keep] = np.inf
-    return m
-
-
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Force the 2-worker fork pool regardless of host CPU count, with a
-    fresh pool per test (chaos arms must be inherited at fork time)."""
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
+def _two_shard_pool(artifact):
+    """A 2-shard in-memory ShardedOracle on its forked worker pool."""
+    if not par.fork_available():
         pytest.skip("fork start method unavailable")
-    monkeypatch.setenv(par.ENV_WORKERS_VAR, "2")
-    monkeypatch.setattr(par, "MIN_PARALLEL_CELLS", 0)
-    par.shutdown_pool()
-    yield
-    par.shutdown_pool()
+    return oracle.ShardedOracle(artifact, shards=2, pool=True)
 
 
 class TestPoolSupervision:
-    def _operands(self):
-        rng = np.random.default_rng(9)
-        return _random_minplus(rng, 24, 24), _random_minplus(rng, 24, 24)
-
-    def test_one_killed_worker_rebuilds_and_answers(
-        self, forced_pool, tmp_path
-    ):
-        from repro.kernels.minplus import minplus_csr
-
-        s, t = self._operands()
-        ref = minplus_csr(s, t)
-        budget = tmp_path / "kills"
-        budget.write_text("1")  # exactly one forked worker dies
-        FAULTS.arm("parallel.worker", "kill", times_file=str(budget))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = par.minplus_parallel(s, t)
-        assert np.array_equal(got, ref)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, par.ParallelFallback)]
-        assert any("died mid-task" in m for m in messages)
-
-    def test_persistent_kills_degrade_to_serial(self, forced_pool):
-        from repro.kernels.minplus import minplus_csr
-
-        s, t = self._operands()
-        ref = minplus_csr(s, t)
-        FAULTS.arm("parallel.worker", "kill")  # every worker, every time
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = par.minplus_parallel(s, t)
-        assert np.array_equal(got, ref)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, par.ParallelFallback)]
-        assert any("serial" in m for m in messages)
-
-    def test_hung_worker_times_out_and_degrades(
-        self, forced_pool, monkeypatch
-    ):
-        from repro.kernels.minplus import minplus_csr
-
-        monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "0.5")
-        s, t = self._operands()
-        ref = minplus_csr(s, t)
-        FAULTS.arm("parallel.worker", "delay", seconds=60)
-        start = time.monotonic()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = par.minplus_parallel(s, t)
-        elapsed = time.monotonic() - start
-        assert np.array_equal(got, ref)
-        assert elapsed < 30  # did not wait for the 60s sleeps
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, par.ParallelFallback)]
-        assert any("no progress" in m for m in messages)
-
-    def test_pool_recovers_after_chaos(self, forced_pool):
-        from repro.kernels.minplus import minplus_csr
-
-        s, t = self._operands()
-        ref = minplus_csr(s, t)
-        FAULTS.arm("parallel.worker", "kill")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            par.minplus_parallel(s, t)
-        FAULTS.disarm()
-        par.shutdown_pool()  # drop the poisoned pool
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = par.minplus_parallel(s, t)
-        assert np.array_equal(got, ref)
-        assert par.pool_active()
-
     def test_bad_pool_timeout_rejected(self, monkeypatch):
         monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "soon")
         with pytest.raises(ValueError, match="REPRO_POOL_TIMEOUT"):
-            par._pool_timeout()
+            par.pool_timeout()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_pool_timeout_rejected(self, monkeypatch, value):
+        # A nan or inf budget makes `now >= deadline` never true.
+        monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, value)
+        with pytest.raises(ValueError, match="REPRO_POOL_TIMEOUT"):
+            par.pool_timeout()
+
+    def test_sharded_load_rejects_nan_timeout(
+        self, monkeypatch, bunches_artifact
+    ):
+        monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "nan")
+        with pytest.raises(ValueError, match="REPRO_POOL_TIMEOUT"):
+            _two_shard_pool(bunches_artifact)
+
+    def test_timeout_read_once_at_pool_start(
+        self, monkeypatch, bunches_artifact
+    ):
+        monkeypatch.delenv(par.ENV_POOL_TIMEOUT_VAR, raising=False)
+        so = _two_shard_pool(bunches_artifact)
+        try:
+            # Changed after the pool started: later batches ignore it.
+            monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "abc")
+            us = np.arange(so.n)
+            vs = us[::-1].copy()
+            want = DistanceOracle(bunches_artifact).query_batch(us, vs)
+            assert np.array_equal(so.query_batch(us, vs), want)
+            assert so.stats()["shard_mode"] == "pool"
+        finally:
+            so.close()
+
+    def test_hung_shard_worker_times_out_and_rebuilds(
+        self, monkeypatch, bunches_artifact, tmp_path
+    ):
+        monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "0.5")
+        budget = tmp_path / "hangs"
+        budget.write_text("1")  # exactly one shard worker stalls once
+        FAULTS.arm(
+            "sharded.worker", "delay", seconds=60, times_file=str(budget)
+        )
+        so = _two_shard_pool(bunches_artifact)
+        try:
+            us = np.arange(so.n)
+            vs = us[::-1].copy()
+            want = DistanceOracle(bunches_artifact).query_batch(us, vs)
+            start = time.monotonic()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = so.query_batch(us, vs)
+            assert time.monotonic() - start < 30  # not the 60 s stall
+            assert np.array_equal(got, want)
+            messages = [str(w.message) for w in caught
+                        if issubclass(w.category, par.ParallelFallback)]
+            assert any("no progress" in m for m in messages)
+            assert so.stats()["pool_rebuilds"] == 1
+        finally:
+            so.close()
 
 
 # ----------------------------------------------------------------------
@@ -1058,6 +1035,15 @@ class TestMountOverrides:
         save_artifact(matrix_artifact, pa)
         with pytest.raises(ArtifactError, match="unknown backend"):
             OracleRouter.load([("na", pa, {"backend": "bogus"})])
+
+    def test_removed_parallel_backend_rejected(self, matrix_artifact):
+        remaining = "['auto', 'dense', 'csr', 'reference']"
+        with pytest.raises(ArtifactError, match="unknown backend") as exc:
+            DistanceOracle(matrix_artifact, backend="parallel")
+        assert remaining in str(exc.value)
+        with pytest.raises(ArtifactError, match="unknown backend") as exc:
+            cli._parse_artifact_mounts(["na=/tmp/a,backend=parallel"])
+        assert remaining in str(exc.value)
 
     def test_unknown_mount_option_fails_loudly(self, matrix_artifact, tmp_path):
         pa = str(tmp_path / "a")

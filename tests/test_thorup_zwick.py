@@ -76,17 +76,6 @@ class TestWeightedTZ:
         ):
             assert np.array_equal(a, b)
 
-    def test_emulator_bit_identical_under_parallel(self):
-        wg = random_weighted(seed=8)
-        h = sample_hierarchy(wg.n, 2, np.random.default_rng(3))
-        want = build_tz_emulator(wg, 2, hierarchy=h)
-        with kernels.force_backend("parallel"):
-            got = build_tz_emulator(wg, 2, hierarchy=h)
-        for a, b in zip(
-            got.emulator.edge_arrays(), want.emulator.edge_arrays()
-        ):
-            assert np.array_equal(a, b)
-
     def test_weighted_soundness(self):
         wg = random_weighted(seed=11)
         tz = build_tz_emulator(wg, 2, rng=np.random.default_rng(0))
