@@ -6,7 +6,9 @@ vertex range into per-shard files, the build **streams** arcs to disk
 shard-at-a-time (peak resident arc memory is one shard plus one
 in-flight distance block, not the whole O(n^{1+1/k}) arc set), and a
 :class:`repro.oracle.ShardedOracle` routes batched queries by vertex id
-to a pool of forked workers that each mmap only their own shard.
+to a pool of forked workers, one per shard: each answers the pairs
+whose source it owns in one round, mmap'ing its own shard plus the peer
+shards it reads ``B(v)`` from.
 
 This benchmark measures exactly the three claims that layout makes:
 
@@ -22,13 +24,17 @@ This benchmark measures exactly the three claims that layout makes:
 * **throughput** — sharded q/s across shard counts 1/2/4 next to the
   unsharded engine's q/s on the same burst.  The q/s >= unsharded
   floor at shards=4 is asserted only on hosts with >= 4 cores — shard
-  workers are processes, and on a single core the exchange overhead is
+  workers are processes, and on a single core the routing overhead is
   pure cost.
 
 RSS probes run in **fresh subprocesses** (``--probe`` mode): pool
 workers fork from the probe's lean interpreter, so a worker's
-``ru_maxrss`` measures baseline + its shard, not pages inherited from
-a parent that just built the artifact.
+``ru_maxrss`` measures baseline + the shard pages it touched (its own
+and the peers' ``B(v)`` slabs), not pages inherited from a parent that
+just built the artifact.  RSS counts a shared file page in every worker
+that maps it, so the sharded probe also reports the workers' summed
+PSS (``/proc/<pid>/smaps_rollup``), which splits each page across its
+mappers — report-only, next to the asserted RSS bound.
 
 Writes ``benchmarks/results/E22.{txt,json}`` and merges a
 ``sharded_serving`` key into the repo-root ``BENCH_kernels.json``.
@@ -140,6 +146,19 @@ def _probe_unsharded(spec):
     }
 
 
+def _pss_kb(pid):
+    """Proportional set size of ``pid`` in kB, or None where
+    ``/proc/<pid>/smaps_rollup`` is unreadable."""
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as fh:
+            for line in fh:
+                if line.startswith("Pss:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _probe_sharded(spec):
     engine = oracle.ShardedOracle.load(spec["path"], mmap=True, pool=True)
     try:
@@ -147,6 +166,7 @@ def _probe_sharded(spec):
         qps, values = _burst(engine, us, vs, spec["rounds"])
         workers = engine.worker_stats()
         stats = engine.stats()
+        pss = [_pss_kb(w["pid"]) for w in workers]
         return {
             "mode": "sharded",
             "shards": int(engine.shards),
@@ -158,6 +178,10 @@ def _probe_sharded(spec):
             ),
             "sum_worker_rss_kb": sum(
                 int(w["maxrss_kb"]) for w in workers
+            ),
+            # report-only: each shared page counted once across workers
+            "sum_worker_pss_kb": (
+                None if None in pss else sum(pss)
             ),
             "workers": [
                 {k: w[k] for k in ("shard", "lo", "hi", "queries",
@@ -316,6 +340,7 @@ def run_full(n=N_FULL, shard_sweep=SHARD_SWEEP, burst=BURST,
         results["rss_bound"] = {
             "shards": HEADLINE_SHARDS,
             "max_worker_rss_kb": head["max_worker_rss_kb"],
+            "sum_worker_pss_kb": head["sum_worker_pss_kb"],
             "unsharded_load_rss_kb": baseline["load_rss_kb"],
             "unsharded_peak_rss_kb": baseline["rss_kb"],
             # worker peak RSS (serving included) relative to the ideal
@@ -359,20 +384,23 @@ def _result_table(results):
         if rec["mode"] == "unsharded":
             rows.append([
                 "unsharded", "-", f"{rec['qps']:.0f}",
-                f"{rec['load_rss_kb'] / 1024:.0f}", "-", "-",
+                f"{rec['load_rss_kb'] / 1024:.0f}", "-", "-", "-",
             ])
         else:
+            pss = rec["sum_worker_pss_kb"]
             rows.append([
                 "sharded", rec["shards"], f"{rec['qps']:.0f}",
                 f"{rec['max_worker_rss_kb'] / 1024:.0f}",
                 f"{rec['sum_worker_rss_kb'] / 1024:.0f}",
+                "-" if pss is None else f"{pss / 1024:.0f}",
                 rec["identical_to_unsharded"],
             ])
     # unsharded row: resident footprint after load; sharded rows: the
-    # largest worker's peak RSS (serving included) and the pool total.
+    # largest worker's peak RSS (serving included), the pool's RSS
+    # total, and the pool's PSS total after the burst.
     return format_table(
         ["mode", "shards", "q/s", "RSS (MB)", "sum RSS (MB)",
-         "identical"],
+         "sum PSS (MB)", "identical"],
         rows,
     )
 
@@ -416,6 +444,11 @@ def persist(results):
         f"{bound['ratio_vs_ideal_slice']:.2f}x (bound {bound['bound']}x, "
         f"{'asserted' if bound['asserted'] else 'report-only at this n'})"
     )
+    if bound["sum_worker_pss_kb"] is not None:
+        print(
+            f"summed worker PSS at shards={bound['shards']}: "
+            f"{bound['sum_worker_pss_kb'] / 1024:.0f} MB (report-only)"
+        )
     _update_root_json(results)
     return table
 

@@ -448,9 +448,9 @@ class DistanceOracle:
 
         Delegates to :func:`combine_bunch_slabs` with both sides read
         from the oracle's own CSR — the same function the sharded
-        engine's workers call with a *local* u-side CSR and exchanged
-        v-side slabs, which is what keeps sharded answers bit-identical
-        to this path.
+        engine's workers call with a *local* u-side CSR and v's shard's
+        CSR on the v side, which is what keeps sharded answers
+        bit-identical to this path.
         """
         return combine_bunch_slabs(
             self.n,
@@ -516,8 +516,9 @@ def combine_bunch_slabs(
     empty slabs); the v side is given as *per-query* slab bounds
     ``[v_lo[q], v_hi[q])`` into ``v_cols`` / ``v_ds``.  The unsharded
     engine passes its own CSR on both sides (``v_lo = indptr[vs]``);
-    a sharded worker passes its local CSR for same-shard pairs and the
-    slabs received from the v-owning shard for cross-shard pairs.  The
+    a sharded worker passes its local CSR on the u side and, on the v
+    side, the clamped local CSR of v's shard — its own for a same-shard
+    pair, the peer shard's mmap'd files for a cross-shard pair.  The
     candidate set — common members, the two direct-arc conventions, the
     ``u == v`` zero — is identical either way, and ``min`` over float64
     candidates plus the smallest-witness-id tie-break are

@@ -49,22 +49,25 @@ manifest records ``stats.peak_resident_arcs``).  Other variants build
 in memory and re-partition.
 
 **ShardedOracle** — routes batched queries by vertex id to a persistent
-pool of forked worker processes, one per shard, each mmap-loading only
-its shard's files (the parent never loads shard payloads while the pool
-is healthy).  Same-shard pairs are answered by the owner's local
-combine; a cross-shard bunch pair runs a two-sided exchange:
+pool of forked worker processes, one per shard (the parent never loads
+shard payloads while the pool is healthy).  Every query of every kind
+is owned by the shard of its source ``u`` and answered in **one** pool
+round.  For the ``bunches`` kind the u-owner runs the dense-scatter
+combine with its local ``B(u)`` CSR against ``B(v)`` read straight from
+``v``'s shard — its own arrays for a same-shard pair, else the peer
+shard's read-only files, which the worker mmaps on first use (shard
+files are immutable and on the same host, so no slab travels through
+the parent).  Every backend holds the whole shard list and the bounds;
+forked workers inherit them and serial degrade uses the same objects.
 
-1. the ``v``-owning shard returns the ``B(v)`` slab (``stars``),
-2. the ``u``-owning shard runs the dense-scatter combine with its local
-   ``B(u)`` CSR against the exchanged slab (``combine``).
-
-Both sides call :func:`repro.oracle.engine.combine_bunch_slabs` — the
-same kernel the single-process engine uses — with the identical
-candidate set, and min over float64 plus the smallest-witness-id
-tie-break are order-independent, so sharded answers are **bit-identical**
-to the unsharded oracle, pool or no pool.  Dispatch is pipelined
-(send to every shard, then collect), so a coalesced flush fans its
-sub-batches to all shards concurrently.
+Each pair is combined once by
+:func:`repro.oracle.engine.combine_bunch_slabs` — the same kernel the
+single-process engine uses — with the identical candidate set, and min
+over float64 plus the smallest-witness-id tie-break are
+order-independent, so sharded answers are **bit-identical** to the
+unsharded oracle, pool or no pool.  Dispatch is pipelined (send to
+every shard, then collect), so a coalesced flush fans its sub-batches
+to all shards concurrently.
 
 **Failure semantics** (DESIGN.md §10, consistent with §7): a worker
 that dies or stops making progress within the ``REPRO_POOL_TIMEOUT``
@@ -87,7 +90,7 @@ import shutil
 import threading
 import time
 import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -115,7 +118,6 @@ from .artifact import (
     _commit_staged,
     _embed_graph,
     _fsync_fh,
-    _jsonable,
     _manifest_base,
     _manifest_finish,
     _reap_workdirs,
@@ -127,7 +129,6 @@ from .engine import (
     DEFAULT_CACHE_SIZE,
     DistanceOracle,
     _directed_csr,
-    _flat_ranges,
     combine_bunch_slabs,
     edges_sssp_batch,
 )
@@ -759,7 +760,9 @@ class ShardBackend:
     Arrays arrive either eagerly (the in-memory partition of a plain
     artifact) or lazily from a shard directory (``ensure_loaded`` mmaps
     on first use — inside the forked child in pool mode, so the parent
-    never pages the payload in while the pool is healthy)."""
+    never pages the payload in while the pool is healthy).  A bunches
+    worker also loads, on first use, each peer shard it reads ``B(v)``
+    slabs from."""
 
     def __init__(
         self,
@@ -782,6 +785,10 @@ class ShardBackend:
         self._requests = 0
         self._queries = 0
         self._loaded = False
+        # The whole shard set, wired by ShardedOracle._finish_init: a
+        # bunches gather reads B(v) from ``peers[shard_of(bounds, v)]``.
+        self.bounds: Optional[np.ndarray] = None
+        self.peers: Sequence["ShardBackend"] = ()
         if arrays is not None:
             self._attach(arrays)
 
@@ -836,24 +843,15 @@ class ShardBackend:
             _, us, vs, want_witness = op
             self._queries += us.size
             return self.gather(us, vs, want_witness)
-        if name == "stars":
-            _, vs = op
-            self._queries += vs.size
-            return self.stars(vs)
-        if name == "combine":
-            _, us, vs, counts, cols, ds, want_witness = op
-            self._queries += us.size
-            return self.combine(us, vs, counts, cols, ds, want_witness)
         if name == "stats":
             return self.stats()
         raise ArtifactError(f"unknown shard op {name!r}")
 
-    # -- the three routed operations ----------------------------------
+    # -- the routed operation -----------------------------------------
     def gather(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool = True
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer pairs fully owned by this shard (and, for matrix /
-        edges kinds, any pair routed by source)."""
+        """Answer pairs whose source ``u`` this shard owns."""
         if self.kind == "matrix":
             values = np.asarray(
                 self.est[us - self.lo, vs], dtype=np.float64
@@ -864,47 +862,21 @@ class ShardBackend:
                 self.n, self.origins, self.targets, self.weights,
                 us, vs, backend=self._backend,
             )
-        return combine_bunch_slabs(
-            self.n, us, vs,
-            self.indptr, self.cols, self.ds,
-            self.indptr[vs], self.indptr[vs + 1], self.cols, self.ds,
-            want_witness=want_witness,
-        )
-
-    def stars(
-        self, vs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase A of the cross-shard exchange: the concatenated
-        ``B(v)`` slabs of owned vertices, as ``(counts, cols, ds)``."""
-        lo_b = self.indptr[vs]
-        hi_b = self.indptr[vs + 1]
-        pos, _ = _flat_ranges(lo_b, hi_b)
-        return (
-            (hi_b - lo_b).astype(np.int64),
-            np.asarray(self.cols[pos], dtype=np.int64),
-            np.asarray(self.ds[pos], dtype=np.float64),
-        )
-
-    def combine(
-        self,
-        us: np.ndarray,
-        vs: np.ndarray,
-        counts: np.ndarray,
-        cols: np.ndarray,
-        ds: np.ndarray,
-        want_witness: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Phase B: combine owned ``B(u)`` CSRs against exchanged
-        ``B(v)`` slabs — the same kernel, the same candidates, so the
-        answer is bit-identical to the unsharded combine."""
-        hi_b = np.cumsum(counts)
-        lo_b = hi_b - counts
-        return combine_bunch_slabs(
-            self.n, us, vs,
-            self.indptr, self.cols, self.ds,
-            lo_b, hi_b, cols, ds,
-            want_witness=want_witness,
-        )
+        # bunches: B(u) is local; B(v) is read from v's shard — this
+        # backend when v is local, else the peer's (lazily mmap'd) files.
+        values = np.empty(us.size, dtype=np.float64)
+        wits = np.empty(us.size, dtype=np.int64)
+        for s, qidx in _groups(shard_of(self.bounds, vs)):
+            peer = self.peers[s]
+            peer.ensure_loaded()
+            gvs = vs[qidx]
+            values[qidx], wits[qidx] = combine_bunch_slabs(
+                self.n, us[qidx], gvs,
+                self.indptr, self.cols, self.ds,
+                peer.indptr[gvs], peer.indptr[gvs + 1], peer.cols, peer.ds,
+                want_witness=want_witness,
+            )
+        return values, wits
 
     def stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -1176,6 +1148,8 @@ class ShardedOracle(DistanceOracle):
     ) -> None:
         self._bounds = bounds
         self._backends = backends
+        for b in backends:  # forked workers inherit the wiring
+            b.bounds, b.peers = bounds, backends
         self.shards = bounds.size - 1
         self._mount = "default"
         self._route_lock = threading.Lock()
@@ -1218,8 +1192,9 @@ class ShardedOracle(DistanceOracle):
     ) -> "ShardedOracle":
         """Open a sharded artifact directory, or partition a plain one.
 
-        A sharded layout is served *as stored*: workers mmap only their
-        own shard directory and the parent loads nothing but the
+        A sharded layout is served *as stored*: each worker mmaps its
+        own shard directory, plus the peer shards it reads ``B(v)``
+        slabs from (bunches kind), and the parent loads nothing but the
         manifest (``shards=`` must match the layout when given).  A
         plain artifact directory is loaded and partitioned in memory
         into ``shards`` ranges (pool workers inherit the partition over
@@ -1340,21 +1315,15 @@ class ShardedOracle(DistanceOracle):
     def _route(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if us.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        if self.kind == "bunches":
-            return self._route_bunches(us, vs, want_witness)
-        return self._route_by_source(us, vs, want_witness)
-
-    def _route_by_source(
-        self, us: np.ndarray, vs: np.ndarray, want_witness: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """matrix / edges kinds: every query is owned by ``shard(u)``
-        (a matrix shard holds its row range whole; an edges shard's
-        SSSP rows reach their fixpoints independently of how the batch
-        is split, so sub-batching by source is bit-identical)."""
+        """Every query is owned by ``shard(u)``, whatever the kind: a
+        matrix shard holds its row range whole, an edges shard's SSSP
+        rows reach their fixpoints independently of how the batch is
+        split, and a bunches shard reads ``B(v)`` from the peer shard's
+        files itself (:meth:`ShardBackend.gather`) — one pool round."""
         values = np.empty(us.size, dtype=np.float64)
         wits = np.full(us.size, -1, dtype=np.int64)
+        if us.size == 0:
+            return values, wits
         requests: Dict[int, List[Tuple]] = {}
         meta: Dict[int, np.ndarray] = {}
         for s, qidx in _groups(shard_of(self._bounds, us)):
@@ -1365,90 +1334,6 @@ class ShardedOracle(DistanceOracle):
             val, wit = results[s][0]
             values[qidx] = val
             wits[qidx] = wit
-        return values, wits
-
-    def _route_bunches(
-        self, us: np.ndarray, vs: np.ndarray, want_witness: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        values = np.empty(us.size, dtype=np.float64)
-        wits = np.full(us.size, -1, dtype=np.int64)
-        sid_u = shard_of(self._bounds, us)
-        sid_v = shard_of(self._bounds, vs)
-        same = sid_u == sid_v
-        cross_idx = np.flatnonzero(~same)
-
-        # Round A: same-shard gathers + phase-A star slabs, pipelined
-        # together (they are independent shard-local reads).
-        requests: Dict[int, List[Tuple]] = {}
-        gather_meta: Dict[int, np.ndarray] = {}
-        stars_meta: Dict[int, np.ndarray] = {}
-        for s, qidx in _groups(sid_u[same], np.flatnonzero(same)):
-            requests.setdefault(s, []).append(
-                ("gather", us[qidx], vs[qidx], want_witness)
-            )
-            gather_meta[s] = qidx
-        for s, cpos in _groups(sid_v[cross_idx]):
-            requests.setdefault(s, []).append(
-                ("stars", vs[cross_idx[cpos]])
-            )
-            stars_meta[s] = cpos
-        if not requests:
-            return values, wits
-        results = self._dispatch(requests)
-        qc = cross_idx.size
-        gcounts = np.zeros(qc, dtype=np.int64)
-        gstart = np.zeros(qc, dtype=np.int64)
-        flat_cols_parts: List[np.ndarray] = []
-        flat_ds_parts: List[np.ndarray] = []
-        offset = 0
-        for s, ops in requests.items():
-            replies = results[s]
-            at = 0
-            if s in gather_meta:
-                val, wit = replies[at]
-                qidx = gather_meta[s]
-                values[qidx] = val
-                wits[qidx] = wit
-                at += 1
-            if s in stars_meta:
-                counts, cols, ds = replies[at]
-                cpos = stars_meta[s]
-                ends = np.cumsum(counts)
-                gstart[cpos] = offset + ends - counts
-                gcounts[cpos] = counts
-                offset += int(cols.size)
-                flat_cols_parts.append(cols)
-                flat_ds_parts.append(ds)
-        if qc == 0:
-            return values, wits
-        flat_cols = (
-            np.concatenate(flat_cols_parts) if flat_cols_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        flat_ds = (
-            np.concatenate(flat_ds_parts) if flat_ds_parts
-            else np.empty(0, dtype=np.float64)
-        )
-
-        # Round B: each u-owning shard combines its local B(u) CSR with
-        # the exchanged B(v) slabs.
-        requests_b: Dict[int, List[Tuple]] = {}
-        meta_b: Dict[int, np.ndarray] = {}
-        for s, cpos in _groups(sid_u[cross_idx]):
-            sel = cross_idx[cpos]
-            pos, _ = _flat_ranges(
-                gstart[cpos], gstart[cpos] + gcounts[cpos]
-            )
-            requests_b[s] = [(
-                "combine", us[sel], vs[sel], gcounts[cpos],
-                flat_cols[pos], flat_ds[pos], want_witness,
-            )]
-            meta_b[s] = sel
-        results_b = self._dispatch(requests_b)
-        for s, sel in meta_b.items():
-            val, wit = results_b[s][0]
-            values[sel] = val
-            wits[sel] = wit
         return values, wits
 
     def _dispatch(
@@ -1467,10 +1352,7 @@ class ShardedOracle(DistanceOracle):
         elapsed = time.perf_counter() - start
         enabled = _metrics.ENABLED
         for s, ops in requests.items():
-            routed = sum(
-                int(op[1].size) for op in ops
-                if op[0] in ("gather", "stars", "combine")
-            )
+            routed = sum(int(op[1].size) for op in ops if op[0] == "gather")
             self._shard_query_counts[s] += routed
             if enabled:
                 counter, histogram = self._shard_children(s)
@@ -1568,12 +1450,9 @@ class ShardedOracle(DistanceOracle):
         return self._path_oracle
 
 
-def _groups(
-    sid: np.ndarray, positions: Optional[np.ndarray] = None
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(shard, original_positions)`` per distinct shard id in ``sid``
-    (stable order inside each group).  ``positions`` maps ``sid``'s
-    indices back to a caller index space (defaults to identity)."""
+def _groups(sid: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(shard, positions)`` per distinct shard id in ``sid`` (stable
+    order inside each group)."""
     if sid.size == 0:
         return
     order = np.argsort(sid, kind="stable")
@@ -1584,7 +1463,4 @@ def _groups(
     for gi in range(starts.size):
         a = starts[gi]
         b = starts[gi + 1] if gi + 1 < starts.size else sid.size
-        idx = order[a:b]
-        if positions is not None:
-            idx = positions[idx]
-        yield int(ssid[a]), idx
+        yield int(ssid[a]), order[a:b]

@@ -29,9 +29,11 @@ metric                                         labels
 
 The three ``repro_shard_*`` series exist only when a sharded oracle is
 mounted: ``repro_shard_queries_total`` counts queries *routed* to each
-shard (a cross-shard bunch pair counts on both endpoints' shards, so
-the series shows true per-shard load, which is what the loadgen
-``zipf_hotspot`` imbalance report scrapes), ``repro_shard_gather_seconds``
+shard (every query counts once, on the shard that owns its source
+``u`` — a cross-shard bunch pair too, since that shard reads ``B(v)``
+itself — so the series sums to the queries answered and shows the
+per-shard load the loadgen ``zipf_hotspot`` imbalance report
+scrapes), ``repro_shard_gather_seconds``
 times one shard's round-trip inside a batched answer, and
 ``repro_shard_up`` is 1 while the shard is served by a live pool worker
 and 0 after the supervision ladder degrades it to in-process serial.
@@ -127,8 +129,8 @@ ENGINE_GATHER_SECONDS = REGISTRY.histogram(
 )
 SHARD_QUERIES = REGISTRY.counter(
     "repro_shard_queries_total",
-    "Queries routed to each shard of a sharded oracle (cross-shard "
-    "bunch pairs count on both endpoints' shards).",
+    "Queries routed to each shard of a sharded oracle (every query "
+    "counts once, on the shard that owns its source u).",
     ("mount", "shard"),
 )
 SHARD_GATHER_SECONDS = REGISTRY.histogram(

@@ -45,7 +45,6 @@ from repro.oracle import (
     OracleClient,
     OracleRouter,
     OracleService,
-    ServingLimits,
     build_oracle,
     load_artifact,
     save_artifact,

@@ -326,7 +326,69 @@ class TestShardedBitIdentity:
             assert np.array_equal(got_w, want_w)
             stats = so.stats()
             assert stats["shards"] == 4
-            assert sum(stats["shard_queries"]) >= us.size
+            # each pair counts once, on the shard that owns u
+            assert sum(stats["shard_queries"]) == us.size
+        finally:
+            so.close()
+
+    def test_one_pool_round_per_batch(self, sharded_dir, ref_u):
+        """A batch mixing same-shard and cross-shard pairs costs each
+        worker at most one request, and every pair is answered once,
+        by u's shard (no B(v) relay through the parent)."""
+        so = ShardedOracle.load(sharded_dir, pool=True)
+        try:
+            bounds = np.asarray(so.stats()["shard_bounds"])
+            us, vs = _pairs(so.n, 600, seed=31)
+            sid_u, sid_v = shard_of(bounds, us), shard_of(bounds, vs)
+            assert (sid_u == sid_v).any() and (sid_u != sid_v).any()
+            before = so.worker_stats()
+            got_d, got_w = so._answer_batch(us, vs)
+            after = so.worker_stats()
+            want_d, want_w = ref_u._answer_batch(us, vs)
+            assert np.array_equal(got_d, want_d)
+            assert np.array_equal(got_w, want_w)
+            for b, a in zip(before, after):
+                # the second worker_stats() call is itself one request
+                assert a["requests"] - b["requests"] - 1 <= 1, (b, a)
+                # so the deltas sum to the batch size
+                assert a["queries"] - b["queries"] == int(
+                    (sid_u == a["shard"]).sum()
+                )
+        finally:
+            so.close()
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_corrupt_peer_shard_is_typed(
+        self, sharded_dir, ref_u, tmp_path, pool,
+    ):
+        """u's worker mmaps v's shard on first use: a corrupt peer file
+        surfaces as the typed error out of the pool (a clean reply, not
+        a dead worker, so no rebuild) and pairs that never read the
+        peer are still answered."""
+        import shutil
+
+        from repro.oracle import ArtifactCorrupt
+
+        hurt = str(tmp_path / "hurt")
+        shutil.copytree(sharded_dir, hurt)
+        victim = os.path.join(hurt, "shard-0003", "cols.npy")
+        with open(victim, "r+b") as fh:
+            fh.truncate(os.path.getsize(victim) // 2)
+        so = ShardedOracle.load(hurt, pool=pool)
+        try:
+            bounds = so.stats()["shard_bounds"]
+            u, v = bounds[0], bounds[3]
+            with pytest.raises(ArtifactCorrupt, match="shard-0003"):
+                so._answer_batch(np.array([u]), np.array([v]))
+            stats = so.stats()
+            assert stats["pool_rebuilds"] == 0
+            assert stats["shard_mode"] == ("pool" if pool else "serial")
+            us = np.array([u, u + 1, u + 2])
+            vs = np.array([u + 5, u, bounds[1] - 1])
+            got_d, got_w = so._answer_batch(us, vs)
+            want_d, want_w = ref_u._answer_batch(us, vs)
+            assert np.array_equal(got_d, want_d)
+            assert np.array_equal(got_w, want_w)
         finally:
             so.close()
 
@@ -458,7 +520,6 @@ class TestStreamChannel:
 
     def test_stream_order_and_inline_errors(self, async_server):
         with OracleClient(async_server) as client:
-            import http.client as hc
             import socket as sk
 
             # hand-rolled so a malformed line can ride the stream
@@ -607,5 +668,7 @@ class TestLoadgenShards:
             "zipf_hotspot", [("tz", ref_u)], requests=120, seed=4
         )
         shard_counts = report["server"]["metrics"]["shard_queries_total"]["tz"]
+        # only u's shard counts a pair, and the hotspot still reaches
+        # every shard as a source
         assert set(shard_counts) == {"0", "1", "2", "3"}
-        assert sum(shard_counts.values()) >= 120
+        assert sum(shard_counts.values()) == 120
