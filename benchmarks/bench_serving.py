@@ -58,7 +58,7 @@ _LIMITS = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=4096)
 def _build_engine(n=N):
     g = gen.make_family("er_sparse", n, seed=61)
     artifact = oracle.build_oracle(g, variant="exact")
-    return oracle.DistanceOracle(artifact, cache_size=0)
+    return oracle.DistanceOracle(artifact)
 
 
 def _worker_queries(worker, count, n):

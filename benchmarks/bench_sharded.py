@@ -131,7 +131,7 @@ def _current_rss_kb():
 
 def _probe_unsharded(spec):
     art = oracle.load_artifact(spec["path"], mmap=False)
-    engine = oracle.DistanceOracle(art, cache_size=0)
+    engine = oracle.DistanceOracle(art)
     engine.query_batch([0], [0])  # materialize lazy structures
     load_rss = _current_rss_kb()
     us, vs = _pairs(engine.n, spec["burst"])
@@ -234,8 +234,7 @@ def identity_check(n=IDENTITY_N, shard_counts=SHARD_SWEEP, burst=20_000):
     reference = oracle.DistanceOracle(
         oracle.build_oracle(
             g, variant="tz", r=R, rng=np.random.default_rng(rng_seed)
-        ),
-        cache_size=0,
+        )
     )
     us, vs = _pairs(n, burst)
     expected = reference.query_batch(us, vs)

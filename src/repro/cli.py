@@ -14,8 +14,8 @@ Examples::
     python -m repro serve --artifact /tmp/oracle --port 8080
     # multi-artifact serving: one process, per-artifact routes
     python -m repro serve --artifact tz=/tmp/tz --artifact na=/tmp/na
-    # per-mount cache/backend overrides + serving limits
-    python -m repro serve --artifact na=/tmp/na,cache_size=100000 \\
+    # per-mount backend/shard overrides + serving limits
+    python -m repro serve --artifact tz=/tmp/tz,shards=4 \\
         --artifact es=/tmp/es,backend=reference \\
         --max-inflight 32 --default-timeout-ms 2000
     # tune the request coalescer (keep-alive + micro-batching)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
              "route name; repeat the flag to serve several artifacts "
              "from one process (POST /query/<name>).  Per-mount "
              "overrides append as ,key=value — e.g. "
-             "NAME=PATH,cache_size=100000,backend=csr,shards=4 "
+             "NAME=PATH,backend=csr,shards=4 "
              "(a sharded-layout path is detected and served by its "
              "worker pool automatically; shards=S on a plain artifact "
              "partitions it in memory)",
@@ -293,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=limits.drain_timeout_s,
         help="seconds SIGTERM/SIGINT waits for in-flight requests "
              "before exiting (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--cache-size", type=int, default=None,
-        help="per-mount LRU result-cache capacity (mount option "
-             "cache_size=N overrides per artifact)",
     )
     p_serve.add_argument(
         "--log-format", default="text", choices=("text", "json"),
@@ -645,7 +640,6 @@ def _parse_backend_option(value: str) -> str:
 
 #: Per-mount option parsers for ``--artifact NAME=PATH,key=value``.
 _MOUNT_OPTION_PARSERS = {
-    "cache_size": int,
     "backend": _parse_backend_option,
     "shards": int,
 }
@@ -653,7 +647,7 @@ _MOUNT_OPTION_PARSERS = {
 
 def _parse_artifact_mounts(entries):
     """``--artifact`` values: ``PATH`` or ``NAME=PATH``, optionally
-    followed by ``,key=value`` per-mount overrides (``cache_size=N``).
+    followed by ``,key=value`` per-mount overrides (``shards=S``).
 
     Returns ``(name, path)`` or ``(name, path, options)`` tuples — the
     :meth:`repro.oracle.OracleRouter.load` input shape."""
@@ -777,7 +771,6 @@ def _main_serving(args) -> int:
             host=args.host,
             port=args.port,
             mmap=args.mmap,
-            cache_size=args.cache_size,
             limits=limits,
         )
         return 0

@@ -6,7 +6,7 @@ run — applied to the Dory–Parter distance-oracle servers (PR 6/7):
 
 * :mod:`repro.loadgen.profiles` — :class:`WorkloadProfile` registry.
   Five named profiles: ``uniform_random``, ``zipf_hotspot`` (tunable
-  skew; exercises the engine LRU), ``batch_single_mix``,
+  skew over a hot vertex set), ``batch_single_mix``,
   ``multi_tenant`` (several mounted artifacts), ``burst``
   (admission-control stress).  Request sequences and arrival schedules
   are pure functions of ``(profile, params, seed, tenants)`` — never of

@@ -8,7 +8,7 @@ profile's deterministic request sequence with the matching driver, and
 reduce the outcomes to the fixed metrics table
 (:mod:`repro.loadgen.metrics`), annotated with the server's own
 counters scraped from ``GET /info`` — coalescing stats, admission
-admitted/rejected, engine cache hits — so a report can be
+admitted/rejected, engine query counts — so a report can be
 cross-checked against what the server says happened (the chaos suite
 asserts the two agree exactly).
 
@@ -40,9 +40,8 @@ from ..oracle import (
     OracleClient,
     OracleRouter,
     ServingLimits,
-    ShardedOracle,
     build_oracle,
-    is_sharded_artifact,
+    load_mount,
     start_async_server,
 )
 from ..telemetry import MetricsSnapshot, parse_exposition
@@ -123,37 +122,10 @@ def load_mounts(
 ) -> List[Tuple[str, DistanceOracle]]:
     """Load prebuilt artifacts from ``(name, path)`` /
     ``(name, path, options)`` mount tuples — the same shape
-    ``repro serve --artifact`` parses; ``name=None`` defaults to the
+    ``repro serve --artifact`` parses, opened by the same
+    :func:`~repro.oracle.load_mount`; ``name=None`` defaults to the
     manifest variant."""
-    out: List[Tuple[str, DistanceOracle]] = []
-    for item in mounts:
-        name, path = item[0], item[1]
-        options = dict(item[2]) if len(item) > 2 else {}
-        kwargs = {}
-        if "cache_size" in options:
-            kwargs["cache_size"] = int(options.pop("cache_size"))
-        if "backend" in options:
-            kwargs["backend"] = options.pop("backend")
-        shards = options.pop("shards", None)
-        if options:
-            raise LoadgenError(
-                f"unknown mount option(s) {sorted(options)} for "
-                f"loadgen artifact {name or path!r}"
-            )
-        if shards is not None or is_sharded_artifact(path):
-            oracle = ShardedOracle.load(
-                path,
-                shards=int(shards) if shards is not None else None,
-                mmap=mmap,
-                **kwargs,
-            )
-        else:
-            oracle = DistanceOracle.load(path, mmap=mmap, **kwargs)
-        mount_name = name or oracle.artifact.variant
-        if isinstance(oracle, ShardedOracle):
-            oracle.set_mount(mount_name)
-        out.append((mount_name, oracle))
-    return out
+    return [load_mount(item, mmap=mmap) for item in mounts]
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +214,7 @@ def _metrics_section(delta: MetricsSnapshot) -> Dict[str, object]:
 
 
 def _server_section(info: Dict[str, object]) -> Dict[str, object]:
-    """The report's ``server`` block: per-mount admission/cache/coalesce
+    """The report's ``server`` block: per-mount admission/engine/coalesce
     counters plus an aggregate coalescing rollup (sum over mounts)."""
     artifacts = info.get("artifacts", {})
     per_mount = {}

@@ -18,8 +18,9 @@ profile            driver traffic shape
 ``uniform_random`` closed independent uniform ``(u, v)`` singles — the
                           baseline every other profile is read against
 ``zipf_hotspot``   closed both endpoints Zipf(``skew``)-distributed, so
-                          a few vertices dominate and repeated pairs
-                          exercise the engine's LRU result cache
+                          a few hot vertices dominate the traffic (on a
+                          sharded mount, their shard's load dwarfs the
+                          others')
 ``batch_single_mix`` closed a seeded coin mixes explicit ``pairs``
                           batches (``batch_fraction``, ``batch_size``)
                           into single-query traffic
@@ -266,8 +267,8 @@ def zipf_pairs(
     n: int, count: int, skew: float, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` (u, v) pairs with both endpoints Zipf-distributed —
-    vertex 0 is the hottest, so a small hot set dominates traffic and
-    repeated pairs hit the engine's LRU cache."""
+    vertex 0 is the hottest, so a small hot set of endpoints dominates
+    traffic."""
     p = zipf_probabilities(n, skew)
     return rng.choice(n, size=(count, 2), p=p)
 
@@ -359,8 +360,8 @@ register_profile(WorkloadProfile(
 
 register_profile(WorkloadProfile(
     name="zipf_hotspot",
-    summary="Zipf-skewed endpoints: a hot vertex set that exercises "
-            "the engine's LRU result cache",
+    summary="Zipf-skewed endpoints: a small hot vertex set dominates "
+            "the traffic",
     build=_build_zipf,
     params=(ParamSpec(
         "skew", float, default=1.1, lo=0.05, hi=8.0,

@@ -13,12 +13,13 @@ end, the preprocess/query split production distance services amortize:
   variant registered in :mod:`repro.variants`;
 * :mod:`repro.oracle.engine` — :class:`DistanceOracle`: vectorized
   batched distance / path queries answered from the artifact through the
-  kernel layer, with an LRU result cache and per-query stretch
-  certificates;
+  kernel layer (a single query is a one-pair batch), with per-query
+  stretch certificates;
 * :mod:`repro.oracle.service` — :class:`OracleService` (JSON
   request/response semantics), :class:`OracleRouter` (many named
   artifacts served from one process with per-artifact routing and a
-  merged ``/info``), and the stdlib asyncio HTTP front end
+  merged ``/info``; :func:`load_mount` opens every mount), and the
+  stdlib asyncio HTTP front end
   (:class:`AsyncOracleServer`, ``repro serve``), no new dependencies;
 * :mod:`repro.oracle.coalesce` — :class:`QueryCoalescer`: the HTTP
   front end's micro-batcher that turns bursts of concurrent single
@@ -40,8 +41,8 @@ admission control and graceful drain (:mod:`repro.oracle.resilience` +
 server through every failure mode.  DESIGN.md §7 tabulates the failure
 semantics.
 
-DESIGN.md §6 documents the artifact format, query semantics, and cache
-policy; benchmark E19 (``benchmarks/bench_oracle.py``) records the
+DESIGN.md §6 documents the artifact format and query semantics;
+benchmark E19 (``benchmarks/bench_oracle.py``) records the
 single-vs-batched serving throughput.
 """
 
@@ -80,6 +81,7 @@ from .service import (
     AsyncServerHandle,
     OracleRouter,
     OracleService,
+    load_mount,
     serve,
     start_async_server,
 )
@@ -126,6 +128,7 @@ __all__ = [
     "build_oracle",
     "graph_fingerprint",
     "load_artifact",
+    "load_mount",
     "save_artifact",
     "serve",
     "start_async_server",

@@ -36,11 +36,11 @@ Answers point-to-point distance and path queries from an
   witness id** (the library-wide tie-break), and a stored direct arc
   ``u -> v`` or ``v -> u`` participates as witness ``v``.
 
-Single queries run through a small LRU result cache (direction-faithful
-``(u, v)`` keys, thread-safe — the HTTP front end serves from a thread
-pool); batched queries bypass it.  :meth:`DistanceOracle.certificate`
-returns the per-query stretch certificate implied by the artifact's
-proven ``(multiplicative, additive)`` guarantee, and
+A single query is a one-pair batch through the same kind kernel, so it
+answers bit-identically to ``query_batch``.
+:meth:`DistanceOracle.certificate` returns the per-query stretch
+certificate implied by the artifact's proven
+``(multiplicative, additive)`` guarantee, and
 :meth:`DistanceOracle.stretch_report` scores any answered batch against
 exact distances via :func:`repro.analysis.stretch.evaluate_stretch`.
 """
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,13 +65,9 @@ from .faults import FAULTS
 __all__ = [
     "DistanceOracle",
     "QueryCertificate",
-    "DEFAULT_CACHE_SIZE",
     "combine_bunch_slabs",
     "edges_sssp_batch",
 ]
-
-#: Default LRU result-cache capacity (entries, one per unordered pair).
-DEFAULT_CACHE_SIZE = 4096
 
 #: Distinct sources relaxed per SSSP pass on an ``edges`` artifact —
 #: bounds the dense ``(shard, n)`` seed matrix regardless of batch size.
@@ -125,29 +120,9 @@ class DistanceOracle:
     def __init__(
         self,
         artifact: OracleArtifact,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional[str] = None,
     ):
-        if backend is not None and backend not in BACKENDS:
-            raise ArtifactError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{list(BACKENDS)}"
-            )
-        self._backend = backend
-        self.artifact = artifact
-        self.n = artifact.n
-        self.kind = artifact.kind
-        self.multiplicative = artifact.multiplicative
-        self.additive = artifact.additive
-        self._cache_size = int(cache_size)
-        self._cache: "OrderedDict[Tuple[int, int], Tuple[float, Optional[int]]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._queries = 0
-        self._batched = 0
-        self._graph: Optional[object] = None
-        self._path_oracle = None
+        self._init_common(artifact, backend)
         if self.kind == "matrix":
             self._est = np.asarray(artifact.arrays["estimates"], dtype=np.float64)
             if self._est.shape != (self.n, self.n):
@@ -202,12 +177,35 @@ class DistanceOracle:
         else:
             raise ArtifactError(f"unknown artifact kind {self.kind!r}")
 
+    def _init_common(
+        self, artifact: OracleArtifact, backend: Optional[str]
+    ) -> None:
+        """The half of construction that parses no kind arrays — shared
+        with :class:`~repro.oracle.sharded.ShardedOracle`, which must
+        never materialize the merged payload in the parent."""
+        if backend is not None and backend not in BACKENDS:
+            raise ArtifactError(
+                f"unknown backend {backend!r}; expected one of "
+                f"{list(BACKENDS)}"
+            )
+        self._backend = backend
+        self.artifact = artifact
+        self.n = artifact.n
+        self.kind = artifact.kind
+        self.multiplicative = artifact.multiplicative
+        self.additive = artifact.additive
+        self._lock = threading.Lock()
+        self._queries = 0
+        self._batched = 0
+        self._singles = 0
+        self._graph: Optional[object] = None
+        self._path_oracle = None
+
     @classmethod
     def load(
         cls,
         path: str,
         expected_graph=None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         mmap: bool = False,
         backend: Optional[str] = None,
     ) -> "DistanceOracle":
@@ -221,7 +219,6 @@ class DistanceOracle:
         gather-only kinds) — every backend is bit-identical."""
         return cls(
             load_artifact(path, expected_graph=expected_graph, mmap=mmap),
-            cache_size=cache_size,
             backend=backend,
         )
 
@@ -229,45 +226,25 @@ class DistanceOracle:
     # Distance queries
     # ------------------------------------------------------------------
     def query(self, u: int, v: int) -> float:
-        """One point-to-point distance estimate (LRU-cached)."""
+        """One point-to-point distance estimate."""
         return self._query_full(u, v)[0]
 
     def _query_full(self, u: int, v: int) -> Tuple[float, Optional[int]]:
         u, v = self._check_pair(u, v)
-        # Direction-faithful key: answers are exactly what a batch gather
-        # for (u, v) returns, even if a matrix variant were asymmetric.
-        key = (u, v)
-        if self._cache_size > 0:
-            with self._lock:
-                self._queries += 1
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._hits += 1
-                    self._cache.move_to_end(key)
-                    return hit
-                self._misses += 1
-        else:
-            with self._lock:
-                self._queries += 1
-                self._misses += 1
-        us = np.array([key[0]], dtype=np.int64)
-        vs = np.array([key[1]], dtype=np.int64)
-        values, witnesses = self._answer_batch(us, vs)
+        with self._lock:
+            self._queries += 1
+            self._singles += 1
+        values, witnesses = self._answer_batch(
+            np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
+        )
         wit = int(witnesses[0]) if witnesses[0] >= 0 else None
-        answer = (float(values[0]), wit)
-        if self._cache_size > 0:
-            with self._lock:
-                self._cache[key] = answer
-                self._cache.move_to_end(key)
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-        return answer
+        return float(values[0]), wit
 
     def query_batch(
         self, us: Sequence[int], vs: Sequence[int]
     ) -> np.ndarray:
         """Vectorized distances for parallel index arrays ``us`` / ``vs``
-        (bypasses the cache; one kernel pass for the whole batch)."""
+        (one kernel pass for the whole batch)."""
         FAULTS.fire("engine.query_batch")
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -294,7 +271,7 @@ class DistanceOracle:
         return values
 
     def certificate(self, u: int, v: int) -> QueryCertificate:
-        """The stretch certificate for one query (cached like ``query``)."""
+        """The stretch certificate for one query."""
         estimate, witness = self._query_full(u, v)
         return QueryCertificate(
             u=int(u),
@@ -350,21 +327,19 @@ class DistanceOracle:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Serving counters (queries, batch share, cache behaviour)."""
+        """Serving counters: queries answered and the batched share."""
         with self._lock:
             return {
                 "queries": self._queries,
                 "batched_queries": self._batched,
-                "cache_hits": self._hits,
-                "cache_misses": self._misses,
-                "cache_entries": len(self._cache),
-                "cache_capacity": self._cache_size,
+                # There is no result cache.  perfbench/run.py still reads
+                # these two keys (``engine.cache_hit_ratio`` and the
+                # cross-shard fraction), and only a benchmark change may
+                # edit perfbench: hits are always 0, and misses count the
+                # single queries (``query``/``certificate``) answered.
+                "cache_hits": 0,
+                "cache_misses": self._singles,
             }
-
-    def clear_cache(self) -> None:
-        """Drop every cached result (counters are kept)."""
-        with self._lock:
-            self._cache.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -466,9 +441,14 @@ class DistanceOracle:
             want_witness=want_witness,
         )
 
+    def _payload_artifact(self) -> OracleArtifact:
+        """The artifact with its payload arrays (path queries read it); a
+        sharded oracle merges its shard files on first use."""
+        return self.artifact
+
     def _embedded_graph(self):
         if self._graph is None:
-            g = self.artifact.graph()
+            g = self._payload_artifact().graph()
             if g is None:
                 raise ArtifactError(
                     "path queries need an artifact built with "
@@ -481,11 +461,10 @@ class DistanceOracle:
         if self._path_oracle is None:
             from ..apsp.paths import EmulatorPathOracle
 
+            arrays = self._payload_artifact().arrays
             star = WeightedGraph(self.n)
             star.add_edges_arrays(
-                self.artifact.arrays["bunch_srcs"],
-                self.artifact.arrays["bunch_dsts"],
-                self.artifact.arrays["bunch_ds"],
+                arrays["bunch_srcs"], arrays["bunch_dsts"], arrays["bunch_ds"]
             )
             self._path_oracle = EmulatorPathOracle(g, star)
         return self._path_oracle

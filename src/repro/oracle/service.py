@@ -89,12 +89,14 @@ from .resilience import (
     DeadlineExceeded,
     ServingLimits,
 )
+from .sharded import ShardedOracle, is_sharded_artifact
 
 __all__ = [
     "AsyncOracleServer",
     "AsyncServerHandle",
     "OracleRouter",
     "OracleService",
+    "load_mount",
     "serve",
     "start_async_server",
 ]
@@ -542,9 +544,46 @@ class OracleService:
 # Multi-artifact routing
 # ----------------------------------------------------------------------
 
-#: Mount options accepted by :meth:`OracleRouter.load` (the
+#: Mount options accepted by :func:`load_mount` (the
 #: ``--artifact NAME=PATH,key=value`` surface).
-_MOUNT_OPTIONS = ("cache_size", "backend", "shards")
+_MOUNT_OPTIONS = ("backend", "shards")
+
+
+def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
+    """Open one ``(name, path)`` or ``(name, path, options)`` mount and
+    return ``(mount_name, oracle)`` — the one loader behind
+    :meth:`OracleRouter.load` and :func:`repro.loadgen.load_mounts`.
+
+    ``name=None`` defaults to the artifact's manifest ``variant``.  The
+    ``options`` dict overrides serving knobs for this artifact alone —
+    ``backend`` and ``shards`` (the CLI spells them
+    ``--artifact NAME=PATH,backend=X,shards=S``); unknown options fail
+    loudly.  A path holding the sharded layout opens as a
+    :class:`~repro.oracle.sharded.ShardedOracle` automatically
+    (``shards=`` is then an optional cross-check); ``shards=S`` on a
+    plain artifact partitions it in memory."""
+    name, path = item[0], item[1]
+    options = dict(item[2] or {}) if len(item) > 2 else {}
+    backend = options.pop("backend", None)
+    shards = options.pop("shards", None)
+    if options:
+        raise ArtifactError(
+            f"unknown mount option(s) {sorted(options)} for "
+            f"artifact {name or path!r}; supported: "
+            f"{list(_MOUNT_OPTIONS)}"
+        )
+    if shards is None and not is_sharded_artifact(path):
+        oracle = DistanceOracle.load(path, mmap=mmap, backend=backend)
+        return name or oracle.artifact.variant, oracle
+    oracle = ShardedOracle.load(
+        path,
+        shards=int(shards) if shards is not None else None,
+        mmap=mmap,
+        backend=backend,
+    )
+    name = name or oracle.artifact.variant
+    oracle.set_mount(name)
+    return name, oracle
 
 
 class OracleRouter:
@@ -584,65 +623,16 @@ class OracleRouter:
         cls,
         artifacts: Iterable[Tuple],
         mmap: bool = False,
-        cache_size: Optional[int] = None,
         limits: Optional[ServingLimits] = None,
     ) -> "OracleRouter":
         """Build a router from ``(name, path)`` or
-        ``(name, path, options)`` tuples.
-
-        ``name=None`` defaults to the artifact's manifest ``variant``
-        (duplicate defaults fail loudly — name them explicitly).  The
-        per-mount ``options`` dict overrides serving knobs for that
-        artifact alone — ``cache_size``, ``backend``, and ``shards``
-        (the CLI spells them
-        ``--artifact NAME=PATH,cache_size=N,shards=S``); unknown
-        options fail loudly.  ``cache_size``/``limits`` apply to every
-        mount that does not override them.
-
-        A path holding the sharded layout mounts as a
-        :class:`~repro.oracle.sharded.ShardedOracle` automatically
-        (``shards=`` is then an optional cross-check); ``shards=S`` on
-        a plain artifact partitions it in memory."""
-        from .sharded import ShardedOracle, is_sharded_artifact
-
+        ``(name, path, options)`` tuples, each opened by
+        :func:`load_mount` (duplicate names fail loudly — name them
+        explicitly).  ``limits`` apply to every mount."""
         router = cls()
         for item in artifacts:
-            if len(item) == 3:
-                name, path, options = item
-            else:
-                name, path = item
-                options = None
-            options = dict(options or {})
-            mount_cache = options.pop("cache_size", cache_size)
-            mount_backend = options.pop("backend", None)
-            mount_shards = options.pop("shards", None)
-            if options:
-                raise ArtifactError(
-                    f"unknown mount option(s) {sorted(options)} for "
-                    f"artifact {name or path!r}; supported: "
-                    f"{list(_MOUNT_OPTIONS)}"
-                )
-            kwargs = {}
-            if mount_cache is not None:
-                kwargs["cache_size"] = int(mount_cache)
-            if mount_backend is not None:
-                kwargs["backend"] = mount_backend
-            if mount_shards is not None or is_sharded_artifact(path):
-                oracle = ShardedOracle.load(
-                    path,
-                    shards=(
-                        int(mount_shards)
-                        if mount_shards is not None else None
-                    ),
-                    mmap=mmap,
-                    **kwargs,
-                )
-            else:
-                oracle = DistanceOracle.load(path, mmap=mmap, **kwargs)
-            mount_name = name or oracle.artifact.variant
-            router.mount(mount_name, oracle, limits=limits)
-            if isinstance(oracle, ShardedOracle):
-                oracle.set_mount(mount_name)
+            name, oracle = load_mount(item, mmap=mmap)
+            router.mount(name, oracle, limits=limits)
         return router
 
     # ------------------------------------------------------------------
@@ -1381,7 +1371,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     mmap: bool = False,
-    cache_size: Optional[int] = None,
     limits: Optional[ServingLimits] = None,
     install_signal_handlers: bool = True,
 ) -> None:
@@ -1400,9 +1389,7 @@ def serve(
     """
     if isinstance(artifacts, str):
         artifacts = [(None, artifacts)]
-    router = OracleRouter.load(
-        artifacts, mmap=mmap, cache_size=cache_size, limits=limits
-    )
+    router = OracleRouter.load(artifacts, mmap=mmap, limits=limits)
 
     async def _run() -> None:
         server = AsyncOracleServer(router, host=host, port=port, limits=limits)

@@ -126,7 +126,6 @@ from .artifact import (
     graph_fingerprint,
 )
 from .engine import (
-    DEFAULT_CACHE_SIZE,
     DistanceOracle,
     _directed_csr,
     combine_bunch_slabs,
@@ -955,46 +954,59 @@ class _ShardPool:
 
     def roundtrip(
         self, requests: Dict[int, List[Tuple]]
-    ) -> Dict[int, List]:
+    ) -> Tuple[Dict[int, List], Dict[int, float]]:
         """Pipelined dispatch: send to every requested shard, then
-        collect — shards compute concurrently.  Worker death, a torn
+        collect replies in completion order — shards compute
+        concurrently.  Returns the replies and, per shard, the seconds
+        from the send to its reply's arrival.  Worker death, a torn
         pipe, or no progress within the pool's hung-worker budget
         raises :class:`_PoolBroken`; a clean ``("error", exc)`` reply is
         re-raised after all replies are drained (the pool stays
         consistent)."""
+        # Imported here, as ``Pipe`` does: unsharded serving never loads it.
+        from multiprocessing.connection import wait
+
+        start = time.perf_counter()
         try:
             for s, ops in requests.items():
                 self._conns[s].send(ops)
         except (BrokenPipeError, OSError) as exc:
             raise _PoolBroken(f"shard pipe send failed: {exc}")
         deadline = time.monotonic() + self._timeout
+        pending = {self._conns[s]: s for s in requests}
         results: Dict[int, List] = {}
+        seconds: Dict[int, float] = {}
         error: Optional[BaseException] = None
-        for s in requests:
-            conn, proc = self._conns[s], self._procs[s]
-            while not conn.poll(_POLL):
+        while pending:
+            ready = wait(list(pending), timeout=_POLL)
+            for conn in ready:
+                s = pending.pop(conn)
+                try:
+                    status, payload = conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise _PoolBroken(f"shard {s} reply pipe tore: {exc}")
+                seconds[s] = time.perf_counter() - start
+                if status == "error":
+                    if error is None:
+                        error = payload
+                else:
+                    results[s] = payload
+            if ready:
+                continue
+            for s in pending.values():
+                proc = self._procs[s]
                 if not proc.is_alive():
                     raise _PoolBroken(
-                        f"shard {s} worker died "
-                        f"(exit code {proc.exitcode})"
+                        f"shard {s} worker died (exit code {proc.exitcode})"
                     )
-                if time.monotonic() >= deadline:
-                    raise _PoolBroken(
-                        f"shard {s} worker made no progress within "
-                        f"{self._timeout}s (REPRO_POOL_TIMEOUT)"
-                    )
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise _PoolBroken(f"shard {s} reply pipe tore: {exc}")
-            if status == "error":
-                if error is None:
-                    error = payload
-            else:
-                results[s] = payload
+            if time.monotonic() >= deadline:
+                raise _PoolBroken(
+                    f"shard {min(pending.values())} worker made no "
+                    f"progress within {self._timeout}s (REPRO_POOL_TIMEOUT)"
+                )
         if error is not None:
             raise error
-        return results
+        return results, seconds
 
     def alive(self) -> bool:
         return all(p.is_alive() for p in self._procs)
@@ -1025,22 +1037,21 @@ class ShardedOracle(DistanceOracle):
     """A :class:`DistanceOracle` whose answers are computed by per-shard
     backends — forked pool workers when available, in-process serial
     otherwise — behind the exact public query surface (``query`` /
-    ``query_batch`` / ``certificate`` / ``path`` / the LRU cache), and
-    always bit-identical to the single-process engine.  See the module
+    ``query_batch`` / ``certificate`` / ``path``), and always
+    bit-identical to the single-process engine.  See the module
     docstring for routing and failure semantics."""
 
     def __init__(
         self,
         artifact: OracleArtifact,
         shards: int,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional[str] = None,
         pool: Optional[bool] = None,
     ):
         """In-memory mode: partition a loaded artifact into ``shards``
         vertex ranges (fork-inherited by pool workers, copy-on-write).
         For the on-disk sharded layout use :meth:`load`."""
-        self._init_base(artifact, cache_size, backend)
+        self._init_common(artifact, backend)
         if self.kind not in _SHARDABLE_KINDS:
             raise ArtifactError(
                 f"artifact kind {self.kind!r} cannot be sharded; "
@@ -1053,39 +1064,6 @@ class ShardedOracle(DistanceOracle):
         self._finish_init(bounds, backends, pool)
 
     # -- construction --------------------------------------------------
-    def _init_base(
-        self,
-        artifact: OracleArtifact,
-        cache_size: int,
-        backend: Optional[str],
-    ) -> None:
-        # The deliberately-small subset of DistanceOracle.__init__ that
-        # does not parse kind arrays (a sharded oracle must never
-        # materialize the merged payload in the parent).
-        from ..kernels import BACKENDS
-        from collections import OrderedDict
-
-        if backend is not None and backend not in BACKENDS:
-            raise ArtifactError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{list(BACKENDS)}"
-            )
-        self._backend = backend
-        self.artifact = artifact
-        self.n = artifact.n
-        self.kind = artifact.kind
-        self.multiplicative = artifact.multiplicative
-        self.additive = artifact.additive
-        self._cache_size = int(cache_size)
-        self._cache = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._queries = 0
-        self._batched = 0
-        self._graph = None
-        self._path_oracle = None
-
     def _partition(
         self, artifact: OracleArtifact, bounds: np.ndarray
     ) -> List[ShardBackend]:
@@ -1185,7 +1163,6 @@ class ShardedOracle(DistanceOracle):
         path: str,
         shards: Optional[int] = None,
         expected_graph=None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         mmap: bool = True,
         backend: Optional[str] = None,
         pool: Optional[bool] = None,
@@ -1218,9 +1195,8 @@ class ShardedOracle(DistanceOracle):
                         "artifact before serving this graph"
                     )
             self = cls.__new__(cls)
-            self._init_base(
-                OracleArtifact(manifest=manifest, arrays={}),
-                cache_size, backend,
+            self._init_common(
+                OracleArtifact(manifest=manifest, arrays={}), backend
             )
             if self.kind not in _SHARDABLE_KINDS:
                 raise ArtifactError(
@@ -1248,8 +1224,7 @@ class ShardedOracle(DistanceOracle):
             path, expected_graph=expected_graph, mmap=mmap
         )
         return cls(
-            artifact, shards=int(shards), cache_size=cache_size,
-            backend=backend, pool=pool,
+            artifact, shards=int(shards), backend=backend, pool=pool,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -1340,24 +1315,28 @@ class ShardedOracle(DistanceOracle):
         self, requests: Dict[int, List[Tuple]]
     ) -> Dict[int, List]:
         """One pipelined round against the pool (or the in-process
-        serial backends after degrade), with per-shard telemetry."""
-        start = time.perf_counter()
+        serial backends after degrade), with per-shard telemetry: each
+        shard that ran a ``gather`` observes its own time — its reply's
+        arrival in pool mode, its own backend loop in serial mode."""
         if self._pool is not None:
-            results = self._pool.roundtrip(requests)  # may raise _PoolBroken
+            # may raise _PoolBroken
+            results, seconds = self._pool.roundtrip(requests)
         else:
-            results = {
-                s: [self._backends[s].handle(op) for op in ops]
-                for s, ops in requests.items()
-            }
-        elapsed = time.perf_counter() - start
+            results, seconds = {}, {}
+            for s, ops in requests.items():
+                start = time.perf_counter()
+                results[s] = [self._backends[s].handle(op) for op in ops]
+                seconds[s] = time.perf_counter() - start
         enabled = _metrics.ENABLED
         for s, ops in requests.items():
             routed = sum(int(op[1].size) for op in ops if op[0] == "gather")
+            if not routed:  # a stats round: nothing was gathered
+                continue
             self._shard_query_counts[s] += routed
             if enabled:
                 counter, histogram = self._shard_children(s)
                 counter.inc(routed)
-                histogram.observe(elapsed)
+                histogram.observe(seconds[s])
         return results
 
     # -- telemetry -----------------------------------------------------
@@ -1417,37 +1396,11 @@ class ShardedOracle(DistanceOracle):
                     self._handle_pool_failure(exc)
         return [results[s][0] for s in range(self.shards)]
 
-    # -- path queries (merged-view helpers) ----------------------------
-    def _merged_artifact(self) -> OracleArtifact:
+    # -- path queries ------------------------------------------------
+    def _payload_artifact(self) -> OracleArtifact:
         if self._merged is None:
             self._merged = load_sharded_artifact(self._sharded_dir)
         return self._merged
-
-    def _embedded_graph(self):
-        if self._graph is None:
-            g = self._merged_artifact().graph()
-            if g is None:
-                raise ArtifactError(
-                    "path queries need an artifact built with "
-                    "include_graph=True (this one has no embedded graph)"
-                )
-            self._graph = g
-        return self._graph
-
-    def _bunch_path_oracle(self, g):
-        if self._path_oracle is None:
-            from ..apsp.paths import EmulatorPathOracle
-            from ..graph.graph import WeightedGraph
-
-            merged = self._merged_artifact()
-            star = WeightedGraph(self.n)
-            star.add_edges_arrays(
-                merged.arrays["bunch_srcs"],
-                merged.arrays["bunch_dsts"],
-                merged.arrays["bunch_ds"],
-            )
-            self._path_oracle = EmulatorPathOracle(g, star)
-        return self._path_oracle
 
 
 def _groups(sid: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:

@@ -34,7 +34,10 @@ shard (every query counts once, on the shard that owns its source
 itself — so the series sums to the queries answered and shows the
 per-shard load the loadgen ``zipf_hotspot`` imbalance report
 scrapes), ``repro_shard_gather_seconds``
-times one shard's round-trip inside a batched answer, and
+times each shard's own share of a batched answer (pool: from the
+round's send to that shard's reply; serial: that shard's backend loop;
+a round without a gather, such as ``worker_stats()``, observes
+nothing), and
 ``repro_shard_up`` is 1 while the shard is served by a live pool worker
 and 0 after the supervision ladder degrades it to in-process serial.
 
@@ -135,7 +138,10 @@ SHARD_QUERIES = REGISTRY.counter(
 )
 SHARD_GATHER_SECONDS = REGISTRY.histogram(
     "repro_shard_gather_seconds",
-    "Round-trip wall time of one shard's share of a batched answer.",
+    "Wall time of one shard's own share of a batched answer: from the "
+    "round's send to that shard's reply in pool mode, that shard's "
+    "backend loop in serial mode; rounds with no gather (worker_stats) "
+    "are not observed.",
     DEFAULT_LATENCY_BUCKETS,
     ("shard",),
 )

@@ -60,7 +60,7 @@ def artifact(graph):
 
 @pytest.fixture
 def engine(artifact):
-    return DistanceOracle(artifact, cache_size=0)
+    return DistanceOracle(artifact)
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +235,41 @@ class TestAsyncFrontend:
         assert stats["largest_batch"] >= 2
         assert info["http"]["frontend"] == "async"
 
+    def test_served_singles_reach_the_engine_only_as_batches(
+        self, async_server, exact
+    ):
+        """Repeated single ``/query`` posts over a few hot pairs are all
+        answered by coalesced ``query_batch`` gathers: none takes the
+        engine's single-query path."""
+        handle, base = async_server
+        hot = [(0, 1), (2, 3), (4, 5)]
+        out = {}
+
+        def fire(k):
+            with OracleClient(base) as c:
+                out[k] = [
+                    c.query({"u": u, "v": v})
+                    for u, v in (hot[(k + i) % len(hot)] for i in range(30))
+                ]
+
+        threads = [threading.Thread(target=fire, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        for k in range(4):
+            for i, (status, body) in enumerate(out[k]):
+                u, v = hot[(k + i) % len(hot)]
+                assert status == 200
+                assert body["distance"] == pytest.approx(float(exact[u, v]))
+        info = json.loads(
+            urllib.request.urlopen(base + "/info", timeout=5).read()
+        )
+        stats = info["stats"]
+        assert stats["queries"] == stats["batched_queries"] == 120
+        assert stats["cache_hits"] == 0
+
     def test_keep_alive_many_queries_one_connection(self, async_server, exact):
         handle, base = async_server
         with OracleClient(base) as c:
@@ -267,11 +302,11 @@ class TestAsyncFrontend:
             (int(rng.integers(art.n)), int(rng.integers(art.n)))
             for _ in range(60)
         ]
-        handle = start_async_server(DistanceOracle(art, cache_size=0))
+        handle = start_async_server(DistanceOracle(art))
         try:
             assert_served_matches_query_batch(
                 "http://%s:%s" % handle.server_address[:2],
-                DistanceOracle(art, cache_size=0),
+                DistanceOracle(art),
                 queries,
             )
         finally:
@@ -327,7 +362,7 @@ class TestAsyncFrontend:
 
 class TestClientReconnect:
     def test_stale_socket_transparent_reconnect(self, artifact):
-        eng = DistanceOracle(artifact, cache_size=0)
+        eng = DistanceOracle(artifact)
         handle = start_async_server(eng)
         host, port = handle.server_address[:2]
         base = f"http://{host}:{port}"

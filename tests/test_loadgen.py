@@ -425,5 +425,6 @@ class TestLoadgenCLI:
         assert "profile 'zipf_hotspot'" in capsys.readouterr().err
 
     def test_unknown_mount_option_rejected(self):
-        with pytest.raises(LoadgenError, match="unknown mount option"):
+        # The router's loader: the same error type as `repro serve`.
+        with pytest.raises(oracle.ArtifactError, match="unknown mount option"):
             loadgen.load_mounts([("x", "/nope", {"bogus": 1})])

@@ -2,8 +2,8 @@
 
 Covers the ISSUE 4 acceptance properties: save/load round-trips answer
 queries bit-identically, version and graph-hash mismatches are rejected
-loudly, the LRU cache never changes an answer, the TZ bunch combine is
-sound / within stretch / smallest-witness-tie-broken, and the JSON
+loudly, a single query answers exactly as a batch does, the TZ bunch
+combine is sound / within stretch / smallest-witness-tie-broken, and the JSON
 service layer (including the stdlib HTTP server) answers and fails
 gracefully.
 """
@@ -309,51 +309,26 @@ class TestPersistence:
             load_artifact(path)
 
 
-class TestCache:
-    def test_hits_do_not_change_answers(self, served_graph):
-        art = build_oracle(
-            served_graph, variant="near-additive",
-            rng=np.random.default_rng(7),
-        )
-        eng = DistanceOracle(art, cache_size=8)
-        first = eng.query(1, 2)
-        again = eng.query(1, 2)
-        assert first == again
-        stats = eng.stats()
-        assert stats["cache_hits"] == 1
-        assert stats["cache_misses"] == 1
-
-    def test_eviction_keeps_answers_correct(self, served_graph, exact):
-        art = build_oracle(
-            served_graph, variant="exact", rng=np.random.default_rng(7)
-        )
-        eng = DistanceOracle(art, cache_size=2)
-        pairs = [(0, 1), (2, 3), (4, 5), (0, 1), (2, 3)]
-        for u, v in pairs:
-            got = eng.query(u, v)
-            assert got == exact[u, v]
-        assert eng.stats()["cache_entries"] <= 2
-
-    def test_cache_disabled(self, served_graph):
-        art = build_oracle(
-            served_graph, variant="exact", rng=np.random.default_rng(7)
-        )
-        eng = DistanceOracle(art, cache_size=0)
-        a = eng.query(3, 4)
-        b = eng.query(3, 4)
-        assert a == b
-        assert eng.stats()["cache_hits"] == 0
-        assert eng.stats()["cache_entries"] == 0
-
-    def test_clear_cache(self, served_graph):
-        art = build_oracle(
-            served_graph, variant="exact", rng=np.random.default_rng(7)
-        )
-        eng = DistanceOracle(art, cache_size=4)
-        eng.query(0, 1)
-        eng.clear_cache()
-        assert eng.stats()["cache_entries"] == 0
-        assert eng.query(0, 1) >= 0
+class TestSingleQueries:
+    def test_single_queries_are_one_pair_batches(self, served_graph):
+        us = np.array([1, 1, 3, 0, 1, 3])
+        vs = np.array([2, 2, 4, 5, 2, 4])
+        for variant in ("near-additive", "tz"):
+            art = build_oracle(
+                served_graph, variant=variant, rng=np.random.default_rng(7)
+            )
+            eng = DistanceOracle(art)
+            batch = eng.query_batch(us, vs)
+            singles = [eng.query(u, v) for u, v in zip(us, vs)]
+            certs = [eng.certificate(u, v).estimate for u, v in zip(us, vs)]
+            assert np.array_equal(singles, batch), variant
+            assert np.array_equal(certs, batch), variant
+            assert eng.stats() == {
+                "queries": 3 * us.size,
+                "batched_queries": us.size,
+                "cache_hits": 0,
+                "cache_misses": 2 * us.size,
+            }
 
 
 class TestPaths:

@@ -1000,17 +1000,36 @@ class TestPoolSupervision:
 # ----------------------------------------------------------------------
 
 class TestMountOverrides:
-    def test_cache_size_override_per_mount(
-        self, matrix_artifact, bunches_artifact, tmp_path
+    def test_removed_cache_size_option_rejected(
+        self, matrix_artifact, tmp_path
     ):
-        pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
+        remaining = "['backend', 'shards']"
+        pa = str(tmp_path / "a")
         save_artifact(matrix_artifact, pa)
-        save_artifact(bunches_artifact, pb)
-        router = OracleRouter.load(
-            [("na", pa, {"cache_size": 17}), ("tz", pb)], cache_size=99
+        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
+            OracleRouter.load([("na", pa, {"cache_size": 17})])
+        assert remaining in str(exc.value)
+        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
+            cli._parse_artifact_mounts(["na=/tmp/a,cache_size=1"])
+        assert remaining in str(exc.value)
+        # `repro serve` maps it to exit 2 with the same message, and
+        # argparse rejects the removed serve-wide flag the same way.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(__file__), "..", "src"
         )
-        assert router.service("na").oracle._cache_size == 17
-        assert router.service("tz").oracle._cache_size == 99
+        for args, message in (
+            (["--artifact", f"na={pa},cache_size=1"], remaining),
+            (["--artifact", pa, "--cache-size", "5"], "--cache-size"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port", "0"]
+                + args,
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_backend_override_per_mount(
         self, matrix_artifact, bunches_artifact, tmp_path
@@ -1052,13 +1071,13 @@ class TestMountOverrides:
 
     def test_cli_mount_parsing(self):
         mounts = cli._parse_artifact_mounts(
-            ["na=/tmp/a,cache_size=1000", "/tmp/b,backend=csr"]
+            ["na=/tmp/a,shards=4", "/tmp/b,backend=csr"]
         )
-        assert mounts == [("na", "/tmp/a", {"cache_size": 1000}),
+        assert mounts == [("na", "/tmp/a", {"shards": 4}),
                           (None, "/tmp/b", {"backend": "csr"})]
         with pytest.raises(ArtifactError, match="unknown mount option"):
-            cli._parse_artifact_mounts(["na=/tmp/a,cache_sizd=1"])
+            cli._parse_artifact_mounts(["na=/tmp/a,shardz=1"])
         with pytest.raises(ArtifactError, match="not a valid int"):
-            cli._parse_artifact_mounts(["na=/tmp/a,cache_size=lots"])
+            cli._parse_artifact_mounts(["na=/tmp/a,shards=lots"])
         with pytest.raises(ArtifactError, match="unknown backend"):
             cli._parse_artifact_mounts(["na=/tmp/a,backend=bogus"])

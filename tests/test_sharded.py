@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -413,6 +414,88 @@ class TestShardedBitIdentity:
             if so.stats()["shard_mode"] == "pool":
                 pids = {s["pid"] for s in stats}
                 assert len(pids) == 4 and os.getpid() not in pids
+        finally:
+            so.close()
+
+
+# ----------------------------------------------------------------------
+# Per-shard gather telemetry
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def shard_metrics():
+    """Metrics on for the test, restored afterwards; yields a reader of
+    one shard's ``(sum, count)`` in ``repro_shard_gather_seconds``."""
+    from repro.telemetry import instruments, metrics
+
+    was_enabled = metrics.enabled()
+    metrics.enable()
+
+    def read(shard):
+        snap = instruments.SHARD_GATHER_SECONDS.labels(str(shard)).snapshot()
+        return snap["sum"], snap["count"]
+
+    yield read
+    if not was_enabled:
+        metrics.disable()
+
+
+def _split_pairs(so, count=200):
+    us, vs = _pairs(so.n, count, seed=61)
+    assert set(shard_of(so._bounds, us).tolist()) == {0, 1}
+    return us, vs
+
+
+class TestShardTelemetry:
+    DELAY = 0.4
+
+    def test_serial_shards_time_their_own_share(
+        self, art_u, shard_metrics, monkeypatch
+    ):
+        so = ShardedOracle(art_u, shards=2, pool=False)
+        slow = so._backends[1]
+        handle = slow.handle
+
+        def slowed(op):
+            time.sleep(self.DELAY)
+            return handle(op)
+
+        monkeypatch.setattr(slow, "handle", slowed)
+        us, vs = _split_pairs(so)
+        before = [shard_metrics(s) for s in (0, 1)]
+        so.query_batch(us, vs)
+        after = [shard_metrics(s) for s in (0, 1)]
+        assert [a[1] - b[1] for a, b in zip(after, before)] == [1, 1]
+        assert after[1][0] - before[1][0] >= self.DELAY
+        assert after[0][0] - before[0][0] < self.DELAY / 2
+        # A stats round carries no gather: nothing is observed.
+        so.worker_stats()
+        assert [shard_metrics(s)[1] for s in (0, 1)] == [
+            a[1] for a in after
+        ]
+
+    def test_pool_shards_time_their_own_share(
+        self, art_u, shard_metrics, tmp_path
+    ):
+        budget = tmp_path / "delays"
+        budget.write_text("1")  # exactly one worker stalls, once
+        FAULTS.arm(
+            "sharded.worker", "delay", seconds=self.DELAY,
+            times_file=str(budget),
+        )
+        so = ShardedOracle(art_u, shards=2, pool=True)
+        try:
+            us, vs = _split_pairs(so)
+            before = [shard_metrics(s) for s in (0, 1)]
+            so.query_batch(us, vs)
+            after = [shard_metrics(s) for s in (0, 1)]
+            spent = sorted(a[0] - b[0] for a, b in zip(after, before))
+            assert spent[1] >= self.DELAY
+            assert spent[0] < self.DELAY / 2
+            so.worker_stats()
+            assert [shard_metrics(s)[1] for s in (0, 1)] == [
+                a[1] for a in after
+            ]
         finally:
             so.close()
 

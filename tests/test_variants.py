@@ -167,11 +167,11 @@ class TestSpecCompleteness:
             oracle.artifact._jsonable(
                 spec.resolve_params({}, n=small_graph.n))
         us, vs = _query_pairs(spec, artifact)
-        fresh = DistanceOracle(artifact, cache_size=0).query_batch(us, vs)
+        fresh = DistanceOracle(artifact).query_batch(us, vs)
 
         path = str(tmp_path / name)
         save_artifact(artifact, path)
-        loaded = DistanceOracle.load(path, cache_size=0)
+        loaded = DistanceOracle.load(path)
         assert np.array_equal(fresh, loaded.query_batch(us, vs))
 
     @pytest.mark.parametrize(
@@ -221,21 +221,21 @@ class TestSourcesKind:
         assert (vals[finite] <= bound + 1e-9).all()
 
     def test_either_endpoint_may_be_the_source(self, mssp_artifact):
-        eng = DistanceOracle(mssp_artifact, cache_size=0)
+        eng = DistanceOracle(mssp_artifact)
         s = int(mssp_artifact.arrays["sources"][0])
         # (s, 5) reads row(s) directly; (5, s) falls back to the v
         # endpoint's row — the same matrix cell, so the answers match.
         assert eng.query(s, 5) == eng.query(5, s)
 
     def test_self_pair_is_zero_even_off_source(self, mssp_artifact):
-        eng = DistanceOracle(mssp_artifact, cache_size=0)
+        eng = DistanceOracle(mssp_artifact)
         non_source = int(np.flatnonzero(
             np.isin(np.arange(mssp_artifact.n),
                     mssp_artifact.arrays["sources"], invert=True))[0])
         assert eng.query(non_source, non_source) == 0.0
 
     def test_uncovered_pair_fails_loudly(self, mssp_artifact):
-        eng = DistanceOracle(mssp_artifact, cache_size=0)
+        eng = DistanceOracle(mssp_artifact)
         sources = set(int(s) for s in mssp_artifact.arrays["sources"])
         u, v = [x for x in range(mssp_artifact.n) if x not in sources][:2]
         with pytest.raises(ArtifactError, match="touches no source"):
@@ -257,7 +257,7 @@ class TestEdgesKind:
         from repro.graph.distances import all_pairs_distances
 
         exact = all_pairs_distances(small_graph)
-        eng = DistanceOracle(edges_artifact, cache_size=0)
+        eng = DistanceOracle(edges_artifact)
         n = small_graph.n
         us, vs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         vals = eng.query_batch(us.ravel(), vs.ravel()).reshape(n, n)
@@ -271,10 +271,10 @@ class TestEdgesKind:
     def test_save_load_query_bit_identical(self, edges_artifact, tmp_path):
         spec = variants.get_variant("emulator-sssp")
         us, vs = _query_pairs(spec, edges_artifact, count=80)
-        fresh = DistanceOracle(edges_artifact, cache_size=0)
+        fresh = DistanceOracle(edges_artifact)
         path = str(tmp_path / "es")
         save_artifact(edges_artifact, path)
-        loaded = DistanceOracle.load(path, cache_size=0)
+        loaded = DistanceOracle.load(path)
         assert np.array_equal(
             fresh.query_batch(us, vs), loaded.query_batch(us, vs)
         )
@@ -282,11 +282,9 @@ class TestEdgesKind:
     def test_backends_bit_identical(self, edges_artifact):
         spec = variants.get_variant("emulator-sssp")
         us, vs = _query_pairs(spec, edges_artifact, count=80)
-        base = DistanceOracle(edges_artifact, cache_size=0).query_batch(us, vs)
+        base = DistanceOracle(edges_artifact).query_batch(us, vs)
         for backend in ("reference", "dense", "csr"):
-            eng = DistanceOracle(
-                edges_artifact, cache_size=0, backend=backend
-            )
+            eng = DistanceOracle(edges_artifact, backend=backend)
             assert np.array_equal(base, eng.query_batch(us, vs)), backend
 
     def test_storage_is_subquadratic(self, edges_artifact, small_graph):
@@ -298,7 +296,7 @@ class TestEdgesKind:
         from repro.graph.distances import all_pairs_distances
 
         exact = all_pairs_distances(small_graph)
-        eng = DistanceOracle(edges_artifact, cache_size=0)
+        eng = DistanceOracle(edges_artifact)
         u, v = 0, int(np.flatnonzero(np.isfinite(exact[0]))[-1])
         path = eng.path(u, v)
         assert path[0] == u and path[-1] == v
@@ -320,8 +318,8 @@ class TestMmap:
         rng = np.random.default_rng(2)
         us = rng.integers(0, small_graph.n, 500)
         vs = rng.integers(0, small_graph.n, 500)
-        full = DistanceOracle.load(path, cache_size=0)
-        mapped = DistanceOracle.load(path, cache_size=0, mmap=True)
+        full = DistanceOracle.load(path)
+        mapped = DistanceOracle.load(path, mmap=True)
         assert isinstance(
             mapped.artifact.arrays["estimates"], np.memmap
         )
@@ -377,7 +375,7 @@ class TestPreRefactorBitIdentity:
         art = load_artifact(path, expected_graph=fixture_graph)
         assert int(art.manifest["format_version"]) == 1  # pre-refactor bytes
         us, vs = pinned_queries
-        got = DistanceOracle(art, cache_size=0).query_batch(us, vs)
+        got = DistanceOracle(art).query_batch(us, vs)
         expected = np.load(os.path.join(FIXTURES, f"{variant}-answers.npy"))
         assert np.array_equal(got, expected)
 
@@ -389,7 +387,7 @@ class TestPreRefactorBitIdentity:
             fixture_graph, variant=variant, rng=np.random.default_rng(7)
         )
         us, vs = pinned_queries
-        got = DistanceOracle(art, cache_size=0).query_batch(us, vs)
+        got = DistanceOracle(art).query_batch(us, vs)
         expected = np.load(os.path.join(FIXTURES, f"{variant}-answers.npy"))
         assert np.array_equal(got, expected)
 
@@ -402,7 +400,7 @@ class TestPreRefactorBitIdentity:
         with open(os.path.join(out, oracle.artifact.MANIFEST_NAME)) as fh:
             assert json.load(fh)["format_version"] == oracle.FORMAT_VERSION
         us, vs = pinned_queries
-        got = DistanceOracle.load(out, cache_size=0, mmap=True).query_batch(us, vs)
+        got = DistanceOracle.load(out, mmap=True).query_batch(us, vs)
         expected = np.load(
             os.path.join(FIXTURES, "near-additive-answers.npy"))
         assert np.array_equal(got, expected)
