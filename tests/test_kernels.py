@@ -8,7 +8,8 @@ random, empty, and disconnected inputs.  Plus a pipeline regression:
 kernels or the reference ones.  Also the layered backend resolution
 (``force_backend`` > call-site ``backend=`` > ``REPRO_KERNEL_BACKEND`` >
 process default), the sharded-BFS block layout and the fold-in
-post-processing kernel.
+post-processing kernel, and the changed-origin Bellman–Ford relax
+against a full-Jacobi loop.
 """
 
 import numpy as np
@@ -238,6 +239,93 @@ class TestBfsKernels:
             small_er.indptr, small_er.indices, small_er.n, [0, 5], 4
         )
         assert exact_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Hop-limited relax
+# ----------------------------------------------------------------------
+
+def full_jacobi_relax(dist, origins, targets, weights, max_hops):
+    """The baseline the kernel must equal: every hop relaxes *every* arc
+    from the previous hop's matrix, until ``max_hops`` or a fixpoint."""
+    dist = dist.copy()
+    for _ in range(max_hops if targets.size else 0):
+        prev = dist.copy()
+        for o, t, w in zip(origins, targets, weights):
+            dist[:, t] = np.minimum(dist[:, t], prev[:, o] + w)
+        if np.array_equal(dist, prev):
+            break
+    return dist
+
+
+@st.composite
+def relax_cases(draw):
+    n = draw(st.integers(1, 14))
+    # Targets from a prefix of the vertices leaves the rest unreachable.
+    reach = draw(st.integers(1, n))
+    m = draw(st.integers(0, 40))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 10.0)
+    )
+    origins = draw(st.lists(vertex, min_size=m, max_size=m))
+    targets = draw(st.lists(st.integers(0, reach - 1), min_size=m, max_size=m))
+    weights = draw(st.lists(weight, min_size=m, max_size=m))
+    # Parallel arcs: repeat some (origin, target) pairs with new weights.
+    for i in draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=8)):
+        if m:
+            origins.append(origins[i])
+            targets.append(targets[i])
+            weights.append(draw(weight))
+    num_sources = draw(st.integers(1, 8))
+    seeds = np.full((num_sources, n), np.inf)
+    for row in range(num_sources):
+        # A row with no seed stays all inf.
+        for v in draw(st.lists(vertex, max_size=2)):
+            seeds[row, v] = draw(st.sampled_from([0.0, 0.0, 1.5, 4.0]))
+    max_hops = draw(st.integers(0, n + 2))
+    return (
+        seeds,
+        np.asarray(origins, dtype=np.int64),
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(weights, dtype=np.float64),
+        max_hops,
+    )
+
+
+class TestHopLimitedRelax:
+    @settings(max_examples=150, deadline=None)
+    @given(case=relax_cases())
+    def test_equals_full_jacobi_bit_for_bit(self, case):
+        seeds, origins, targets, weights, max_hops = case
+        got = kernels.hop_limited_relax(seeds, origins, targets, weights, max_hops)
+        want = full_jacobi_relax(seeds, origins, targets, weights, max_hops)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=relax_cases(), data=st.data())
+    def test_source_shards_give_the_same_rows(self, case, data):
+        """Each row reaches its result independently, so any split of the
+        sources (the sharded engine's route-by-``u``) is bit-identical."""
+        seeds, origins, targets, weights, max_hops = case
+        whole = kernels.hop_limited_relax(seeds, origins, targets, weights, max_hops)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(1, seeds.shape[0]), max_size=3
+        )))
+        parts = [
+            kernels.hop_limited_relax(seeds[a:b], origins, targets, weights, max_hops)
+            for a, b in zip([0] + cuts, cuts + [seeds.shape[0]])
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_does_not_write_its_seed(self):
+        seeds = np.array([[0.0, np.inf, np.inf]])
+        kept = seeds.copy()
+        got = kernels.hop_limited_relax(
+            seeds, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]), 5
+        )
+        assert np.array_equal(seeds, kept)
+        assert np.array_equal(got, [[0.0, 1.0, 3.0]])
 
 
 # ----------------------------------------------------------------------

@@ -473,6 +473,30 @@ def _raw_exchange(srv, request: bytes, timeout=5):
     return int(lines[0].split()[1]), headers, body, closed
 
 
+def _read_reply(sock) -> str:
+    """Read one whole keep-alive reply from ``sock``: the head up to the
+    blank line, then ``Content-Length`` body bytes (a reply may arrive in
+    several segments)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.decode("latin-1").split("\r\n")[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    while len(body) < length:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        body += chunk
+    return (head + b"\r\n\r\n" + body).decode("latin-1")
+
+
 class TestHTTPChaos:
     # The single param keeps the historical ``[async]`` test ids.
     @pytest.fixture(params=["async"])
@@ -581,7 +605,7 @@ class TestHTTPChaos:
                     b"GET /healthz HTTP/1.0\r\n"
                     b"Connection: keep-alive\r\n\r\n"
                 )
-                reply = sock.recv(4096).decode()
+                reply = _read_reply(sock)
                 assert reply.startswith("HTTP/1.1 200")
                 assert "Connection: keep-alive" in reply
 
