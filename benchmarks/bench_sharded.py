@@ -36,12 +36,10 @@ that maps it, so the sharded probe also reports the workers' summed
 PSS (``/proc/<pid>/smaps_rollup``), which splits each page across its
 mappers — report-only, next to the asserted RSS bound.
 
-Writes ``benchmarks/results/E22.{txt,json}`` and merges a
-``sharded_serving`` key into the repo-root ``BENCH_kernels.json``.
-Runnable directly (``python benchmarks/bench_sharded.py``, headline
-n=100000; ``--n`` to override; ``--quick`` for the file-free CI smoke)
-or through the pytest entry point, which enforces the bit-identity
-acceptance at a CI-feasible n.
+Writes ``benchmarks/results/E22.txt``.  Runnable directly (``python
+benchmarks/bench_sharded.py``, headline n=100000; ``--n`` to override;
+``--quick`` for the file-free CI smoke) or through the pytest entry
+point, which enforces the bit-identity acceptance at a CI-feasible n.
 """
 
 import argparse
@@ -77,7 +75,6 @@ PAIR_SEED = 9_001
 #: Below this n the ~55 MB interpreter baseline dominates a shard's
 #: payload and the 1/shards RSS ratio is unmeasurable — report only.
 RSS_ASSERT_MIN_N = 50_000
-ROOT_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json")
 
 
 def _graph(n):
@@ -404,22 +401,6 @@ def _result_table(results):
     )
 
 
-def _update_root_json(results):
-    payload = {}
-    if os.path.exists(ROOT_JSON):
-        with open(ROOT_JSON) as fh:
-            payload = json.load(fh)
-    payload["sharded_serving"] = {
-        "results": results,
-        "rss_ratio_vs_ideal_slice": results["rss_bound"][
-            "ratio_vs_ideal_slice"
-        ],
-    }
-    with open(ROOT_JSON, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def persist(results):
     table = _result_table(results)
     header = (
@@ -435,7 +416,7 @@ def persist(results):
     )
     record_experiment(
         "E22", "sharded multi-process oracle serving at giant n",
-        header + table, payload=results,
+        header + table,
     )
     bound = results["rss_bound"]
     print(
@@ -448,7 +429,6 @@ def persist(results):
             f"summed worker PSS at shards={bound['shards']}: "
             f"{bound['sum_worker_pss_kb'] / 1024:.0f} MB (report-only)"
         )
-    _update_root_json(results)
     return table
 
 

@@ -3,14 +3,11 @@
 Each benchmark regenerates one experiment — the measurable form of the
 paper's theorem claims (the paper itself has no tables/figures; DESIGN.md
 §4 indexes the experiments).  Every bench prints its table and persists it
-to ``benchmarks/results/<experiment>.txt``; benches that pass a
-``payload`` also write machine-readable
-``benchmarks/results/<experiment>.json`` so perf trajectories can be
-tracked across commits (``bench_kernels_vectorized.py`` additionally
-writes the repo-root ``BENCH_kernels.json``).
+to ``benchmarks/results/<experiment>.txt``.  Performance is recorded by
+``perfbench`` (``BENCHMARK.json``); ``floors.py`` holds the wall-clock
+floors.
 """
 
-import json
 import os
 import sys
 
@@ -22,15 +19,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def record_experiment(
-    experiment_id: str, title: str, table: str, payload=None
-) -> None:
-    """Print and persist one experiment's output table.
-
-    ``payload`` (any JSON-serializable object) additionally writes
-    ``results/<experiment_id>.json`` with the structured numbers behind
-    the table — the machine-readable mode CI and perf tracking consume.
-    """
+def record_experiment(experiment_id: str, title: str, table: str) -> None:
+    """Print and persist one experiment's output table."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     banner = f"== {experiment_id}: {title} =="
     text = f"{banner}\n{table}\n"
@@ -38,16 +28,6 @@ def record_experiment(
     path = os.path.join(RESULTS_DIR, f"{experiment_id}.txt")
     with open(path, "w") as fh:
         fh.write(text)
-    if payload is not None:
-        json_path = os.path.join(RESULTS_DIR, f"{experiment_id}.json")
-        with open(json_path, "w") as fh:
-            json.dump(
-                {"experiment": experiment_id, "title": title, "data": payload},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
 
 
 @pytest.fixture

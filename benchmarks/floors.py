@@ -1,0 +1,245 @@
+"""Wall-clock floors of the kernel, build and serving layers.
+
+Each test times only the pair of runs its floor compares and asserts
+the ratio; nothing is printed to a table or written to a file (the
+repo's performance record is ``perfbench``, see ``BENCHMARK.json``).
+Answers are bit-identical across the compared paths; the tier-1 suite
+asserts that (``tests/test_kernels.py``,
+``tests/test_batched_construction.py``, ``tests/test_variants.py``).
+
+Wall clock is load-sensitive, so a run that misses its floor is
+measured once more with a larger sample before the test fails.  The
+floors stay out of tier-1 for the same reason; run them with::
+
+    python -m pytest benchmarks/floors.py -q
+"""
+
+import dataclasses
+import math
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from repro import kernels, oracle  # noqa: E402
+from repro.emulator import build_emulator  # noqa: E402
+from repro.emulator.sampling import sample_hierarchy  # noqa: E402
+from repro.graph import generators as gen  # noqa: E402
+from repro.kernels import reference as ref  # noqa: E402
+from repro.telemetry import metrics  # noqa: E402
+from repro.toolkit import kd_nearest_bfs  # noqa: E402
+
+
+def best_of(fn, repeats):
+    """Best wall clock of ``repeats`` runs (min filters scheduler noise)."""
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def speedup(reference, fast, repeats):
+    return best_of(reference, repeats) / best_of(fast, repeats)
+
+
+def with_retry(measure, floor):
+    """``measure(retry=False)``, re-measured once with ``retry=True``
+    when it misses ``floor``; returns the last measurement."""
+    value = measure(retry=False)
+    if value < floor:
+        value = measure(retry=True)
+    return value
+
+
+def _graph(n):
+    return gen.make_family("er_sparse", n, seed=61)
+
+
+# -- kernels ---------------------------------------------------------------
+
+
+def test_sparse_minplus_at_least_5x_reference():
+    """csr min-plus >= 5x the Python-loop reference at n = 512, on
+    operands with ~n^{1/4} finite entries per row (the paper's
+    engineered density)."""
+    n = 512
+    rng = np.random.default_rng(2020)
+    s = rng.integers(1, 50, (n, n)).astype(float)
+    s[rng.random((n, n)) > n ** 0.25 / n] = np.inf
+
+    def measure(retry):
+        return speedup(
+            lambda: ref.minplus_reference(s, s),
+            lambda: kernels.minplus_csr(s, s),
+            7 if retry else 3,
+        )
+
+    ratio = with_retry(measure, 5.0)
+    assert ratio >= 5.0, f"sparse min-plus speedup {ratio:.1f}x < 5x"
+
+
+def test_kd_nearest_at_least_3x_reference():
+    """``kd_nearest_bfs`` on the default backend >= 3x the reference
+    backend at n = 1024."""
+    g = _graph(1024)
+    k, d = max(8, math.ceil(1024 ** 0.25)), 8
+
+    def reference():
+        with kernels.force_backend("reference"):
+            kd_nearest_bfs(g, k, d)
+
+    def measure(retry):
+        return speedup(
+            reference, lambda: kd_nearest_bfs(g, k, d), 7 if retry else 3
+        )
+
+    ratio = with_retry(measure, 3.0)
+    assert ratio >= 3.0, f"(k, d)-nearest speedup {ratio:.1f}x < 3x"
+
+
+# -- build -----------------------------------------------------------------
+
+
+def test_batched_emulator_build_at_least_5x_reference():
+    """The batched emulator build >= 5x the per-vertex-BFS build at
+    n = 1024, both on the same pre-sampled hierarchy."""
+    g = _graph(1024)
+    hierarchy = sample_hierarchy(g.n, 3, np.random.default_rng(7))
+
+    def build(method):
+        return lambda: build_emulator(
+            g, 0.5, 3, hierarchy=hierarchy, method=method
+        )
+
+    def measure(retry):
+        return speedup(
+            build("reference"), build("batched"), 7 if retry else 3
+        )
+
+    ratio = with_retry(measure, 5.0)
+    assert ratio >= 5.0, f"batched emulator speedup {ratio:.1f}x < 5x"
+
+
+def test_batched_emulator_build_completes_at_n_10k():
+    """The sharded-BFS build reaches n = 10^4 (the per-vertex loop and an
+    unsharded (n, n) block are not run here)."""
+    g = _graph(10_000)
+    emulator = build_emulator(
+        g, 0.5, 3, rng=np.random.default_rng(7), method="batched"
+    )
+    assert emulator.num_edges > 0
+
+
+# -- serving ---------------------------------------------------------------
+
+
+def test_batched_queries_at_least_10x_single_queries():
+    """A near-additive oracle at n = 4096 answers one ``query_batch`` at
+    >= 10x the q/s of a single-query loop."""
+    artifact = oracle.build_oracle(
+        _graph(4096), variant="near-additive",
+        rng=np.random.default_rng(7), include_graph=False,
+    )
+    engine = oracle.DistanceOracle(artifact)
+    rng = np.random.default_rng(2020)
+
+    def measure(retry):
+        num_single, num_batch = (8_000, 400_000) if retry else (2_000, 200_000)
+        us, vs = rng.integers(0, artifact.n, (2, num_single)).tolist()
+        t0 = time.perf_counter()
+        for u, v in zip(us, vs):
+            engine.query(u, v)
+        single_qps = num_single / (time.perf_counter() - t0)
+        bus, bvs = rng.integers(0, artifact.n, (2, num_batch))
+        engine.query_batch(bus[:16], bvs[:16])  # touch the structures once
+        t0 = time.perf_counter()
+        engine.query_batch(bus, bvs)
+        batched_qps = num_batch / (time.perf_counter() - t0)
+        return batched_qps / single_qps
+
+    ratio = with_retry(measure, 10.0)
+    assert ratio >= 10.0, f"batched vs single q/s {ratio:.1f}x < 10x"
+
+
+def _served_qps(engine, telemetry, concurrency, per_worker, rounds):
+    """Best-of-``rounds`` q/s of ``concurrency`` closed-loop keep-alive
+    clients on the async front end, with metric collection forced on
+    or off (the registry flag is process-global, so it is set per
+    round).  Admission gets headroom: this measures throughput, not
+    the 503 path."""
+    limits = dataclasses.replace(
+        oracle.DEFAULT_LIMITS, max_inflight=4096, telemetry=telemetry
+    )
+    best = 0.0
+    for _ in range(rounds):
+        handle = oracle.start_async_server(engine, limits=limits)
+        if telemetry:
+            metrics.enable()
+        else:
+            metrics.disable()
+        base = "http://%s:%s" % handle.server_address[:2]
+        barrier = threading.Barrier(concurrency + 1)
+        errors = []
+
+        def work(w):
+            rng = np.random.default_rng(7000 + w)
+            pairs = rng.integers(0, engine.n, (per_worker, 2)).tolist()
+            with oracle.OracleClient(base, timeout_s=60.0) as client:
+                barrier.wait()
+                for u, v in pairs:
+                    status, body = client.query({"u": u, "v": v})
+                    if status != 200:
+                        errors.append((status, body))
+                        return
+
+        threads = [
+            threading.Thread(target=work, args=(w,))
+            for w in range(concurrency)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            barrier.wait()
+            t0 = time.perf_counter()
+            for t in threads:
+                t.join()
+            elapsed = time.perf_counter() - t0
+        finally:
+            handle.drain_and_shutdown()
+        assert not errors, f"non-200 under load: {errors[:3]}"
+        best = max(best, concurrency * per_worker / elapsed)
+    return best
+
+
+def test_telemetry_costs_at_most_5_percent_qps():
+    """Served q/s with full metric collection >= 0.95x the q/s without
+    it.  Both modes pay the request-trace cost (``X-Request-Id`` is a
+    feature, not telemetry), so the ratio isolates what the histogram
+    and counter updates cost."""
+    engine = oracle.DistanceOracle(
+        oracle.build_oracle(_graph(128), variant="exact")
+    )
+    was_enabled = metrics.enabled()
+
+    def measure(retry):
+        per_worker, rounds = (60, 4) if retry else (30, 3)
+        off = _served_qps(engine, False, 16, per_worker, rounds)
+        on = _served_qps(engine, True, 16, per_worker, rounds)
+        return on / off
+
+    try:
+        ratio = with_retry(measure, 0.95)
+    finally:
+        if was_enabled:
+            metrics.enable()
+        else:
+            metrics.disable()
+    assert ratio >= 0.95, (
+        f"metric collection cost {100 * (1 - ratio):.1f}% q/s (bound: 5%)"
+    )

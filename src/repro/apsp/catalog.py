@@ -140,7 +140,6 @@ register_variant(VariantSpec(
     cli_algo=True,
     headline=True,
     phases=("emulator", "apsp:learn-emulator"),
-    bench_sizes=(1024, 4096),
 ))
 
 register_variant(VariantSpec(

@@ -674,7 +674,6 @@ def _register() -> None:
         ),),
         weighted=True,
         phases=(),
-        bench_sizes=(1024, 4096, 10_000),
     ))
 
 

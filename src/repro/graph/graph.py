@@ -211,6 +211,7 @@ class WeightedGraph:
         if (ws < 0).any():
             raise ValueError("negative weight in bulk edge insert")
         added = 0
+        lowered = False
         adj = self._adj
         for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
             if u == v:
@@ -224,7 +225,11 @@ class WeightedGraph:
             elif w < cur:
                 row[v] = w
                 adj[v][u] = w
-        self._edge_cache = None
+                lowered = True
+        # A call that adds no edge and lowers no weight keeps the cache:
+        # the hopset's fixpoint check re-reads it right after such a call.
+        if added or lowered:
+            self._edge_cache = None
         self._m += added
         return added
 
@@ -270,9 +275,10 @@ class WeightedGraph:
         """Edge list as parallel arrays ``(us, vs, ws)`` with ``u < v``,
         sorted by ``(u, v)``.
 
-        The arrays are memoized on the instance (every mutation
-        invalidates the cache) because `source_detection`/hopset pipelines
-        re-read them many times per build; treat them as read-only views.
+        The arrays are memoized on the instance (every mutation that
+        adds an edge or lowers a weight invalidates the cache) because
+        `source_detection`/hopset pipelines re-read them many times per
+        build; treat them as read-only views.
         """
         if self._edge_cache is None:
             us, vs, ws = [], [], []

@@ -23,9 +23,9 @@ run — applied to the Dory–Parter distance-oracle servers (PR 6/7):
   HTTP front end (the server ``repro serve`` runs) and scrapes its own
   ``/info`` counters into the report.
 
-Entry points: ``repro loadgen --profile NAME`` (CLI),
-``benchmarks/bench_loadgen.py`` (E21), and the verification suite in
-``tests/test_loadgen.py``.  DESIGN.md §8 documents the profile and
+Entry points: ``repro loadgen --profile NAME`` (CLI) and the
+verification suite in ``tests/test_loadgen.py``, which also sweeps
+every profile in quick mode.  DESIGN.md §8 documents the profile and
 metrics schemas.
 """
 
@@ -41,7 +41,6 @@ from .harness import (
     run_profile,
     scrape_info,
     scrape_metrics,
-    sweepable_variants,
     write_report,
 )
 from .metrics import (
@@ -99,7 +98,6 @@ __all__ = [
     "scrape_info",
     "scrape_metrics",
     "summarize",
-    "sweepable_variants",
     "uniform_pairs",
     "write_report",
     "zipf_pairs",

@@ -8,8 +8,7 @@ driven two ways, and the two answer different questions —
   :class:`~repro.oracle.client.OracleClient`, each replaying its
   deterministic slice of the sequence back-to-back.  The offered load
   adapts to the server (a slow server is offered less), so this
-  measures *sustainable throughput at a fixed concurrency* — the E20
-  shape.
+  measures *sustainable throughput at a fixed concurrency*.
 * **open loop** (:func:`run_open_loop`) — requests fire at
   pre-computed schedule offsets regardless of completions (Poisson
   arrivals, or the ``burst`` profile's simultaneous packets).  The

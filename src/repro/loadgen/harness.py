@@ -14,12 +14,11 @@ asserts the two agree exactly).
 
 The sweep axes come from the registries: profiles from
 :func:`repro.loadgen.profiles.all_profiles`, variants from
-:mod:`repro.variants` (:func:`sweepable_variants` lists every
-oracle-buildable ``(variant, kind)`` — the same derivation the
-benchmark plans use).
+:mod:`repro.variants`.
 
 Entry points: :func:`run` (resolve the knobs, build or load the tenants,
-run one profile) backs the ``repro loadgen`` CLI and the E21 benchmark;
+run one profile) backs the ``repro loadgen`` CLI and the every-profile
+sweep in ``tests/test_loadgen.py``;
 :func:`run_profile` is the core over pre-built tenants the tests drive
 directly.
 """
@@ -60,7 +59,6 @@ __all__ = [
     "run",
     "run_profile",
     "scrape_metrics",
-    "sweepable_variants",
     "write_report",
 ]
 
@@ -78,13 +76,6 @@ QUICK = {
 #: one per artifact kind family, cheapest-to-build first.  Validated
 #: against the registry at use (a renamed variant fails loudly here).
 DEFAULT_TENANT_VARIANTS = ("exact", "tz", "near-additive")
-
-
-def sweepable_variants() -> Tuple[Tuple[str, str], ...]:
-    """Every oracle-buildable ``(variant, kind)`` pair, from the PR 5
-    registry — the sweep axis that makes each serving variant
-    loadgen-coverable without the harness naming any of them."""
-    return tuple((s.name, s.kind) for s in variants.all_variants())
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,9 @@ end, the preprocess/query split production distance services amortize:
   (:class:`AsyncOracleServer`, ``repro serve``), no new dependencies;
 * :mod:`repro.oracle.coalesce` — :class:`QueryCoalescer`: the HTTP
   front end's micro-batcher that turns bursts of concurrent single
-  queries into one vectorized ``query_batch`` gather (the E19 45-244x
-  batch advantage applied to single-query traffic);
+  queries into one vectorized ``query_batch`` gather (the engine's
+  measured 45-244x batch advantage, DESIGN.md §6, applied to
+  single-query traffic);
 * :mod:`repro.oracle.sharded` — the scale-out layer: a sharded on-disk
   layout partitioning bunch arcs by vertex range (written shard-at-a-
   time, so a ``tz`` build at ``n = 10^5+`` never holds the whole
@@ -41,9 +42,8 @@ admission control and graceful drain (:mod:`repro.oracle.resilience` +
 server through every failure mode.  DESIGN.md §7 tabulates the failure
 semantics.
 
-DESIGN.md §6 documents the artifact format and query semantics;
-benchmark E19 (``benchmarks/bench_oracle.py``) records the
-single-vs-batched serving throughput.
+DESIGN.md §6 documents the artifact format and query semantics, and
+the measured single-vs-batched serving throughput.
 """
 
 from .artifact import (

@@ -1,12 +1,12 @@
 """Request coalescing: many parked single queries, one vectorized gather.
 
-E19 measured the engine answering *batched* gathers 45-244x faster than
-the same queries issued one at a time — but production traffic arrives
-as independent single queries.  This module closes that gap with the
-micro-batching trick inference servers use to saturate their kernels:
-park concurrent single requests for a bounded window, answer the
-accumulated batch with **one** :meth:`DistanceOracle.query_batch` call,
-and fan the results back to each waiter.
+The engine answers *batched* gathers 45-244x faster than the same
+queries issued one at a time (DESIGN.md §6) — but production traffic
+arrives as independent single queries.  This module closes that gap
+with the micro-batching trick inference servers use to saturate their
+kernels: park concurrent single requests for a bounded window, answer
+the accumulated batch with **one** :meth:`DistanceOracle.query_batch`
+call, and fan the results back to each waiter.
 
 :class:`QueryCoalescer` is deliberately thread-based, not
 asyncio-native: waiters receive :class:`concurrent.futures.Future`

@@ -182,9 +182,7 @@ class VariantSpec:
     variants with no full-APSP run, e.g. ``tz``).  ``stretch(n,
     **params)`` is the proven ``(multiplicative, additive)`` formula;
     ``guarantee`` is its human-readable form for ``--help``.  ``phases``
-    names the round-ledger phases the variant charges.  ``bench_sizes``
-    is the declarative hook the E19 benchmark iterates (empty = smoke
-    coverage only).
+    names the round-ledger phases the variant charges.
     """
 
     name: str
@@ -200,7 +198,6 @@ class VariantSpec:
     cli_algo: bool = False
     headline: bool = False
     phases: Tuple[str, ...] = ()
-    bench_sizes: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     @property

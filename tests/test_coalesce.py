@@ -205,8 +205,11 @@ def async_server(artifact):
 
 class TestAsyncFrontend:
     def test_concurrent_singles_coalesce_into_one_gather(
-        self, async_server, exact
+        self, async_server, engine
     ):
+        """Concurrent singles are answered bit-identically to one
+        in-process ``query_batch``, and they were coalesced (mean
+        flushed batch > 1)."""
         handle, base = async_server
         out = {}
 
@@ -221,10 +224,11 @@ class TestAsyncFrontend:
             t.start()
         for t in threads:
             t.join()
+        want = engine.query_batch(np.zeros(16, np.int64), np.arange(1, 17))
         for v in range(1, 17):
             status, body = out[v]
             assert status == 200
-            assert body["distance"] == pytest.approx(float(exact[0, v]))
+            assert body["distance"] == float(want[v - 1])
         info = json.loads(
             urllib.request.urlopen(base + "/info", timeout=5).read()
         )
@@ -232,6 +236,7 @@ class TestAsyncFrontend:
         assert stats["coalesced"] == 16
         # Fewer gathers than queries: coalescing actually happened.
         assert stats["batches"] < 16
+        assert stats["mean_batch"] > 1.0
         assert stats["largest_batch"] >= 2
         assert info["http"]["frontend"] == "async"
 

@@ -176,6 +176,25 @@ class TestWeightedGraph:
         assert vs.tolist() == [1, 3]
         assert ws.tolist() == [1.5, 2.5]
 
+    def test_edge_arrays_cache_survives_a_no_op_bulk_insert(self):
+        w = WeightedGraph(5)
+        w.add_edges_arrays([0, 1, 3], [1, 2, 4], [1.5, 2.5, 3.0])
+        arrays = w.edge_arrays()
+        # Re-inserting the same edges (and a heavier duplicate, and a
+        # self loop) adds nothing and lowers nothing.
+        assert w.add_edges_arrays(*arrays) == 0
+        assert w.add_edges_arrays([1, 2], [0, 2], [9.0, 1.0]) == 0
+        assert w.edge_arrays() is arrays
+        # Lowering one weight rebuilds the arrays.
+        assert w.add_edges_arrays([2], [1], [0.5]) == 0
+        us, vs, ws = w.edge_arrays()
+        assert us.tolist() == [0, 1, 3]
+        assert vs.tolist() == [1, 2, 4]
+        assert ws.tolist() == [1.5, 0.5, 3.0]
+        # Adding an edge rebuilds them too.
+        assert w.add_edges_arrays([4], [0], [7.0]) == 1
+        assert w.edge_arrays()[0].tolist() == [0, 0, 1, 3]
+
     def test_union_update_takes_min(self):
         a = WeightedGraph(3)
         a.add_edge(0, 1, 5.0)

@@ -19,7 +19,8 @@ Four verification layers, matching the satellite checklist:
 * **Served fidelity** — a seeded ``zipf_hotspot`` run's answers digest
   equals an in-process ``DistanceOracle.query_batch`` replay of the
   same request sequence (bit-identical per-query answers), and the
-  run's ``/info`` shows coalesced batches > 0.
+  run's ``/info`` shows coalesced batches > 0.  Every registered
+  profile's quick run has zero failures and the same digest equality.
 
 Plus the CLI surface: ``repro loadgen --quick`` against a prebuilt
 artifact writes a well-formed JSON report.
@@ -294,13 +295,6 @@ class TestProfileSchema:
         with pytest.raises(LoadgenError, match="multi_tenant"):
             loadgen.get_profile("multi_tenant").build_requests(_ctx())
 
-    def test_sweepable_variants_come_from_registry(self):
-        pairs = loadgen.sweepable_variants()
-        assert ("exact", "matrix") in pairs
-        from repro import variants
-
-        assert len(pairs) == len(variants.all_variants())
-
 
 # ----------------------------------------------------------------------
 # Satellite 3: chaos accounting vs /info
@@ -379,6 +373,28 @@ class TestServedFidelity:
             for _ in range(2)
         ]
         assert reports[0]["answers_digest"] == reports[1]["answers_digest"]
+
+    @pytest.mark.parametrize("name", loadgen.profile_names())
+    def test_every_profile_quick_run_is_clean(self, name):
+        """Every registered profile at its ``--quick`` knobs (multi_tenant
+        on its own three-variant mount set): zero failures and served
+        answers bit-identical to the in-process replay.  Admission gets
+        headroom, so ``burst`` measures answers, not the 503 path
+        (that is ``TestChaosAccounting``)."""
+        knobs = loadgen.QUICK
+        oracles = loadgen.build_tenants(
+            name, family=knobs["family"], n=knobs["n"],
+            variant=knobs["variant"], seed=61,
+        )
+        limits = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=4096)
+        report = loadgen.run(
+            name, oracles=oracles, seed=61, limits=limits, quick=True,
+        )
+        assert report["failures"]["total"] == 0, report["failures"]
+        assert report["answers_digest"] == loadgen.replay_digest(
+            name, oracles, requests=report["requests"], seed=61,
+            params=report["params"],
+        )
 
 
 # ----------------------------------------------------------------------
