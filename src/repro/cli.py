@@ -4,7 +4,7 @@ Examples::
 
     python -m repro emulator --family er_sparse --n 150 --eps 0.5 --r 2
     python -m repro apsp --algo 2eps --family grid --n 120
-    python -m repro apsp --algo near-additive --n 400 --backend csr
+    python -m repro apsp --algo near-additive --n 400
     python -m repro mssp --family path --n 200 --num-sources 14
     python -m repro families
 
@@ -14,9 +14,9 @@ Examples::
     python -m repro serve --artifact /tmp/oracle --port 8080
     # multi-artifact serving: one process, per-artifact routes
     python -m repro serve --artifact tz=/tmp/tz --artifact na=/tmp/na
-    # per-mount backend/shard overrides + serving limits
+    # per-mount shard override + serving limits
     python -m repro serve --artifact tz=/tmp/tz,shards=4 \\
-        --artifact es=/tmp/es,backend=reference \\
+        --artifact es=/tmp/es \\
         --max-inflight 32 --default-timeout-ms 2000
     # tune the request coalescer (keep-alive + micro-batching)
     python -m repro serve --artifact /tmp/oracle \\
@@ -37,16 +37,13 @@ variant does not take) fails loudly naming the valid range instead of
 being silently ignored.
 
 The one-shot commands print the measured quality against the exact
-distances and the round-ledger summary.  ``--backend`` pins the kernel
-backend for the whole run (same choices as the ``REPRO_KERNEL_BACKEND``
-environment variable; see DESIGN.md §2 "Choosing a backend").
+distances and the round-ledger summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -54,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import evaluate_stretch, format_table
-from . import kernels, loadgen, oracle, telemetry, variants
+from . import loadgen, oracle, telemetry, variants
 from .emulator import build_emulator_cc
 from .derand import build_emulator_deterministic
 from .graph import WeightedGraph, generators
@@ -104,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="random integer edge weights in [1, W] via subdivision "
                  "(1 = unweighted; apsp/mssp only)",
         )
-        p.add_argument(
-            "--backend", default=None, choices=kernels.BACKENDS,
-            help="kernel backend for the whole run (default: the "
-                 "REPRO_KERNEL_BACKEND env var, else 'auto')",
-        )
 
     p_emu = sub.add_parser("emulator", help="build an emulator, report size/stretch")
     common(p_emu)
@@ -148,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("families", help="list workload families")
-
-    def backend_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend", default=None, choices=kernels.BACKENDS,
-            help="kernel backend for the whole run",
-        )
 
     def mmap_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -234,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also reconstruct a concrete G-path",
     )
     mmap_flag(p_query)
-    backend_flag(p_query)
 
     p_serve = sub.add_parser(
         "serve", help="serve artifacts over HTTP (JSON; stdlib only)"
@@ -245,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
              "route name; repeat the flag to serve several artifacts "
              "from one process (POST /query/<name>).  Per-mount "
              "overrides append as ,key=value — e.g. "
-             "NAME=PATH,backend=csr,shards=4 "
+             "NAME=PATH,shards=4 "
              "(a sharded-layout path is detected and served by its "
              "worker pool automatically; shards=S on a plain artifact "
              "partitions it in memory)",
@@ -311,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
              "as zeros; for overhead comparisons)",
     )
     mmap_flag(p_serve)
-    backend_flag(p_serve)
 
     profile_lines = [
         f"  {p.name:<18} [{p.driver}-loop] {p.summary}"
@@ -392,12 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "families":
         print("\n".join(generators.FAMILIES))
         return 0
-
-    if getattr(args, "backend", None):
-        # The explicit flag outranks an inherited REPRO_KERNEL_BACKEND,
-        # so overwrite that layer too (it sits above the process default).
-        os.environ[kernels.ENV_BACKEND_VAR] = args.backend
-        kernels.set_default_backend(args.backend)
 
     if args.command == "loadgen":
         try:
@@ -629,20 +607,8 @@ def _parse_pairs(spec: str):
     return pairs
 
 
-def _parse_backend_option(value: str) -> str:
-    if value not in kernels.BACKENDS:
-        raise oracle.ArtifactError(
-            f"unknown backend {value!r} in --artifact mount option; "
-            f"expected one of {list(kernels.BACKENDS)}"
-        )
-    return value
-
-
 #: Per-mount option parsers for ``--artifact NAME=PATH,key=value``.
-_MOUNT_OPTION_PARSERS = {
-    "backend": _parse_backend_option,
-    "shards": int,
-}
+_MOUNT_OPTION_PARSERS = {"shards": int}
 
 
 def _parse_artifact_mounts(entries):

@@ -32,7 +32,7 @@ from ..emulator.clique import build_emulator_cc
 from ..emulator.params import EmulatorParams, sampling_probabilities
 from ..emulator.sampling import Hierarchy
 from ..graph.graph import Graph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from ..toolkit.hitting import deterministic_hitting_set
 from ..toolkit.nearest import kd_nearest_bfs
 from .conditional import deterministic_soft_hitting_set
@@ -60,7 +60,7 @@ def build_deterministic_hierarchy(
     d = max(1, math.ceil(params.delta_r))
     nearest, _ = kd_nearest_bfs(g, k, d, ledger=ledger)
 
-    reference = resolve_backend() == "reference"
+    reference = reference_forced()
     if reference:
         # Sorted-by-distance finite entries per vertex (one lexsort each).
         finite_rows: List[np.ndarray] = []

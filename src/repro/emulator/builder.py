@@ -26,8 +26,7 @@ Two construction paths produce identical output (DESIGN.md §3):
   level are computed *simultaneously* — the shape of the sparse-matrix
   formulation in Censor-Hillel et al. — and memory stays
   ``O(shard · n)``, which opens ``n >= 10^4`` builds.
-* ``reference`` — the original one-BFS-per-vertex loop, kept reachable
-  both explicitly (``method="reference"``) and under
+* ``reference`` — the original one-BFS-per-vertex loop, reachable under
   ``force_backend("reference")``; the bit-fidelity tests compare the two.
 """
 
@@ -42,7 +41,7 @@ from .. import kernels
 from ..cliquesim.ledger import RoundLedger
 from ..graph.distances import bfs_distances
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from .params import EmulatorParams
 from .sampling import Hierarchy, sample_hierarchy
 
@@ -148,9 +147,11 @@ def build_emulator(
     hierarchy: Optional[Hierarchy] = None,
     params: Optional[EmulatorParams] = None,
     rescale: bool = True,
-    method: Optional[str] = None,
 ) -> EmulatorResult:
     """Build the ideal Section 3.2 emulator.
+
+    The level-bucketed sharded BFS builds the edges; under
+    ``force_backend("reference")`` the one-BFS-per-vertex loop does.
 
     Parameters
     ----------
@@ -163,11 +164,6 @@ def build_emulator(
         ``r = log log n`` (:meth:`EmulatorParams.default_r`).
     hierarchy:
         Pre-sampled hierarchy (otherwise drawn with ``rng``).
-    method:
-        ``"batched"`` (level-bucketed sharded BFS, the default) or
-        ``"reference"`` (one BFS per vertex).  ``None`` resolves through
-        the kernel backend: ``force_backend("reference")`` selects the
-        per-vertex path, anything else the batched one.
     """
     if params is None:
         params = (
@@ -183,13 +179,8 @@ def build_emulator(
         raise ValueError(
             f"hierarchy has r={hierarchy.r} but params have r={params.r}"
         )
-    if method is None:
-        method = "reference" if resolve_backend() == "reference" else "batched"
-    if method not in ("batched", "reference"):
-        raise ValueError(f"unknown method {method!r}")
-
     emulator = WeightedGraph(g.n)
-    if method == "reference":
+    if reference_forced():
         counts = _build_edges_reference(g, emulator, hierarchy, params)
     else:
         counts = _build_edges_batched(g, emulator, hierarchy, params)

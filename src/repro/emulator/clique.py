@@ -34,7 +34,7 @@ from .. import kernels
 from ..cliquesim.ledger import RoundLedger
 from ..graph.distances import bfs_distances
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from ..toolkit.hopsets import build_bounded_hopset
 from ..toolkit.nearest import kd_nearest_bfs
 from ..toolkit.source_detection import source_detection
@@ -94,7 +94,7 @@ def build_emulator_cc(
 
     emulator = WeightedGraph(n)
     sr_mask = hierarchy.masks[r]
-    if resolve_backend() == "reference":
+    if reference_forced():
         heavy_count, light_count, patched_heavy = _light_heavy_edges_reference(
             g, emulator, nearest, hierarchy, params, k
         )

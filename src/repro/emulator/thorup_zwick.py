@@ -75,7 +75,7 @@ import numpy as np
 
 from ..graph.distances import bfs_distances, dijkstra, weighted_to_scipy_csr
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from ..kernels.csr import _slab_positions
 from .sampling import Hierarchy, sample_hierarchy
 
@@ -382,7 +382,7 @@ def build_tz_emulator(
         hierarchy = sample_hierarchy(g.n, r, rng)
     emulator = WeightedGraph(g.n)
     masks = hierarchy.masks
-    if resolve_backend() == "reference":
+    if reference_forced():
         for v in range(g.n):
             level = int(hierarchy.levels[v])
             dist = _global_distances_reference(g, v)  # global exploration
@@ -456,7 +456,7 @@ def build_tz_bunches(
     r = hierarchy.r
     arcs_s, arcs_d, arcs_w = [], [], []
 
-    if resolve_backend() == "reference":
+    if reference_forced():
         for v in range(g.n):
             dist = _global_distances_reference(g, v)
             finite = np.isfinite(dist)

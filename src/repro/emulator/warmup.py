@@ -36,7 +36,7 @@ import numpy as np
 from .. import kernels
 from ..graph.distances import bfs_distances
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from ..kernels.csr import slab_gather_owners
 
 __all__ = ["WarmupEmulator", "build_warmup_emulator"]
@@ -97,7 +97,7 @@ def build_warmup_emulator(
     radius = 1.0 / eps + 2.0
     ball_bound = math.sqrt(n) * logn
 
-    if resolve_backend() == "reference":
+    if reference_forced():
         _warmup_rules_reference(
             g, emulator, s1_mask, s2_mask, degree_threshold, radius,
             ball_bound, stats,

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..cliquesim.ledger import RoundLedger
 from ..graph.graph import Graph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from ..toolkit.nearest import kd_nearest_bfs
 from .builder import EmulatorResult, edges_for_vertex
 from .clique import build_emulator_cc
@@ -65,7 +65,7 @@ def evaluate_draw(
     """
     r = params.r
     sr_mask = hierarchy.masks[r]
-    if resolve_backend() == "reference":
+    if reference_forced():
         return _evaluate_draw_reference(nearest, hierarchy, params, k)
     edges = 0
     heavy_all_hit = True

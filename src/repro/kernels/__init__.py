@@ -1,7 +1,7 @@
 """Vectorized CSR compute kernels — the library's hot-path substrate.
 
 Every per-row / per-vertex Python loop the algorithms used to run bottoms
-out here instead, in one of three kernel families, each with a backend
+out here instead, in one of three kernel families, each with a
 dispatcher (see DESIGN.md for the layer's contract and fidelity policy):
 
 * :func:`minplus` — sparse/dense/reference min-plus products (Theorem 36);
@@ -13,23 +13,16 @@ dispatcher (see DESIGN.md for the layer's contract and fidelity policy):
 * :func:`hop_limited_relax` — the Bellman–Ford relaxation core
   (``(S, d)``-source detection).
 
-Backends are selected per call (``backend=``), per process
-(:func:`set_default_backend` or the ``REPRO_KERNEL_BACKEND`` environment
-variable), or forced for a whole pipeline (:func:`force_backend` — how
-tests prove the vectorized kernels are bit-identical to the original
-implementations).  Every kernel runs in-process; ``"auto"`` picks the
-dense or csr min-plus kernel by operand density.
+Every kernel runs in-process and picks its implementation from its
+operands: :func:`minplus` runs the dense kernel when more than a quarter
+of ``s`` is finite, else the csr kernel.  The one other route is
+``with force_backend("reference")``, which runs a whole pipeline on the
+original Python loops — how tests prove the vectorized kernels are
+bit-identical to them.
 """
 
 from .bfs import batched_bfs, multi_source_bfs, sharded_bfs
-from .config import (
-    BACKENDS,
-    ENV_BACKEND_VAR,
-    force_backend,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from .config import force_backend
 from .csr import (
     CsrParts,
     dense_to_csr,
@@ -44,9 +37,7 @@ from .relax import hop_limited_relax
 from .topk import filter_rows, masked_row_argmin
 
 __all__ = [
-    "BACKENDS",
     "CsrParts",
-    "ENV_BACKEND_VAR",
     "ParallelFallback",
     "auto_block",
     "batched_bfs",
@@ -56,16 +47,13 @@ __all__ = [
     "finite_fraction",
     "fold_in_edges",
     "force_backend",
-    "get_default_backend",
     "hop_limited_relax",
     "masked_row_argmin",
     "minplus",
     "minplus_csr",
     "minplus_dense",
     "multi_source_bfs",
-    "resolve_backend",
     "shutdown_pool",
-    "set_default_backend",
     "sharded_bfs",
     "slab_gather",
     "slab_gather_owners",

@@ -17,9 +17,8 @@ bit-packed frontier advanced by a segmented ``bitwise_or.reduceat`` over
 the CSR (cost ``nnz · waves / 64`` words — the winner when many deep
 waves flood the graph together).  Both produce identical level maps.
 
-``backend="reference"`` routes to the per-source loops of
-:mod:`repro.kernels.reference`; every other backend runs the vectorized
-waves.
+Under ``force_backend("reference")`` every entry point runs the
+per-source loops of :mod:`repro.kernels.reference` instead.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import resolve_backend
+from .config import reference_forced
 from .csr import slab_gather, slab_gather_owners
 from .reference import batched_bfs_reference, multi_source_bfs_reference
 
@@ -50,13 +49,12 @@ def multi_source_bfs(
     n: int,
     sources,
     max_dist: float = np.inf,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Distance to the nearest of ``sources``, truncated at ``max_dist``
     (vertices farther away report ``inf``).  BFS levels are integral, so a
     fractional bound is floored once here."""
     max_dist = np.floor(max_dist)
-    if resolve_backend(backend) == "reference":
+    if reference_forced():
         return multi_source_bfs_reference(indptr, indices, n, sources, max_dist)
     dist = np.full(n, np.inf)
     frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
@@ -83,7 +81,6 @@ def batched_bfs(
     n: int,
     sources,
     max_dist: float = np.inf,
-    backend: Optional[str] = None,
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """One truncated BFS per entry of ``sources``, all waves expanded
@@ -95,7 +92,7 @@ def batched_bfs(
     """
     max_dist = np.floor(max_dist)
     sources = np.asarray(list(sources), dtype=np.int64)
-    if resolve_backend(backend) == "reference":
+    if reference_forced():
         return batched_bfs_reference(indptr, indices, n, sources, max_dist)
     radii = np.full(sources.size, max_dist)
     dist = np.full((sources.size, n), np.inf)
@@ -120,7 +117,6 @@ def sharded_bfs(
     n: int,
     sources,
     max_dist=np.inf,
-    backend: Optional[str] = None,
     shard_size: Optional[int] = None,
 ):
     """Radius-bounded batched BFS over column shards of ``sources``.
@@ -153,10 +149,10 @@ def sharded_bfs(
         # One live (n, shard) float block per shard (the yielded view is
         # the working array itself, so the whole budget buys shard rows).
         shard_size = max(1, _SHARD_FLOAT_BUDGET // max(n, 1))
-    resolved = resolve_backend(backend)
+    reference = reference_forced()
     for lo in range(0, sources.size, shard_size):
         hi = min(sources.size, lo + shard_size)
-        if resolved == "reference":
+        if reference:
             block = np.full((hi - lo, n), np.inf)
             for i in range(lo, hi):
                 block[i - lo] = multi_source_bfs_reference(

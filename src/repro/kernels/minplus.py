@@ -1,23 +1,26 @@
 """Min-plus product kernels and their dispatcher.
 
-Three backends compute the same product ``C[i, j] = min_k s[i, k] + t[k, j]``
+Two kernels compute the product ``C[i, j] = min_k s[i, k] + t[k, j]``
 over the tropical semiring (zero element ``inf``):
 
-* ``dense`` — blocked dense broadcast (:func:`minplus_dense`); best when
-  the operands have many finite entries per row.
-* ``csr`` — segment-reduce gather (:func:`minplus_csr`): expand the
-  candidate ``(i, k, j)`` triples of the product with ``np.repeat``
-  arithmetic over the CSR slabs of ``t``, sort by output cell, and reduce
-  with ``np.minimum.reduceat``.  Work is proportional to the number of
+* :func:`minplus_dense` — blocked dense broadcast; best when the
+  operands have many finite entries per row.
+* :func:`minplus_csr` — segment-reduce gather: expand the candidate
+  ``(i, k, j)`` triples of the product with ``np.repeat`` arithmetic over
+  the CSR slabs of ``t``, sort by output cell, and reduce with
+  ``np.minimum.reduceat``.  Work is proportional to the number of
   candidate triples — the same count the congested-clique analysis of
   Theorem 36 charges — with no Python inner loop.
-* ``reference`` — the original per-row Python loop
-  (:func:`repro.kernels.reference.minplus_reference`), kept as the
-  semantic oracle.
+
+:func:`minplus` runs the dense kernel when the finite fraction of ``s``
+exceeds :data:`DENSE_THRESHOLD`, else the csr kernel.  Under
+``force_backend("reference")`` the sparse side runs the original
+per-row Python loop (:func:`repro.kernels.reference.minplus_reference`),
+kept as the semantic oracle.
 
 ``min`` over floats is exact regardless of evaluation order and each
-candidate value is computed by the same single addition in every backend,
-so all backends agree bit-for-bit (a tested property).
+candidate value is computed by the same single addition in every kernel,
+so all of them agree bit-for-bit (a tested property).
 """
 
 from __future__ import annotations
@@ -26,11 +29,22 @@ from typing import Optional
 
 import numpy as np
 
-from .config import resolve_backend
+from .config import reference_forced
 from .csr import _slab_positions, dense_to_csr
 from .reference import minplus_reference
 
-__all__ = ["minplus", "minplus_csr", "minplus_dense", "auto_block", "finite_fraction"]
+__all__ = [
+    "DENSE_THRESHOLD",
+    "auto_block",
+    "finite_fraction",
+    "minplus",
+    "minplus_csr",
+    "minplus_dense",
+]
+
+#: Finite fraction of ``s`` above which :func:`minplus` runs the dense
+#: kernel rather than the csr one.
+DENSE_THRESHOLD = 0.25
 
 # Expanded-triple budget per csr chunk (~64 MB of transient arrays) and
 # broadcast budget for the dense kernel's auto block size (~32 MB).
@@ -135,31 +149,17 @@ def _csr_chunk(out, si, sk, sv, counts, tp, tc, tv, n_out) -> None:
 
 
 def minplus(
-    s: np.ndarray,
-    t: np.ndarray,
-    backend: Optional[str] = None,
-    block: Optional[int] = None,
-    dense_threshold: float = 0.25,
+    s: np.ndarray, t: np.ndarray, block: Optional[int] = None
 ) -> np.ndarray:
-    """Min-plus product through the backend dispatcher.
-
-    ``backend=None`` defers to :mod:`repro.kernels.config` (default
-    ``"auto"``: ``dense`` when the finite fraction of ``s`` exceeds
-    ``dense_threshold``, else ``csr``).  ``"reference"`` reproduces the
-    original code paths exactly: the Python gather loop, with the same
-    density fallback to the dense kernel.
-    """
+    """Min-plus product: the dense kernel when the finite fraction of
+    ``s`` exceeds :data:`DENSE_THRESHOLD`, else the csr kernel (the
+    reference Python gather loop under ``force_backend("reference")``).
+    ``block`` sizes the dense kernel's broadcast."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     _validate(s, t)
-    resolved = resolve_backend(backend)
-    if resolved == "auto":
-        resolved = "dense" if finite_fraction(s) > dense_threshold else "csr"
-    if resolved == "dense":
+    if finite_fraction(s) > DENSE_THRESHOLD:
         return minplus_dense(s, t, block=block)
-    if resolved == "csr":
-        return minplus_csr(s, t)
-    # reference: the original row_sparse_minplus, dense fallback included.
-    if finite_fraction(s) > dense_threshold:
-        return minplus_dense(s, t, block=block)
-    return minplus_reference(s, t)
+    if reference_forced():
+        return minplus_reference(s, t)
+    return minplus_csr(s, t)

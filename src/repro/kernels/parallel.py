@@ -5,8 +5,7 @@ kernel layer to run its forked worker pool: the canonical vertex-range
 split (:func:`shard_edges`), the ``fork`` probe, the hung-worker budget
 (:func:`pool_timeout`, ``REPRO_POOL_TIMEOUT``) and the
 :class:`ParallelFallback` warning its supervision ladder raises.  The
-kernels themselves run in-process on the ``dense`` / ``csr`` /
-``reference`` backends (see :mod:`repro.kernels.config`).
+kernels themselves run in-process.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ edge and dominated the post-processing at large ``n``).
 Fidelity: the canonical edge list holds each undirected edge once with
 ``u < v``, so within one orientation every ``(row, col)`` cell is hit at
 most once and fancy-index scatter equals ``np.minimum.at`` exactly.  The
-original calls stay reachable as the ``reference`` backend.
+original calls stay reachable under ``force_backend("reference")``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import resolve_backend
+from .config import reference_forced
 
 __all__ = ["fold_in_edges"]
 
@@ -31,7 +31,6 @@ def fold_in_edges(
     vs: np.ndarray,
     weights: Optional[np.ndarray] = None,
     zero_diagonal: bool = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Fold the undirected edges ``(us[i], vs[i])`` into ``estimates`` in
     place — ``estimates[u, v] = min(estimates[u, v], w)`` for both
@@ -48,7 +47,7 @@ def fold_in_edges(
     if weights is None:
         weights = np.ones(us.size)
     if us.size:
-        if resolve_backend(backend) == "reference":
+        if reference_forced():
             np.minimum.at(estimates, (us, vs), weights)
             np.minimum.at(estimates, (vs, us), weights)
         else:

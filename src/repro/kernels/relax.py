@@ -13,17 +13,13 @@ origin's candidate ``prev[s, o] + w`` is the very value the previous hop
 already folded into its target, so taking the ``min`` over the smaller
 arc set is bit-identical to the full Jacobi update.  The baseline is
 that full update, kept as a test-local loop in ``tests/test_kernels.py``
-and compared bit for bit.  There is one numpy implementation, and every
-backend name routes here.
+and compared bit for bit.  There is one numpy implementation, which
+``force_backend("reference")`` leaves as it is.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from .config import resolve_backend
 
 __all__ = ["hop_limited_relax"]
 
@@ -34,18 +30,12 @@ def hop_limited_relax(
     targets: np.ndarray,
     weights: np.ndarray,
     max_hops: int,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Relax the directed arcs ``origins -> targets`` (with ``weights``)
     for ``max_hops`` rounds starting from the ``(num_sources, n)`` seed
-    matrix ``dist``; stops early at a fixpoint.  Returns a new matrix.
-
-    ``backend=None`` defers to :mod:`repro.kernels.config`, which
-    validates the name; every backend runs the same numpy rounds.
-    """
+    matrix ``dist``; stops early at a fixpoint.  Returns a new matrix."""
     if max_hops <= 0 or targets.size == 0 or dist.size == 0:
         return dist.copy()
-    resolve_backend(backend)
     order = np.argsort(targets, kind="stable")
     targets, origins, weights = targets[order], origins[order], weights[order]
     # Hop 1 relaxes the full target-sorted arrays (no subset copy); each

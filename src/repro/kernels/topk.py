@@ -11,11 +11,9 @@ implements, in ``O(n^2)`` instead of ``O(n^2 log n)``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .config import resolve_backend
+from .config import reference_forced
 from .reference import filter_rows_reference
 
 __all__ = ["filter_rows", "masked_row_argmin"]
@@ -35,15 +33,13 @@ def masked_row_argmin(values, mask):
     return rows, cols, vals
 
 
-def filter_rows(
-    m: np.ndarray, rho: int, backend: Optional[str] = None
-) -> np.ndarray:
+def filter_rows(m: np.ndarray, rho: int) -> np.ndarray:
     """Keep only the ``rho`` smallest finite entries in each row
     (ties by column id); everything else becomes ``inf``."""
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     m = np.asarray(m, dtype=np.float64)
-    if resolve_backend(backend) == "reference":
+    if reference_forced():
         return filter_rows_reference(m, rho)
     n_cols = m.shape[1]
     if rho >= n_cols:

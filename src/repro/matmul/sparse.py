@@ -27,16 +27,14 @@ from .semiring import density
 __all__ = ["row_sparse_minplus", "sparse_minplus_with_cost"]
 
 
-def row_sparse_minplus(
-    s: np.ndarray, t: np.ndarray, dense_threshold: float = 0.25
-) -> np.ndarray:
+def row_sparse_minplus(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Min-plus product exploiting the row sparsity of ``s`` and ``t``.
 
     Dispatches through :func:`repro.kernels.minplus`: the segment-reduce
     CSR kernel when ``s`` is sparse, the blocked dense kernel when it is
     dense enough that gathering would be slower.
     """
-    return minplus(s, t, dense_threshold=dense_threshold)
+    return minplus(s, t)
 
 
 def sparse_minplus_with_cost(

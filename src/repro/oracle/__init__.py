@@ -87,16 +87,6 @@ from .service import (
 )
 
 
-def __getattr__(name: str):
-    # VARIANTS / MATRIX_VARIANTS are registry-derived back-compat
-    # aliases; delegate lazily so late-registered variants appear and
-    # importing the package does not drag every algorithm module in.
-    if name in ("VARIANTS", "MATRIX_VARIANTS"):
-        from . import artifact
-
-        return getattr(artifact, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
@@ -115,7 +105,6 @@ __all__ = [
     "FORMAT_VERSION",
     "FaultInjector",
     "InjectedFault",
-    "MATRIX_VARIANTS",
     "OracleArtifact",
     "OracleClient",
     "OracleClientError",
@@ -124,7 +113,6 @@ __all__ = [
     "QueryCertificate",
     "QueryCoalescer",
     "ServingLimits",
-    "VARIANTS",
     "build_oracle",
     "graph_fingerprint",
     "load_artifact",

@@ -64,9 +64,7 @@ __all__ = [
     "MANIFEST_NAME",
     "ARRAYS_NAME",
     "ESTIMATES_NAME",
-    "MATRIX_VARIANTS",
     "OracleArtifact",
-    "VARIANTS",
     "build_oracle",
     "graph_fingerprint",
     "load_artifact",
@@ -102,19 +100,6 @@ class ArtifactCorrupt(ArtifactError):
 
 def _variant_names() -> tuple:
     return variants_registry.artifact_variant_names()
-
-
-def __getattr__(name: str):
-    # Back-compat aliases, derived from the registry instead of being a
-    # fourth hand-maintained copy of the variant list.
-    if name == "VARIANTS":
-        return _variant_names()
-    if name == "MATRIX_VARIANTS":
-        return tuple(
-            s.name for s in variants_registry.all_variants()
-            if s.kind == "matrix"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def graph_fingerprint(g: AnyGraph) -> str:

@@ -19,8 +19,7 @@ Answers point-to-point distance and path queries from an
   source in the batch (sharded so the dense ``(k, n)`` relax matrix
   stays bounded), then a gather.  O(emulator) storage instead of
   O(n^2), the build's exact guarantee, query cost paid per distinct
-  source; the per-mount ``backend=`` override picks the relax kernel's
-  backend;
+  source;
 * **bunches artifacts** — the classic 2-hop Thorup–Zwick combine
   ``min_w d(u, w) + d(v, w)`` over the common members
   ``w ∈ B(u) ∩ B(v)`` of the two *directed* bunch out-stars (the pivot
@@ -56,7 +55,7 @@ import numpy as np
 
 from ..analysis.stretch import StretchReport, evaluate_stretch
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels import BACKENDS, hop_limited_relax
+from ..kernels import hop_limited_relax
 from ..telemetry import instruments as _instr
 from ..telemetry import metrics as _metrics
 from .artifact import ArtifactError, OracleArtifact, load_artifact
@@ -117,12 +116,8 @@ class QueryCertificate:
 class DistanceOracle:
     """Serves distance / path queries from a preprocessing artifact."""
 
-    def __init__(
-        self,
-        artifact: OracleArtifact,
-        backend: Optional[str] = None,
-    ):
-        self._init_common(artifact, backend)
+    def __init__(self, artifact: OracleArtifact):
+        self._init_common(artifact)
         if self.kind == "matrix":
             self._est = np.asarray(artifact.arrays["estimates"], dtype=np.float64)
             if self._est.shape != (self.n, self.n):
@@ -177,18 +172,10 @@ class DistanceOracle:
         else:
             raise ArtifactError(f"unknown artifact kind {self.kind!r}")
 
-    def _init_common(
-        self, artifact: OracleArtifact, backend: Optional[str]
-    ) -> None:
+    def _init_common(self, artifact: OracleArtifact) -> None:
         """The half of construction that parses no kind arrays — shared
         with :class:`~repro.oracle.sharded.ShardedOracle`, which must
         never materialize the merged payload in the parent."""
-        if backend is not None and backend not in BACKENDS:
-            raise ArtifactError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{list(BACKENDS)}"
-            )
-        self._backend = backend
         self.artifact = artifact
         self.n = artifact.n
         self.kind = artifact.kind
@@ -207,20 +194,14 @@ class DistanceOracle:
         path: str,
         expected_graph=None,
         mmap: bool = False,
-        backend: Optional[str] = None,
     ) -> "DistanceOracle":
         """Load an artifact directory and wrap it in an oracle.
 
         ``mmap=True`` memory-maps a format-2 estimate matrix
         (:func:`repro.oracle.artifact.load_artifact`): answers are
         bit-identical, but the payload stays on disk and pages in on
-        demand.  ``backend`` picks the kernel backend for query-time
-        computation (today the ``edges`` kind's SSSP relax; inert for
-        gather-only kinds) — every backend is bit-identical."""
-        return cls(
-            load_artifact(path, expected_graph=expected_graph, mmap=mmap),
-            backend=backend,
-        )
+        demand."""
+        return cls(load_artifact(path, expected_graph=expected_graph, mmap=mmap))
 
     # ------------------------------------------------------------------
     # Distance queries
@@ -383,7 +364,6 @@ class DistanceOracle:
             self._weights,
             us,
             vs,
-            backend=self._backend,
         )
 
     def _sources_batch(
@@ -603,7 +583,6 @@ def edges_sssp_batch(
     weights: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """SSSP-at-query-time over bidirectional arc arrays (``edges`` kind).
 
@@ -625,14 +604,7 @@ def edges_sssp_batch(
         shard = sources[start:start + _EDGES_SSSP_SHARD]
         seed = np.full((shard.size, n), np.inf)
         seed[np.arange(shard.size), shard] = 0.0
-        dist = hop_limited_relax(
-            seed,
-            origins,
-            targets,
-            weights,
-            max_hops=n,
-            backend=backend,
-        )
+        dist = hop_limited_relax(seed, origins, targets, weights, max_hops=n)
         in_shard = (inverse >= start) & (inverse < start + shard.size)
         values[in_shard] = dist[inverse[in_shard] - start, vs[in_shard]]
     return values, np.full(us.size, -1, dtype=np.int64)

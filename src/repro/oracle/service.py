@@ -546,7 +546,7 @@ class OracleService:
 
 #: Mount options accepted by :func:`load_mount` (the
 #: ``--artifact NAME=PATH,key=value`` surface).
-_MOUNT_OPTIONS = ("backend", "shards")
+_MOUNT_OPTIONS = ("shards",)
 
 
 def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
@@ -556,15 +556,13 @@ def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
 
     ``name=None`` defaults to the artifact's manifest ``variant``.  The
     ``options`` dict overrides serving knobs for this artifact alone —
-    ``backend`` and ``shards`` (the CLI spells them
-    ``--artifact NAME=PATH,backend=X,shards=S``); unknown options fail
-    loudly.  A path holding the sharded layout opens as a
+    today only ``shards`` (the CLI spells it
+    ``--artifact NAME=PATH,shards=S``); unknown options fail loudly.  A path holding the sharded layout opens as a
     :class:`~repro.oracle.sharded.ShardedOracle` automatically
     (``shards=`` is then an optional cross-check); ``shards=S`` on a
     plain artifact partitions it in memory."""
     name, path = item[0], item[1]
     options = dict(item[2] or {}) if len(item) > 2 else {}
-    backend = options.pop("backend", None)
     shards = options.pop("shards", None)
     if options:
         raise ArtifactError(
@@ -573,13 +571,12 @@ def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
             f"{list(_MOUNT_OPTIONS)}"
         )
     if shards is None and not is_sharded_artifact(path):
-        oracle = DistanceOracle.load(path, mmap=mmap, backend=backend)
+        oracle = DistanceOracle.load(path, mmap=mmap)
         return name or oracle.artifact.variant, oracle
     oracle = ShardedOracle.load(
         path,
         shards=int(shards) if shards is not None else None,
         mmap=mmap,
-        backend=backend,
     )
     name = name or oracle.artifact.variant
     oracle.set_mount(name)

@@ -772,7 +772,6 @@ class ShardBackend:
         index: int,
         arrays: Optional[Dict[str, np.ndarray]] = None,
         path: Optional[str] = None,
-        backend: Optional[str] = None,
     ):
         self.n = int(n)
         self.kind = kind
@@ -780,7 +779,6 @@ class ShardBackend:
         self.hi = int(hi)
         self.index = int(index)
         self._path = path
-        self._backend = backend
         self._requests = 0
         self._queries = 0
         self._loaded = False
@@ -858,8 +856,7 @@ class ShardBackend:
             return values, np.full(us.size, -1, dtype=np.int64)
         if self.kind == "edges":
             return edges_sssp_batch(
-                self.n, self.origins, self.targets, self.weights,
-                us, vs, backend=self._backend,
+                self.n, self.origins, self.targets, self.weights, us, vs
             )
         # bunches: B(u) is local; B(v) is read from v's shard — this
         # backend when v is local, else the peer's (lazily mmap'd) files.
@@ -1045,13 +1042,12 @@ class ShardedOracle(DistanceOracle):
         self,
         artifact: OracleArtifact,
         shards: int,
-        backend: Optional[str] = None,
         pool: Optional[bool] = None,
     ):
         """In-memory mode: partition a loaded artifact into ``shards``
         vertex ranges (fork-inherited by pool workers, copy-on-write).
         For the on-disk sharded layout use :meth:`load`."""
-        self._init_common(artifact, backend)
+        self._init_common(artifact)
         if self.kind not in _SHARDABLE_KINDS:
             raise ArtifactError(
                 f"artifact kind {self.kind!r} cannot be sharded; "
@@ -1114,7 +1110,7 @@ class ShardedOracle(DistanceOracle):
             for i in range(eff):
                 backends.append(ShardBackend(
                     self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, arrays=shared, backend=self._backend,
+                    i, arrays=shared,
                 ))
         return backends
 
@@ -1164,7 +1160,6 @@ class ShardedOracle(DistanceOracle):
         shards: Optional[int] = None,
         expected_graph=None,
         mmap: bool = True,
-        backend: Optional[str] = None,
         pool: Optional[bool] = None,
     ) -> "ShardedOracle":
         """Open a sharded artifact directory, or partition a plain one.
@@ -1195,9 +1190,7 @@ class ShardedOracle(DistanceOracle):
                         "artifact before serving this graph"
                     )
             self = cls.__new__(cls)
-            self._init_common(
-                OracleArtifact(manifest=manifest, arrays={}), backend
-            )
+            self._init_common(OracleArtifact(manifest=manifest, arrays={}))
             if self.kind not in _SHARDABLE_KINDS:
                 raise ArtifactError(
                     f"artifact kind {self.kind!r} cannot be sharded"
@@ -1207,7 +1200,7 @@ class ShardedOracle(DistanceOracle):
             backends = [
                 ShardBackend(
                     self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, path=self._sharded_dir, backend=backend,
+                    i, path=self._sharded_dir,
                 )
                 for i in range(stored)
             ]
@@ -1223,9 +1216,7 @@ class ShardedOracle(DistanceOracle):
         artifact = load_artifact(
             path, expected_graph=expected_graph, mmap=mmap
         )
-        return cls(
-            artifact, shards=int(shards), backend=backend, pool=pool,
-        )
+        return cls(artifact, shards=int(shards), pool=pool)
 
     # -- lifecycle -----------------------------------------------------
     def _start_pool(self) -> None:

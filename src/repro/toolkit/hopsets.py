@@ -48,7 +48,7 @@ from ..cliquesim.costs import bounded_hopset_rounds, source_detection_rounds
 from ..cliquesim.ledger import RoundLedger
 from ..graph.distances import hop_limited_bellman_ford
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels.config import resolve_backend
+from ..kernels.config import reference_forced
 from .hitting import deterministic_hitting_set, random_hitting_set
 from .nearest import kd_nearest_bfs
 
@@ -130,7 +130,7 @@ def build_bounded_hopset(
 
     # Step 3: bounded bunches for v not in A_1.
     hopset = WeightedGraph(n)
-    if resolve_backend() == "reference":
+    if reference_forced():
         _bunch_edges_reference(hopset, nearest, a1_mask)
     else:
         _bunch_edges_batched(hopset, nearest, a1_mask)

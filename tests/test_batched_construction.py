@@ -3,9 +3,9 @@
 Every construction that was converted from a per-vertex BFS loop to the
 batched kernels (sharded BFS + mask algebra + bulk edge insertion) must
 produce output *bit-identical* to the original loop, which stays
-reachable under ``force_backend("reference")`` (or ``method="reference"``
-for :func:`build_emulator`): identical emulator edge sets (endpoints and
-weights), identical stats dicts, identical round ledgers.
+reachable under ``force_backend("reference")``: identical emulator edge
+sets (endpoints and weights), identical stats dicts, identical round
+ledgers.
 
 Also covers the new substrate pieces themselves: ``sharded_bfs`` against
 ``batched_bfs`` (including per-source radii and shard-size invariance)
@@ -311,8 +311,9 @@ class TestBatchedBuildFidelity:
     def test_build_emulator(self, r):
         for g in graph_cases():
             h = sample_hierarchy(g.n, r, np.random.default_rng(13))
-            fast = build_emulator(g, 0.4, r, hierarchy=h, method="batched")
-            slow = build_emulator(g, 0.4, r, hierarchy=h, method="reference")
+            fast = build_emulator(g, 0.4, r, hierarchy=h)
+            with kernels.force_backend("reference"):
+                slow = build_emulator(g, 0.4, r, hierarchy=h)
             assert_same_graph(fast.emulator, slow.emulator)
             assert fast.stats == slow.stats
 
@@ -324,15 +325,13 @@ class TestBatchedBuildFidelity:
             forced = build_emulator(g, 0.4, 2, hierarchy=h)
         assert_same_graph(default.emulator, forced.emulator)
         assert default.stats == forced.stats
-        with pytest.raises(ValueError):
-            build_emulator(g, 0.4, 2, hierarchy=h, method="gpu")
 
     def test_build_emulator_hierarchy_reuse(self):
         # The same pre-sampled hierarchy must flow through both paths and
         # come back attached to the result.
         g = gen.make_family("tree", 45, seed=15)
         h = sample_hierarchy(g.n, 2, np.random.default_rng(15))
-        fast = build_emulator(g, 0.4, 2, hierarchy=h, method="batched")
+        fast = build_emulator(g, 0.4, 2, hierarchy=h)
         assert fast.hierarchy is h
 
     def test_build_emulator_empty_level(self):
@@ -343,8 +342,9 @@ class TestBatchedBuildFidelity:
         masks[0] = True
         masks[1, : n // 2] = True
         h = Hierarchy.from_masks(masks)
-        fast = build_emulator(g, 0.4, 3, hierarchy=h, method="batched")
-        slow = build_emulator(g, 0.4, 3, hierarchy=h, method="reference")
+        fast = build_emulator(g, 0.4, 3, hierarchy=h)
+        with kernels.force_backend("reference"):
+            slow = build_emulator(g, 0.4, 3, hierarchy=h)
         assert_same_graph(fast.emulator, slow.emulator)
         assert fast.stats == slow.stats
 
@@ -358,9 +358,10 @@ class TestBatchedBuildFidelity:
         params = EmulatorParams(eps=0.9, r=1)
         params.deltas[1] = 0.5  # floored to radius 0
         fast = build_emulator(g, 0.9, 1, hierarchy=h, params=params,
-                              rescale=False, method="batched")
-        slow = build_emulator(g, 0.9, 1, hierarchy=h, params=params,
-                              rescale=False, method="reference")
+                              rescale=False)
+        with kernels.force_backend("reference"):
+            slow = build_emulator(g, 0.9, 1, hierarchy=h, params=params,
+                                  rescale=False)
         assert_same_graph(fast.emulator, slow.emulator)
         assert fast.stats == slow.stats
 
@@ -450,8 +451,9 @@ def test_build_emulator_fidelity_hypothesis(data):
     edges = [(int(i), int(j)) for i, j in zip(*iu) if mask[i, j]]
     g = Graph(n, edges)
     h = sample_hierarchy(n, r, rng)
-    fast = build_emulator(g, 0.4, r, hierarchy=h, method="batched")
-    slow = build_emulator(g, 0.4, r, hierarchy=h, method="reference")
+    fast = build_emulator(g, 0.4, r, hierarchy=h)
+    with kernels.force_backend("reference"):
+        slow = build_emulator(g, 0.4, r, hierarchy=h)
     ta, tb = fast.emulator.edge_arrays(), slow.emulator.edge_arrays()
     assert all(np.array_equal(x, y) for x, y in zip(ta, tb))
     assert fast.stats == slow.stats

@@ -99,3 +99,19 @@ class TestMain:
         ) == 0
         out = capsys.readouterr().out
         assert "weighted" in out
+
+    def test_serve_rejects_backend_mount_option(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The kernel backend is no mount option: `serve` fails at mount
+        # time with exit 2 and never starts a server.
+        from repro import oracle, telemetry
+
+        started = []
+        monkeypatch.setattr(oracle, "serve", lambda *a, **k: started.append(a))
+        # Keep the process-wide `repro` logger as the other tests see it.
+        monkeypatch.setattr(telemetry, "configure_logging", lambda *a: None)
+        mount = f"es={tmp_path},backend=csr"
+        assert main(["serve", "--artifact", mount, "--port", "0"]) == 2
+        assert "unknown mount option" in capsys.readouterr().err
+        assert started == []

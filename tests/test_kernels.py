@@ -1,15 +1,13 @@
 """Cross-validation of the vectorized kernel layer (repro.kernels).
 
-Fidelity policy (DESIGN.md §3): every vectorized backend must agree
+Fidelity policy (DESIGN.md §3): every vectorized kernel must agree
 *bit-for-bit* — including ``inf`` placement and tie-breaking — with the
-``reference`` backend (the original Python-loop implementations), on
+``reference`` loops (the original Python-loop implementations), on
 random, empty, and disconnected inputs.  Plus a pipeline regression:
 ``apsp_two_plus_eps`` is bit-identical whether it runs on the vectorized
-kernels or the reference ones.  Also the layered backend resolution
-(``force_backend`` > call-site ``backend=`` > ``REPRO_KERNEL_BACKEND`` >
-process default), the sharded-BFS block layout and the fold-in
-post-processing kernel, and the changed-origin Bellman–Ford relax
-against a full-Jacobi loop.
+kernels or the reference ones.  Also the ``force_backend`` test hook,
+the sharded-BFS block layout and the fold-in post-processing kernel, and
+the changed-origin Bellman–Ford relax against a full-Jacobi loop.
 """
 
 import numpy as np
@@ -22,7 +20,7 @@ from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph.distances import hop_limited_bellman_ford, multi_source_bfs
 from repro.kernels import reference as ref
-from repro.kernels.config import ENV_BACKEND_VAR
+from repro.kernels.config import reference_forced
 from repro.matmul import filter_rows, minplus_power, minplus_product, row_sparse_minplus
 from repro.toolkit import kd_nearest_bfs, source_detection, source_detection_k
 
@@ -73,7 +71,7 @@ class TestMinplusBackends:
     def test_all_inf_operands(self):
         s = np.full((5, 5), np.inf)
         assert np.isinf(kernels.minplus_csr(s, s)).all()
-        assert np.isinf(kernels.minplus(s, s, backend="dense")).all()
+        assert np.isinf(kernels.minplus_dense(s, s)).all()
 
     def test_finite_zero_values_survive(self):
         # 0.0 is a legitimate stored value of the tropical semiring, not a
@@ -85,10 +83,6 @@ class TestMinplusBackends:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             kernels.minplus(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            kernels.minplus(np.zeros((2, 2)), np.zeros((2, 2)), backend="gpu")
 
     def test_auto_dispatch_density_rule(self, rng):
         sparse = random_minplus_matrix(rng, 20, 20, 0.1)
@@ -380,37 +374,20 @@ class TestRewiredCallSites:
 # ----------------------------------------------------------------------
 
 class TestBackendConfig:
-    def test_force_backend_overrides_call_site(self, rng):
-        s = random_minplus_matrix(rng, 10, 10, 0.2)
-        with kernels.force_backend("dense"):
-            assert kernels.resolve_backend("csr") == "dense"
-        assert kernels.resolve_backend("csr") == "csr"
-
-    def test_force_backend_restores_on_error(self, monkeypatch):
-        # Neutralize the env-var layer: this test is about the forced and
-        # default layers only (a run may export REPRO_KERNEL_BACKEND
-        # process-wide).
-        monkeypatch.delenv(kernels.ENV_BACKEND_VAR, raising=False)
+    def test_force_backend_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with kernels.force_backend("reference"):
+                assert reference_forced()
                 raise RuntimeError("boom")
-        assert kernels.resolve_backend() == kernels.get_default_backend()
-
-    def test_set_default_backend_roundtrip(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_BACKEND_VAR, raising=False)
-        assert kernels.get_default_backend() == "auto"
-        kernels.set_default_backend("csr")
-        try:
-            assert kernels.resolve_backend() == "csr"
-        finally:
-            kernels.set_default_backend("auto")
+        assert not reference_forced()
 
     def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_default_backend("quantum")
-        with pytest.raises(ValueError):
-            with kernels.force_backend("quantum"):
-                pass
+        # "reference" is the only name that can be forced.
+        for name in ("quantum", "auto", "dense", "csr", ""):
+            with pytest.raises(ValueError, match="only 'reference'"):
+                with kernels.force_backend(name):
+                    pass
+            assert not reference_forced()
 
 
 # ----------------------------------------------------------------------
@@ -434,64 +411,11 @@ class TestPipelineRegression:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution order
-# ----------------------------------------------------------------------
-
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-
-
-class TestResolutionOrder:
-    def test_forced_beats_everything(self, monkeypatch, clean_env):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "csr")
-        with kernels.force_backend("dense"):
-            assert kernels.resolve_backend("reference") == "dense"
-
-    def test_call_site_beats_env(self, monkeypatch, clean_env):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "csr")
-        assert kernels.resolve_backend("dense") == "dense"
-
-    def test_env_beats_default(self, monkeypatch, clean_env):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "reference")
-        assert kernels.resolve_backend() == "reference"
-        assert kernels.get_default_backend() == "auto"  # layer 4 untouched
-
-    def test_default_when_nothing_set(self, clean_env):
-        assert kernels.resolve_backend() == kernels.get_default_backend()
-
-    def test_empty_env_value_ignored(self, monkeypatch, clean_env):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "")
-        assert kernels.resolve_backend() == kernels.get_default_backend()
-
-    @pytest.mark.parametrize("value", ["bogus", "Parallel", "gpu", "parallel"])
-    def test_invalid_env_value_names_variable(self, monkeypatch, clean_env, value):
-        monkeypatch.setenv(ENV_BACKEND_VAR, value)
-        with pytest.raises(ValueError, match=ENV_BACKEND_VAR):
-            kernels.resolve_backend()
-
-    def test_every_backend_name_accepted(self, clean_env):
-        for name in kernels.BACKENDS:
-            assert kernels.resolve_backend(name) == name
-
-    def test_backends_tuple(self):
-        assert kernels.BACKENDS == ("auto", "dense", "csr", "reference")
-
-    def test_env_var_routes_whole_pipeline(self, monkeypatch, clean_env):
-        # REPRO_KERNEL_BACKEND and an untouched call site.
-        monkeypatch.setenv(ENV_BACKEND_VAR, "reference")
-        g = gen.make_family("tree", 50, seed=2)
-        got = kernels.batched_bfs(g.indptr, g.indices, g.n, np.arange(g.n), 4)
-        want = ref.batched_bfs_reference(g.indptr, g.indices, g.n, np.arange(g.n), 4)
-        assert exact_equal(got, want)
-
-
-# ----------------------------------------------------------------------
 # Sharded BFS block layout
 # ----------------------------------------------------------------------
 
 class TestShardLayout:
-    def test_default_blocks_are_column_contiguous(self, clean_env):
+    def test_default_blocks_are_column_contiguous(self):
         g = gen.make_family("er_sparse", 60, seed=1)
         blocks = list(
             kernels.sharded_bfs(g.indptr, g.indices, g.n, np.arange(g.n), 4)
@@ -504,7 +428,7 @@ class TestShardLayout:
             # per-vertex columns are the contiguous axis
             assert block[:, 0].flags["C_CONTIGUOUS"]
 
-    def test_blocks_value_identical_to_batched(self, clean_env):
+    def test_blocks_value_identical_to_batched(self):
         g = gen.make_family("grid", 64, seed=2)
         sources = np.arange(g.n)
         full = kernels.batched_bfs(g.indptr, g.indices, g.n, sources, 6)
@@ -528,14 +452,14 @@ class TestFoldInEdges:
         np.fill_diagonal(out, 0.0)
         return out
 
-    def test_matches_minimum_at(self, rng, clean_env, small_er):
+    def test_matches_minimum_at(self, rng, small_er):
         est = rng.random((small_er.n, small_er.n)) * 5.0
         e = small_er.edges()
         want = self._reference_fold(est, e)
         got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1])
         assert exact_equal(got, want)
 
-    def test_reference_backend_path(self, rng, clean_env, small_er):
+    def test_reference_backend_path(self, rng, small_er):
         est = rng.random((small_er.n, small_er.n)) * 5.0
         e = small_er.edges()
         want = self._reference_fold(est, e)
@@ -543,7 +467,7 @@ class TestFoldInEdges:
             got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1])
         assert exact_equal(got, want)
 
-    def test_weighted_fold(self, rng, clean_env, small_er):
+    def test_weighted_fold(self, rng, small_er):
         est = rng.random((small_er.n, small_er.n)) * 5.0
         e = small_er.edges()
         w = rng.random(len(e)) * 3.0
@@ -551,7 +475,7 @@ class TestFoldInEdges:
         got = kernels.fold_in_edges(est.copy(), e[:, 0], e[:, 1], weights=w)
         assert exact_equal(got, want)
 
-    def test_empty_edges_still_zero_diagonal(self, clean_env):
+    def test_empty_edges_still_zero_diagonal(self):
         est = np.full((4, 4), 9.0)
         got = kernels.fold_in_edges(
             est, np.empty(0, np.int64), np.empty(0, np.int64)
@@ -559,7 +483,7 @@ class TestFoldInEdges:
         assert np.array_equal(np.diag(got), np.zeros(4))
         assert (got[~np.eye(4, dtype=bool)] == 9.0).all()
 
-    def test_in_place_and_returns_same_array(self, clean_env, triangle):
+    def test_in_place_and_returns_same_array(self, triangle):
         est = np.full((3, 3), 7.0)
         e = triangle.edges()
         out = kernels.fold_in_edges(est, e[:, 0], e[:, 1])

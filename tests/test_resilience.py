@@ -1027,7 +1027,7 @@ class TestMountOverrides:
     def test_removed_cache_size_option_rejected(
         self, matrix_artifact, tmp_path
     ):
-        remaining = "['backend', 'shards']"
+        remaining = "['shards']"
         pa = str(tmp_path / "a")
         save_artifact(matrix_artifact, pa)
         with pytest.raises(ArtifactError, match="unknown mount option") as exc:
@@ -1055,35 +1055,33 @@ class TestMountOverrides:
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
 
-    def test_backend_override_per_mount(
-        self, matrix_artifact, bunches_artifact, tmp_path
-    ):
-        pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
-        save_artifact(matrix_artifact, pa)
-        save_artifact(bunches_artifact, pb)
-        router = OracleRouter.load(
-            [("na", pa, {"backend": "reference"}), ("tz", pb)]
-        )
-        assert router.service("na").oracle._backend == "reference"
-        assert router.service("tz").oracle._backend is None
-        # The pinned mount still answers.
-        status, body = router.service("na").handle({"u": 0, "v": 1})
-        assert status == 200
-
     def test_unknown_backend_override_fails_loudly(
         self, matrix_artifact, tmp_path
     ):
+        # The kernel backend is no mount option: both loaders reject it
+        # as an unknown option at mount time, whatever its value.
         pa = str(tmp_path / "a")
         save_artifact(matrix_artifact, pa)
-        with pytest.raises(ArtifactError, match="unknown backend"):
-            OracleRouter.load([("na", pa, {"backend": "bogus"})])
+        for value in ("csr", "reference", "bogus"):
+            with pytest.raises(ArtifactError, match="unknown mount option"):
+                OracleRouter.load([("na", pa, {"backend": value})])
+            with pytest.raises(ArtifactError, match="unknown mount option"):
+                cli._parse_artifact_mounts([f"na={pa},backend={value}"])
 
-    def test_removed_parallel_backend_rejected(self, matrix_artifact):
-        remaining = "['auto', 'dense', 'csr', 'reference']"
-        with pytest.raises(ArtifactError, match="unknown backend") as exc:
+    def test_removed_parallel_backend_rejected(
+        self, matrix_artifact, tmp_path
+    ):
+        # The engine takes no backend argument, and neither loader
+        # lists a backend among the supported mount options.
+        remaining = "['shards']"
+        with pytest.raises(TypeError, match="backend"):
             DistanceOracle(matrix_artifact, backend="parallel")
+        pa = str(tmp_path / "a")
+        save_artifact(matrix_artifact, pa)
+        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
+            OracleRouter.load([("na", pa, {"backend": "parallel"})])
         assert remaining in str(exc.value)
-        with pytest.raises(ArtifactError, match="unknown backend") as exc:
+        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
             cli._parse_artifact_mounts(["na=/tmp/a,backend=parallel"])
         assert remaining in str(exc.value)
 
@@ -1095,13 +1093,10 @@ class TestMountOverrides:
 
     def test_cli_mount_parsing(self):
         mounts = cli._parse_artifact_mounts(
-            ["na=/tmp/a,shards=4", "/tmp/b,backend=csr"]
+            ["na=/tmp/a,shards=4", "/tmp/b"]
         )
-        assert mounts == [("na", "/tmp/a", {"shards": 4}),
-                          (None, "/tmp/b", {"backend": "csr"})]
+        assert mounts == [("na", "/tmp/a", {"shards": 4}), (None, "/tmp/b")]
         with pytest.raises(ArtifactError, match="unknown mount option"):
             cli._parse_artifact_mounts(["na=/tmp/a,shardz=1"])
         with pytest.raises(ArtifactError, match="not a valid int"):
             cli._parse_artifact_mounts(["na=/tmp/a,shards=lots"])
-        with pytest.raises(ArtifactError, match="unknown backend"):
-            cli._parse_artifact_mounts(["na=/tmp/a,backend=bogus"])

@@ -279,14 +279,6 @@ class TestEdgesKind:
             fresh.query_batch(us, vs), loaded.query_batch(us, vs)
         )
 
-    def test_backends_bit_identical(self, edges_artifact):
-        spec = variants.get_variant("emulator-sssp")
-        us, vs = _query_pairs(spec, edges_artifact, count=80)
-        base = DistanceOracle(edges_artifact).query_batch(us, vs)
-        for backend in ("reference", "dense", "csr"):
-            eng = DistanceOracle(edges_artifact, backend=backend)
-            assert np.array_equal(base, eng.query_batch(us, vs)), backend
-
     def test_storage_is_subquadratic(self, edges_artifact, small_graph):
         n = small_graph.n
         stored = edges_artifact.arrays["emu_us"].size
@@ -300,10 +292,6 @@ class TestEdgesKind:
         u, v = 0, int(np.flatnonzero(np.isfinite(exact[0]))[-1])
         path = eng.path(u, v)
         assert path[0] == u and path[-1] == v
-
-    def test_unknown_backend_rejected(self, edges_artifact):
-        with pytest.raises(ArtifactError, match="unknown backend"):
-            DistanceOracle(edges_artifact, backend="bogus")
 
 
 class TestMmap:
