@@ -218,11 +218,13 @@ register_variant(VariantSpec(
 ))
 
 def _emulator_sssp_build(g, rng=None, eps=0.5, r=None, **_):
-    """The emulator-SSSP payload: store only the near-additive
-    emulator's edge list plus ``G``'s own unit edges (mirroring the
-    pipeline's fold-in) — O(emulator) storage instead of the O(n^2)
-    matrix; queries run SSSP over it (``oracle/engine.py``, ``edges``
-    kind).  Exact APSP over this edge set is sound (every stored weight
+    """The emulator-SSSP payload: store only the union of the
+    near-additive emulator's edges and ``G``'s own unit edges (mirroring
+    the pipeline's fold-in), min-merged so each edge is stored once —
+    O(emulator) storage instead of the O(n^2) matrix.  Queries run
+    Dijkstra over it, on a CSR decoded once at load
+    (``oracle/engine.py``, ``edges`` kind, at most 64 sources per
+    call).  Exact APSP over this edge set is sound (every stored weight
     dominates the true distance) and within the cc construction's
     ``(1 + eps', 2 beta)`` guarantee (it only tightens the pipeline's
     one-pass fold-in), so the build shares ``near-additive``'s stretch
@@ -234,15 +236,13 @@ def _emulator_sssp_build(g, rng=None, eps=0.5, r=None, **_):
     res = construction.build(g, eps, r, rng, ledger)
     eu, ev, ew = res.emulator.edge_arrays()
     ge = g.edges()
+    union = WeightedGraph(g.n)
+    union.add_edges_arrays(eu, ev, ew)
+    union.add_edges_arrays(ge[:, 0], ge[:, 1], np.ones(ge.shape[0]))
+    us, vs, ws = union.edge_arrays()
     mult, add = construction.guarantee(res.params)
     return VariantBuild(
-        arrays={
-            "emu_us": np.concatenate([eu, ge[:, 0]]).astype(np.int64),
-            "emu_vs": np.concatenate([ev, ge[:, 1]]).astype(np.int64),
-            "emu_ws": np.concatenate(
-                [ew, np.ones(ge.shape[0])]
-            ).astype(np.float64),
-        },
+        arrays={"emu_us": us, "emu_vs": vs, "emu_ws": ws},
         name="emulator-SSSP",
         multiplicative=float(mult),
         additive=float(add),

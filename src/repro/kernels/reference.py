@@ -25,7 +25,7 @@ __all__ = [
 
 def minplus_reference(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Row-sparse min-plus product, gathering per finite ``(i, k)`` with a
-    Python double loop (the original ``row_sparse_minplus`` body)."""
+    Python double loop (the loop the vectorized kernels replaced)."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     out = np.full((s.shape[0], t.shape[1]), np.inf)

@@ -5,7 +5,7 @@ multi-source edge relaxation: per hop, arcs contribute candidates which
 a single ``np.minimum.reduceat`` over arcs grouped by target reduces —
 the vectorized core that
 :func:`repro.graph.distances.hop_limited_bellman_ford`, ``(S, d)``-source
-detection (Theorem 11) and serve-time SSSP run on.
+detection (Theorem 11) and the hopset builds run on.
 
 Only the first hop relaxes every arc.  Every later hop relaxes just the
 arcs whose origin column changed on the previous hop: an unchanged

@@ -8,7 +8,7 @@ from .semiring import (
     minplus_product,
     minplus_square,
 )
-from .sparse import row_sparse_minplus, sparse_minplus_with_cost
+from .sparse import sparse_minplus_with_cost
 from .filtered import filter_rows, filtered_product, filtered_product_with_cost
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "minplus_power",
     "minplus_product",
     "minplus_square",
-    "row_sparse_minplus",
     "sparse_minplus_with_cost",
     "filter_rows",
     "filtered_product",

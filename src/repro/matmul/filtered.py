@@ -22,8 +22,8 @@ import numpy as np
 from ..cliquesim.costs import filtered_matmul_rounds
 from ..cliquesim.ledger import RoundLedger
 from ..kernels import filter_rows as _filter_rows_kernel
+from ..kernels import minplus
 from .semiring import density
-from .sparse import row_sparse_minplus
 
 __all__ = ["filter_rows", "filtered_product", "filtered_product_with_cost"]
 
@@ -40,7 +40,7 @@ def filter_rows(m: np.ndarray, rho: int) -> np.ndarray:
 
 def filtered_product(s: np.ndarray, t: np.ndarray, rho: int) -> np.ndarray:
     """``filter_rows(S · T, rho)`` computed sparsely."""
-    return filter_rows(row_sparse_minplus(s, t), rho)
+    return filter_rows(minplus(s, t), rho)
 
 
 def filtered_product_with_cost(

@@ -24,17 +24,7 @@ from ..cliquesim.ledger import RoundLedger
 from ..kernels import minplus
 from .semiring import density
 
-__all__ = ["row_sparse_minplus", "sparse_minplus_with_cost"]
-
-
-def row_sparse_minplus(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Min-plus product exploiting the row sparsity of ``s`` and ``t``.
-
-    Dispatches through :func:`repro.kernels.minplus`: the segment-reduce
-    CSR kernel when ``s`` is sparse, the blocked dense kernel when it is
-    dense enough that gathering would be slower.
-    """
-    return minplus(s, t)
+__all__ = ["sparse_minplus_with_cost"]
 
 
 def sparse_minplus_with_cost(
@@ -50,7 +40,7 @@ def sparse_minplus_with_cost(
     ``n`` is the clique size (the matrices may be rectangular slices of the
     full ``n x n`` operands).  Returns ``(product, rounds)``.
     """
-    product = row_sparse_minplus(s, t)
+    product = minplus(s, t)
     rounds = sparse_matmul_rounds(n, density(s), density(t))
     if ledger is not None:
         ledger.charge(rounds, phase)

@@ -12,14 +12,15 @@ Answers point-to-point distance and path queries from an
   uncovered pairs fail loudly instead of answering without
   information;
 * **edges artifacts** — the emulator-SSSP representation: the artifact
-  stores only the near-additive emulator's edge list (plus the source
-  graph's own unit edges, mirroring the construction's fold-in), and a
-  query runs SSSP *at query time* — one
-  :func:`repro.kernels.hop_limited_relax` pass from each distinct
-  source in the batch (sharded so the dense ``(k, n)`` relax matrix
-  stays bounded), then a gather.  O(emulator) storage instead of
-  O(n^2), the build's exact guarantee, query cost paid per distinct
-  source;
+  stores only the near-additive emulator's edge list (merged with the
+  source graph's own unit edges, mirroring the construction's
+  fold-in).  :func:`edges_csr` decodes it once, at load, into a
+  symmetric weighted CSR (duplicate edges min-merged), and a query runs
+  exact SSSP *at query time* — ``scipy.sparse.csgraph.dijkstra`` from
+  each distinct source in the batch, 64 sources per call so the dense
+  ``(64, n)`` result stays bounded whatever the batch size, then a
+  gather.  O(emulator) storage instead of O(n^2), the build's
+  guarantee, query cost paid per distinct source;
 * **bunches artifacts** — the classic 2-hop Thorup–Zwick combine
   ``min_w d(u, w) + d(v, w)`` over the common members
   ``w ∈ B(u) ∩ B(v)`` of the two *directed* bunch out-stars (the pivot
@@ -49,13 +50,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ..analysis.stretch import StretchReport, evaluate_stretch
+from ..graph.distances import weighted_to_scipy_csr
 from ..graph.graph import Graph, WeightedGraph
-from ..kernels import hop_limited_relax
 from ..telemetry import instruments as _instr
 from ..telemetry import metrics as _metrics
 from .artifact import ArtifactError, OracleArtifact, load_artifact
@@ -65,11 +68,13 @@ __all__ = [
     "DistanceOracle",
     "QueryCertificate",
     "combine_bunch_slabs",
+    "edges_csr",
     "edges_sssp_batch",
 ]
 
-#: Distinct sources relaxed per SSSP pass on an ``edges`` artifact —
-#: bounds the dense ``(shard, n)`` seed matrix regardless of batch size.
+#: Distinct sources per Dijkstra call on an ``edges`` artifact — bounds
+#: the dense ``(shard, n)`` result regardless of batch size (a service
+#: batch of 8192 distinct sources would be 65 MB at ``n = 1000``).
 _EDGES_SSSP_SHARD = 64
 
 
@@ -148,27 +153,7 @@ class DistanceOracle:
                 artifact.arrays["bunch_ds"],
             )
         elif self.kind == "edges":
-            eu = np.asarray(artifact.arrays["emu_us"], dtype=np.int64)
-            ev = np.asarray(artifact.arrays["emu_vs"], dtype=np.int64)
-            ew = np.asarray(artifact.arrays["emu_ws"], dtype=np.float64)
-            if not (eu.shape == ev.shape == ew.shape) or eu.ndim != 1:
-                raise ArtifactError(
-                    "edges artifact needs equal-length 1-D "
-                    "emu_us/emu_vs/emu_ws arrays"
-                )
-            if eu.size and (
-                min(eu.min(), ev.min()) < 0
-                or max(eu.max(), ev.max()) >= self.n
-            ):
-                raise ArtifactError(
-                    f"edges artifact references vertices out of range "
-                    f"for n={self.n}"
-                )
-            # Bidirectional arc arrays for the relax kernel (the stored
-            # edge list is undirected).
-            self._origins = np.concatenate([eu, ev])
-            self._targets = np.concatenate([ev, eu])
-            self._weights = np.concatenate([ew, ew])
+            self._csr = edges_csr(self.n, artifact.arrays)
         else:
             raise ArtifactError(f"unknown artifact kind {self.kind!r}")
 
@@ -344,27 +329,8 @@ class DistanceOracle:
         if self.kind == "sources":
             return self._sources_batch(us, vs)
         if self.kind == "edges":
-            return self._edges_batch(us, vs)
+            return edges_sssp_batch(self._csr, us, vs)
         return self._combine_batch(us, vs, want_witness)
-
-    def _edges_batch(
-        self, us: np.ndarray, vs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """SSSP-at-query-time for an ``edges``-kind artifact.
-
-        One :func:`repro.kernels.hop_limited_relax` pass per shard of
-        *distinct* sources (the kernel stops early at its fixpoint),
-        then a row gather answers every query on those sources.  Cost
-        scales with distinct sources, not batch size — a batch hammering
-        few sources amortizes exactly like the matrix gather."""
-        return edges_sssp_batch(
-            self.n,
-            self._origins,
-            self._targets,
-            self._weights,
-            us,
-            vs,
-        )
 
     def _sources_batch(
         self, us: np.ndarray, vs: np.ndarray
@@ -576,35 +542,59 @@ def combine_bunch_slabs(
     return out, wit
 
 
-def edges_sssp_batch(
-    n: int,
-    origins: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """SSSP-at-query-time over bidirectional arc arrays (``edges`` kind).
+def edges_csr(n: int, arrays: Dict[str, np.ndarray]) -> csr_matrix:
+    """Decode an ``edges`` artifact's ``emu_us``/``emu_vs``/``emu_ws``
+    into the symmetric weighted CSR its queries run Dijkstra over — the
+    one decoder of the plain and the sharded engines.
 
-    One :func:`repro.kernels.hop_limited_relax` pass per shard of
-    *distinct* sources (the kernel stops early at its fixpoint), then a
-    row gather answers every query on those sources.  Each source's
-    relax row reaches its fixpoint independently, so any partition of a
-    batch by source — in particular the sharded engine's route-by-``u``
-    sub-batches — produces bit-identical values.
-    """
-    if origins.size == 0:  # edgeless artifact: only u == v
-        return (
-            np.where(us == vs, 0.0, np.inf),
-            np.full(us.size, -1, dtype=np.int64),
+    Raises :class:`ArtifactError` on a missing array, mismatched shapes,
+    vertex ids outside ``range(n)`` and negative or NaN weights.
+    Duplicate edges
+    (older builds stored every ``G`` edge next to the emulator's) are
+    min-merged by :meth:`WeightedGraph.add_edges_arrays` first:
+    ``csr_matrix`` would *sum* them."""
+    try:
+        eu = np.asarray(arrays["emu_us"], dtype=np.int64)
+        ev = np.asarray(arrays["emu_vs"], dtype=np.int64)
+        ew = np.asarray(arrays["emu_ws"], dtype=np.float64)
+    except KeyError as exc:
+        raise ArtifactError(f"edges artifact has no {exc} array")
+    if not (eu.shape == ev.shape == ew.shape) or eu.ndim != 1:
+        raise ArtifactError(
+            "edges artifact needs equal-length 1-D "
+            "emu_us/emu_vs/emu_ws arrays"
         )
+    if eu.size and (
+        min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n
+    ):
+        raise ArtifactError(
+            f"edges artifact references vertices out of range for n={n}"
+        )
+    if not (ew >= 0).all():
+        raise ArtifactError("edges artifact has negative or NaN weights")
+    merged = WeightedGraph(n)
+    merged.add_edges_arrays(eu, ev, ew)
+    return weighted_to_scipy_csr(merged)
+
+
+def edges_sssp_batch(
+    csr: csr_matrix, us: np.ndarray, vs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """SSSP-at-query-time over an :func:`edges_csr` graph (``edges``
+    kind).
+
+    One ``dijkstra`` call per shard of at most ``_EDGES_SSSP_SHARD``
+    *distinct* sources, then a row gather answers every query on those
+    sources: cost scales with distinct sources, not batch size.  Each
+    source's row is exact and independent of the others, so any
+    partition of a batch by source — in particular the sharded engine's
+    route-by-``u`` sub-batches — produces bit-identical values.
+    """
     sources, inverse = np.unique(us, return_inverse=True)
     values = np.empty(us.size, dtype=np.float64)
     for start in range(0, int(sources.size), _EDGES_SSSP_SHARD):
         shard = sources[start:start + _EDGES_SSSP_SHARD]
-        seed = np.full((shard.size, n), np.inf)
-        seed[np.arange(shard.size), shard] = 0.0
-        dist = hop_limited_relax(seed, origins, targets, weights, max_hops=n)
+        dist = dijkstra(csr, indices=shard)
         in_shard = (inverse >= start) & (inverse < start + shard.size)
         values[in_shard] = dist[inverse[in_shard] - start, vs[in_shard]]
     return values, np.full(us.size, -1, dtype=np.int64)

@@ -25,7 +25,8 @@ split — the writer, the router, and every worker derive their ranges
 from the same array, so they always agree.  ``matrix`` artifacts shard
 the estimate matrix by row range (``shard-XXXX/estimates.npy``);
 ``edges`` artifacts keep their whole (small) edge list in ``shared/``
-and shard only the query routing; ``sources`` artifacts cannot be
+and shard only the query routing (every shard answers over the same
+load-time CSR); ``sources`` artifacts cannot be
 sharded (either endpoint may answer, so no id-range owns a query).
 
 The manifest's ``checksums`` are the digests of the *logical* arrays
@@ -129,6 +130,7 @@ from .engine import (
     DistanceOracle,
     _directed_csr,
     combine_bunch_slabs,
+    edges_csr,
     edges_sssp_batch,
 )
 from .faults import FAULTS
@@ -316,16 +318,58 @@ def _bunch_shard_checksums(
     }
 
 
+def _partition_arrays(
+    kind: str, n: int, arrays: Dict[str, np.ndarray], bounds: np.ndarray
+) -> Tuple[List[Dict[str, np.ndarray]], Dict[str, np.ndarray]]:
+    """Split an artifact's arrays into one dict per shard (the
+    ``shard-XXXX/<name>.npy`` files) plus the arrays every shard shares
+    (``shared/arrays.npz``).
+
+    ``bunches`` becomes each shard's clamped local CSR of the canonical
+    relation (``_directed_csr`` is a stable sort, so canonical input —
+    every builder's output — passes through unchanged) and ``matrix``
+    each shard's row range; an ``edges`` shard holds nothing of its own.
+    The save writes these dicts and the in-memory
+    :class:`ShardedOracle` attaches them, so both serve the same
+    arrays."""
+    shared = {k: np.asarray(v) for k, v in arrays.items()}
+    eff = bounds.size - 1
+    parts: List[Dict[str, np.ndarray]] = [{} for _ in range(eff)]
+    if kind == "bunches":
+        indptr, cols, ds = _directed_csr(
+            n,
+            shared.pop("bunch_srcs"),
+            shared.pop("bunch_dsts"),
+            shared.pop("bunch_ds"),
+        )
+        for i in range(eff):
+            lo, hi = int(bounds[i]), int(bounds[i + 1])
+            a, b = int(indptr[lo]), int(indptr[hi])
+            parts[i] = {
+                "indptr": np.clip(indptr, a, b) - a,
+                "cols": cols[a:b],
+                "ds": ds[a:b],
+            }
+    elif kind == "matrix":
+        est = np.asarray(shared.pop("estimates"), dtype=np.float64)
+        if est.shape != (n, n):
+            raise ArtifactError(
+                f"matrix artifact has estimates of shape {est.shape}, "
+                f"expected {(n, n)}"
+            )
+        for i in range(eff):
+            parts[i] = {"estimates": est[bounds[i]:bounds[i + 1]]}
+    return parts, shared
+
+
 def save_sharded_artifact(
     artifact: OracleArtifact, path: str, shards: int
 ) -> Dict[str, object]:
-    """Re-partition an in-memory artifact into the sharded layout.
+    """Re-partition an in-memory artifact into the sharded layout
+    (:func:`_partition_arrays`).
 
-    The bunch relation is first brought to the same canonical CSR the
-    engine builds (``_directed_csr`` is a stable sort, so artifacts that
-    are already canonical — every builder's output — pass through
-    unchanged), then sliced by source range; the recorded ``checksums``
-    are the canonical logical-array digests, so a merged
+    The recorded ``checksums`` are the canonical logical-array digests,
+    streamed over the shard arrays, so a merged
     :func:`~repro.oracle.artifact.load_artifact` of the result verifies
     and serves bit-identically to the original.  Returns the written
     manifest."""
@@ -342,53 +386,26 @@ def save_sharded_artifact(
     eff = bounds.size - 1
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
-    arrays = dict(artifact.arrays)
     checksums: Dict[str, str] = {}
+
+    parts, shared = _partition_arrays(kind, n, artifact.arrays, bounds)
+    if kind == "bunches":
+        checksums.update(_bunch_shard_checksums(
+            n, bounds,
+            lambda i: (parts[i]["indptr"], parts[i]["cols"], parts[i]["ds"]),
+        ))
+    elif kind == "matrix":
+        checksums["estimates"] = _streamed_digest(
+            np.float64, (n, n), (part["estimates"] for part in parts)
+        )
 
     writer = _StagedWriter(path)
     try:
-        if kind == "bunches":
-            indptr, cols, ds = _directed_csr(
-                n,
-                arrays.pop("bunch_srcs"),
-                arrays.pop("bunch_dsts"),
-                arrays.pop("bunch_ds"),
-            )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                a, b = int(indptr[lo]), int(indptr[hi])
-                local = np.clip(indptr, a, b) - a
-                d = _shard_dir(i)
-                writer.save_array(os.path.join(d, "indptr.npy"), local)
-                writer.save_array(os.path.join(d, "cols.npy"), cols[a:b])
-                writer.save_array(os.path.join(d, "ds.npy"), ds[a:b])
-            checksums.update({
-                "bunch_srcs": _array_digest(
-                    np.repeat(
-                        np.arange(n, dtype=np.int64), np.diff(indptr)
-                    )
-                ),
-                "bunch_dsts": _array_digest(np.asarray(cols, np.int64)),
-                "bunch_ds": _array_digest(np.asarray(ds, np.float64)),
-            })
-        elif kind == "matrix":
-            est = np.asarray(arrays.pop("estimates"), dtype=np.float64)
-            if est.shape != (n, n):
-                raise ArtifactError(
-                    f"matrix artifact has estimates of shape {est.shape}, "
-                    f"expected {(n, n)}"
-                )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
+        for i, part in enumerate(parts):
+            for name, arr in part.items():
                 writer.save_array(
-                    os.path.join(_shard_dir(i), "estimates.npy"),
-                    est[lo:hi],
+                    os.path.join(_shard_dir(i), f"{name}.npy"), arr
                 )
-            checksums["estimates"] = _array_digest(est)
-
-        # Everything left (edges arrays, tz_levels, graph embedding, a
-        # sources array, ...) is shared: every reader loads it whole.
-        shared = {k: np.asarray(v) for k, v in arrays.items()}
         if shared:
             writer.save_npz(os.path.join(SHARED_DIR, ARRAYS_NAME), shared)
         checksums.update(
@@ -772,6 +789,7 @@ class ShardBackend:
         index: int,
         arrays: Optional[Dict[str, np.ndarray]] = None,
         path: Optional[str] = None,
+        csr=None,
     ):
         self.n = int(n)
         self.kind = kind
@@ -786,6 +804,9 @@ class ShardBackend:
         # bunches gather reads B(v) from ``peers[shard_of(bounds, v)]``.
         self.bounds: Optional[np.ndarray] = None
         self.peers: Sequence["ShardBackend"] = ()
+        # An edges shard answers over the whole graph: the one
+        # load-time CSR (``edges_csr``), shared by every backend.
+        self.csr = csr
         if arrays is not None:
             self._attach(arrays)
 
@@ -803,10 +824,6 @@ class ShardBackend:
                     f"{self.est.shape}, expected "
                     f"{(self.hi - self.lo, self.n)}"
                 )
-        else:  # edges
-            self.origins = arrays["origins"]
-            self.targets = arrays["targets"]
-            self.weights = arrays["weights"]
         self._loaded = True
 
     def ensure_loaded(self) -> None:
@@ -817,17 +834,6 @@ class ShardBackend:
                 f"shard backend {self.index} has neither arrays nor a "
                 "path to load them from"
             )
-        if self.kind == "edges":
-            shared = _load_shared_arrays(self._path)
-            eu = np.asarray(shared["emu_us"], dtype=np.int64)
-            ev = np.asarray(shared["emu_vs"], dtype=np.int64)
-            ew = np.asarray(shared["emu_ws"], dtype=np.float64)
-            self._attach({
-                "origins": np.concatenate([eu, ev]),
-                "targets": np.concatenate([ev, eu]),
-                "weights": np.concatenate([ew, ew]),
-            })
-            return
         self._attach(_load_shard_files(self._path, self.kind, self.index))
 
     # -- dispatch ------------------------------------------------------
@@ -855,9 +861,7 @@ class ShardBackend:
             )
             return values, np.full(us.size, -1, dtype=np.int64)
         if self.kind == "edges":
-            return edges_sssp_batch(
-                self.n, self.origins, self.targets, self.weights, us, vs
-            )
+            return edges_sssp_batch(self.csr, us, vs)
         # bunches: B(u) is local; B(v) is read from v's shard — this
         # backend when v is local, else the peer's (lazily mmap'd) files.
         values = np.empty(us.size, dtype=np.float64)
@@ -1054,66 +1058,22 @@ class ShardedOracle(DistanceOracle):
                 f"supported kinds: {list(_SHARDABLE_KINDS)}"
             )
         bounds = _shard_bounds(self.n, shards)
-        backends = self._partition(artifact, bounds)
+        parts, shared = _partition_arrays(
+            self.kind, self.n, artifact.arrays, bounds
+        )
+        csr = edges_csr(self.n, shared) if self.kind == "edges" else None
+        backends = [
+            ShardBackend(
+                self.n, self.kind, int(bounds[i]), int(bounds[i + 1]), i,
+                arrays=part, csr=csr,
+            )
+            for i, part in enumerate(parts)
+        ]
         self._sharded_dir: Optional[str] = None
         self._merged: Optional[OracleArtifact] = artifact
         self._finish_init(bounds, backends, pool)
 
     # -- construction --------------------------------------------------
-    def _partition(
-        self, artifact: OracleArtifact, bounds: np.ndarray
-    ) -> List[ShardBackend]:
-        eff = bounds.size - 1
-        backends: List[ShardBackend] = []
-        if self.kind == "bunches":
-            indptr, cols, ds = _directed_csr(
-                self.n,
-                artifact.arrays["bunch_srcs"],
-                artifact.arrays["bunch_dsts"],
-                artifact.arrays["bunch_ds"],
-            )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                a, b = int(indptr[lo]), int(indptr[hi])
-                backends.append(ShardBackend(
-                    self.n, self.kind, lo, hi, i,
-                    arrays={
-                        "indptr": np.clip(indptr, a, b) - a,
-                        "cols": cols[a:b],
-                        "ds": ds[a:b],
-                    },
-                ))
-        elif self.kind == "matrix":
-            est = np.asarray(
-                artifact.arrays["estimates"], dtype=np.float64
-            )
-            if est.shape != (self.n, self.n):
-                raise ArtifactError(
-                    f"matrix artifact has estimates of shape "
-                    f"{est.shape}, expected {(self.n, self.n)}"
-                )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                backends.append(ShardBackend(
-                    self.n, self.kind, lo, hi, i,
-                    arrays={"estimates": est[lo:hi]},
-                ))
-        else:  # edges: shared arrays, routing only
-            eu = np.asarray(artifact.arrays["emu_us"], dtype=np.int64)
-            ev = np.asarray(artifact.arrays["emu_vs"], dtype=np.int64)
-            ew = np.asarray(artifact.arrays["emu_ws"], dtype=np.float64)
-            shared = {
-                "origins": np.concatenate([eu, ev]),
-                "targets": np.concatenate([ev, eu]),
-                "weights": np.concatenate([ew, ew]),
-            }
-            for i in range(eff):
-                backends.append(ShardBackend(
-                    self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, arrays=shared,
-                ))
-        return backends
-
     def _finish_init(
         self,
         bounds: np.ndarray,
@@ -1167,7 +1127,10 @@ class ShardedOracle(DistanceOracle):
         A sharded layout is served *as stored*: each worker mmaps its
         own shard directory, plus the peer shards it reads ``B(v)``
         slabs from (bunches kind), and the parent loads nothing but the
-        manifest (``shards=`` must match the layout when given).  A
+        manifest — and, for the edges kind, the shared edge list, which
+        it decodes once (:func:`~repro.oracle.engine.edges_csr`) for
+        every worker to inherit (``shards=`` must match the layout when
+        given).  A
         plain artifact directory is loaded and partitioned in memory
         into ``shards`` ranges (pool workers inherit the partition over
         fork, copy-on-write)."""
@@ -1197,10 +1160,14 @@ class ShardedOracle(DistanceOracle):
                 )
             self._sharded_dir = os.path.abspath(path)
             self._merged = None
+            csr = (
+                edges_csr(self.n, _load_shared_arrays(path))
+                if self.kind == "edges" else None
+            )
             backends = [
                 ShardBackend(
                     self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, path=self._sharded_dir,
+                    i, path=self._sharded_dir, csr=csr,
                 )
                 for i in range(stored)
             ]

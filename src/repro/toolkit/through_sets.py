@@ -20,8 +20,8 @@ import numpy as np
 
 from ..cliquesim.costs import distance_through_sets_rounds
 from ..cliquesim.ledger import RoundLedger
+from ..kernels import minplus
 from ..matmul.semiring import density
-from ..matmul.sparse import row_sparse_minplus
 
 __all__ = ["distance_through_sets"]
 
@@ -45,7 +45,7 @@ def distance_through_sets(
     ``(D, rounds)`` where ``D[u, v] = min_w M[u, w] + M[v, w]``.
     """
     m = np.asarray(masked_estimates, dtype=np.float64)
-    product = row_sparse_minplus(m, m.T)
+    product = minplus(m, m.T)
     rounds = distance_through_sets_rounds(m.shape[0], density(m))
     if ledger is not None:
         ledger.charge(rounds, phase)

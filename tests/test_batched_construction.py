@@ -307,24 +307,23 @@ class TestEdgesForLevel:
 # ----------------------------------------------------------------------
 
 class TestBatchedBuildFidelity:
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_build_emulator(self, r):
-        for g in graph_cases():
-            h = sample_hierarchy(g.n, r, np.random.default_rng(13))
+    @pytest.mark.parametrize("r, cases, seed", [
+        pytest.param(1, graph_cases, 13, id="1"),
+        pytest.param(2, graph_cases, 13, id="2"),
+        pytest.param(3, graph_cases, 13, id="3"),
+        pytest.param(
+            2, lambda: [gen.make_family("er_sparse", 50, seed=14)], 14,
+            id="2-er_sparse-50",
+        ),
+    ])
+    def test_build_emulator(self, r, cases, seed):
+        for g in cases():
+            h = sample_hierarchy(g.n, r, np.random.default_rng(seed))
             fast = build_emulator(g, 0.4, r, hierarchy=h)
             with kernels.force_backend("reference"):
                 slow = build_emulator(g, 0.4, r, hierarchy=h)
             assert_same_graph(fast.emulator, slow.emulator)
             assert fast.stats == slow.stats
-
-    def test_build_emulator_method_dispatch(self):
-        g = gen.make_family("er_sparse", 50, seed=14)
-        h = sample_hierarchy(g.n, 2, np.random.default_rng(14))
-        default = build_emulator(g, 0.4, 2, hierarchy=h)
-        with kernels.force_backend("reference"):
-            forced = build_emulator(g, 0.4, 2, hierarchy=h)
-        assert_same_graph(default.emulator, forced.emulator)
-        assert default.stats == forced.stats
 
     def test_build_emulator_hierarchy_reuse(self):
         # The same pre-sampled hierarchy must flow through both paths and

@@ -21,7 +21,7 @@ from repro.graph import generators as gen
 from repro.graph.distances import hop_limited_bellman_ford, multi_source_bfs
 from repro.kernels import reference as ref
 from repro.kernels.config import reference_forced
-from repro.matmul import filter_rows, minplus_power, minplus_product, row_sparse_minplus
+from repro.matmul import filter_rows, minplus_power, minplus_product
 from repro.toolkit import kd_nearest_bfs, source_detection, source_detection_k
 
 
@@ -96,7 +96,7 @@ class TestMinplusBackends:
 
     def test_row_sparse_minplus_unchanged_semantics(self, rng):
         s = random_minplus_matrix(rng, 20, 20, 0.15)
-        assert exact_equal(row_sparse_minplus(s, s), minplus_product(s, s))
+        assert exact_equal(kernels.minplus(s, s), minplus_product(s, s))
 
     def test_dense_block_sizes_agree(self, rng):
         a = random_minplus_matrix(rng, 30, 30, 0.5)

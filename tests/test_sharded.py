@@ -398,13 +398,51 @@ class TestShardedBitIdentity:
         assert so.path(3, 40) == ref_u.path(3, 40)
 
     def test_edges_kind_routing(self, graph_u, tmp_path):
+        # An emulator-sssp (edges kind) artifact, partitioned in memory
+        # and saved as a layout, each served by the pool and serially.
         art = build_oracle(
-            graph_u, variant="spanner", rng=np.random.default_rng(2)
+            graph_u, variant="emulator-sssp", rng=np.random.default_rng(2)
         )
+        assert art.kind == "edges"
         ref = DistanceOracle(art)
-        so = ShardedOracle(art, shards=3, pool=False)
-        us, vs = _pairs(graph_u.n, 60, seed=9)
-        assert np.array_equal(so.query_batch(us, vs), ref.query_batch(us, vs))
+        path = str(tmp_path / "es3")
+        save_sharded_artifact(art, path, shards=3)
+        us, vs = _pairs(graph_u.n, 300, seed=9)
+        want = ref.query_batch(us, vs)
+        for pool in (False, True):
+            for so in (
+                ShardedOracle(art, shards=3, pool=pool),
+                ShardedOracle.load(path, pool=pool),
+            ):
+                try:
+                    assert so.shards == 3
+                    assert np.array_equal(so.query_batch(us, vs), want)
+                    assert so.query(1, graph_u.n - 1) == ref.query(
+                        1, graph_u.n - 1
+                    )
+                finally:
+                    so.close()
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_edges_bad_vertex_id_fails_at_load(self, tmp_path, pool):
+        g = gen.make_family("er_sparse", 60, seed=5)
+        art = build_oracle(
+            g, variant="emulator-sssp", rng=np.random.default_rng(5)
+        )
+        path = str(tmp_path / "es-bad")
+        save_sharded_artifact(art, path, shards=2)
+        npz = os.path.join(path, "shared", "arrays.npz")
+        with np.load(npz) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["emu_vs"][3] = g.n + 5
+        np.savez(npz, **arrays)
+        with pytest.raises(ArtifactError, match="out of range"):
+            ShardedOracle.load(path, pool=pool)
+        bad = load_artifact(path)
+        with pytest.raises(ArtifactError, match="out of range"):
+            ShardedOracle(bad, shards=2, pool=pool)
+        with pytest.raises(ArtifactError, match="out of range"):
+            DistanceOracle(bad)
 
     def test_worker_stats_report_per_shard_processes(self, sharded_dir):
         so = ShardedOracle.load(sharded_dir)

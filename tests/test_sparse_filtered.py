@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cliquesim import RoundLedger
+from repro.kernels import minplus
 from repro.matmul import (
     filter_rows,
     filtered_product,
     filtered_product_with_cost,
     minplus_product,
-    row_sparse_minplus,
     sparse_minplus_with_cost,
 )
 
@@ -21,28 +21,31 @@ def random_sparse(rng, rows, cols, keep=0.2):
 
 
 class TestRowSparseMinplus:
+    """Theorem 36's row-sparse min-plus product (`kernels.minplus`)
+    against the dense product."""
+
     def test_matches_dense_on_sparse_input(self, rng):
         s = random_sparse(rng, 15, 12)
         t = random_sparse(rng, 12, 10)
-        assert np.array_equal(row_sparse_minplus(s, t), minplus_product(s, t))
+        assert np.array_equal(minplus(s, t), minplus_product(s, t))
 
     def test_matches_dense_on_dense_input(self, rng):
         s = rng.integers(0, 9, (10, 10)).astype(float)
-        assert np.array_equal(row_sparse_minplus(s, s), minplus_product(s, s))
+        assert np.array_equal(minplus(s, s), minplus_product(s, s))
 
     def test_all_inf_rows(self):
         s = np.full((3, 3), np.inf)
-        out = row_sparse_minplus(s, s)
+        out = minplus(s, s)
         assert np.isinf(out).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            row_sparse_minplus(np.zeros((2, 3)), np.zeros((2, 2)))
+            minplus(np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_rectangular(self, rng):
         s = random_sparse(rng, 4, 8)
         t = random_sparse(rng, 8, 5)
-        assert row_sparse_minplus(s, t).shape == (4, 5)
+        assert minplus(s, t).shape == (4, 5)
 
 
 class TestFilterRows:

@@ -17,18 +17,22 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import oracle, variants
+from repro.kernels import hop_limited_relax
 from repro.graph import generators as gen
 from repro.oracle import (
     ArtifactError,
     DistanceOracle,
+    OracleArtifact,
     OracleRouter,
     build_oracle,
     load_artifact,
     save_artifact,
     start_async_server,
 )
+from repro.oracle.engine import edges_csr, edges_sssp_batch
 from repro.variants import (
     EmulatorConstruction,
     ParamSpec,
@@ -242,6 +246,22 @@ class TestSourcesKind:
             eng.query(u, v)
 
 
+def _relax_fixpoint(n, eu, ev, ew):
+    """All-pairs distances over an undirected edge list, duplicates
+    included: :func:`hop_limited_relax` from every vertex, run to its
+    fixpoint over both arc directions (the reference for the edges
+    kind's Dijkstra)."""
+    seed = np.full((n, n), np.inf)
+    np.fill_diagonal(seed, 0.0)
+    return hop_limited_relax(
+        seed,
+        np.concatenate([eu, ev]),
+        np.concatenate([ev, eu]),
+        np.concatenate([ew, ew]),
+        max_hops=n,
+    )
+
+
 class TestEdgesKind:
     """The ``emulator-sssp`` variant: O(emulator) storage, SSSP at
     query time (ISSUE 7 satellite)."""
@@ -292,6 +312,106 @@ class TestEdgesKind:
         u, v = 0, int(np.flatnonzero(np.isfinite(exact[0]))[-1])
         path = eng.path(u, v)
         assert path[0] == u and path[-1] == v
+
+    def test_stored_edges_are_merged(self, edges_artifact, small_graph):
+        us = edges_artifact.arrays["emu_us"]
+        vs = edges_artifact.arrays["emu_vs"]
+        assert (us < vs).all()
+        keys = us * small_graph.n + vs
+        assert (np.diff(keys) > 0).all()  # sorted, each edge once
+        # Every G edge is stored, at weight <= 1.
+        stored = dict(zip(keys.tolist(), edges_artifact.arrays["emu_ws"]))
+        ge = small_graph.edges()
+        for u, v in ge:
+            assert stored[min(u, v) * small_graph.n + max(u, v)] <= 1.0
+
+    def test_duplicate_edges_answer_as_merged(self, edges_artifact):
+        # Older builds stored every G edge next to the emulator's; the
+        # decoder min-merges, so such an artifact answers == its merged
+        # form (csr_matrix alone would sum the duplicates).
+        a = edges_artifact.arrays
+        us, vs, ws = a["emu_us"], a["emu_vs"], a["emu_ws"]
+        laden = OracleArtifact(
+            manifest=dict(edges_artifact.manifest),
+            arrays={
+                **a,
+                "emu_us": np.concatenate([us, vs, us]),
+                "emu_vs": np.concatenate([vs, us, vs]),
+                "emu_ws": np.concatenate([ws, ws + 3.0, ws + 0.5]),
+            },
+        )
+        n = edges_artifact.n
+        qu, qv = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        qu, qv = qu.ravel(), qv.ravel()
+        assert np.array_equal(
+            DistanceOracle(laden).query_batch(qu, qv),
+            DistanceOracle(edges_artifact).query_batch(qu, qv),
+        )
+
+    @pytest.mark.parametrize("change, match", [
+        ({"emu_ws": np.array([1.0, -1.0])}, "negative or NaN"),
+        ({"emu_ws": np.array([1.0, np.nan])}, "negative or NaN"),
+        ({"emu_vs": np.array([1, 3])}, "out of range"),
+        ({"emu_vs": np.array([1, 2, 0])}, "equal-length"),
+        ({"emu_ws": None}, "no 'emu_ws' array"),
+    ], ids=["negative", "nan", "out-of-range", "unequal-length", "missing"])
+    def test_bad_edge_arrays_rejected(self, change, match):
+        arrays = {
+            "emu_us": np.array([0, 1]),
+            "emu_vs": np.array([1, 2]),
+            "emu_ws": np.array([1.0, 2.0]),
+            **change,
+        }
+        arrays = {k: v for k, v in arrays.items() if v is not None}
+        with pytest.raises(ArtifactError, match=match):
+            edges_csr(3, arrays)
+
+    def test_many_sources_match_relax(self):
+        # More distinct sources than one Dijkstra call takes (64), so
+        # the batch spans three calls.
+        rng = np.random.default_rng(4)
+        n = 150
+        eu = rng.integers(0, n, 400)
+        ev = rng.integers(0, n, 400)
+        ew = rng.integers(0, 6, 400).astype(np.float64)
+        us = np.repeat(np.arange(n), n)
+        vs = np.tile(np.arange(n), n)
+        csr = edges_csr(n, {"emu_us": eu, "emu_vs": ev, "emu_ws": ew})
+        got, _ = edges_sssp_batch(csr, us, vs)
+        assert np.array_equal(got, _relax_fixpoint(n, eu, ev, ew)[us, vs])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_sssp_equals_relax_fixpoint(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        weight = data.draw(st.sampled_from([
+            st.integers(0, 9).map(float),             # integer
+            st.integers(0, 64).map(lambda k: k / 8),  # dyadic
+            st.just(0.0),                             # zero
+        ]), label="weights")
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(
+            st.lists(st.tuples(vertex, vertex, weight), max_size=2 * n),
+            label="edges",
+        )
+        # Parallel arcs: re-add drawn edges, either orientation, at
+        # another weight.
+        for i in data.draw(st.lists(
+            st.integers(0, max(len(edges) - 1, 0)),
+            max_size=len(edges),
+        ), label="parallel"):
+            u, v, _ = edges[i]
+            edges.append((v, u, data.draw(weight)))
+        eu, ev, ew = (
+            np.array([e[k] for e in edges], dtype=dt)
+            for k, dt in ((0, np.int64), (1, np.int64), (2, np.float64))
+        )
+        us = np.repeat(np.arange(n), n)
+        vs = np.tile(np.arange(n), n)
+        csr = edges_csr(n, {"emu_us": eu, "emu_vs": ev, "emu_ws": ew})
+        got, wits = edges_sssp_batch(csr, us, vs)
+        assert np.array_equal(got, _relax_fixpoint(n, eu, ev, ew)[us, vs])
+        assert (wits == -1).all()
 
 
 class TestMmap:
