@@ -17,11 +17,7 @@ def kd_rows(seed=17):
     for d in (2, 4, 16, 64, 256):
         out_m, rounds = kd_nearest_matrix(g, 8, d)
         out_b, _ = kd_nearest_bfs(g, 8, d)
-        agree = bool(
-            np.array_equal(
-                np.nan_to_num(out_m, posinf=-1), np.nan_to_num(out_b, posinf=-1)
-            )
-        )
+        agree = bool(np.array_equal(out_m, out_b.dense()))
         rows.append([g.n, 8, d, round(rounds, 2), agree])
     return rows
 

@@ -64,13 +64,15 @@ def apsp_three_plus_eps(
 
     # (k, t)-nearest with k = sqrt(n) log n: exact short distances.
     k = min(n, max(1, math.ceil(math.sqrt(n) * max(1.0, math.log2(max(n, 2))))))
-    nearest, _ = kd_nearest_bfs(g, k, t, ledger=ledger)
+    # Densified once: the estimates it is folded into are (n, n) anyway.
+    nearest = kd_nearest_bfs(g, k, t, ledger=ledger)[0].dense()
     np.minimum(delta, nearest, out=delta)
     np.minimum(delta, nearest.T, out=delta)
 
     # Pivot set A hitting every full (k, t)-neighbourhood.
     a_set = random_hitting_set(n, k, rng, ledger=ledger)
     a_set = _patch(a_set, nearest, k)
+    del nearest  # the hopset build below runs its own (k, t)-nearest
 
     # (1 + eps/2)-approximate distances to A within 2t.
     hop = build_bounded_hopset(g, eps=eps / 2.0, t=2 * t, rng=rng, ledger=ledger)

@@ -140,7 +140,8 @@ def apsp_two_plus_eps(
     k = min(n, max(1, math.ceil(n ** 0.25 * logn**2)))
 
     # Line 2-3: (k, t)-nearest in G' and common-member routing.
-    nk, _ = kd_nearest_bfs(gp, k, t, ledger=ledger)
+    # Densified once: the estimates it is folded into are (n, n) anyway.
+    nk = kd_nearest_bfs(gp, k, t, ledger=ledger)[0].dense()
     np.minimum(delta, nk, out=delta)
     np.minimum(delta, nk.T, out=delta)
     through_nk, _ = distance_through_sets(nk, ledger=ledger, phase="apsp2:through-Nkt")

@@ -62,18 +62,14 @@ def build_deterministic_hierarchy(
 
     reference = reference_forced()
     if reference:
-        # Sorted-by-distance finite entries per vertex (one lexsort each).
+        # Sorted-by-distance finite entries per vertex (one lexsort each
+        # over the densified row).
         finite_rows: List[np.ndarray] = []
         for v in range(n):
-            row = nearest[v]
+            row = nearest.dense_row(v)
             finite = np.flatnonzero(np.isfinite(row))
             order = np.lexsort((finite, row[finite]))
             finite_rows.append(finite[order])
-    else:
-        # One stable argsort replaces the n per-vertex lexsorts: row ``v``
-        # holds the columns sorted by (distance, id) with the infinite
-        # entries last, so the ball of any radius is a prefix.
-        sorted_cols = np.argsort(nearest, axis=1, kind="stable")
 
     sprime = np.ones(n, dtype=bool)
     sprime_rows = [sprime.copy()]
@@ -87,7 +83,7 @@ def build_deterministic_hierarchy(
         if reference:
             for v in np.flatnonzero(sprime):
                 finite = finite_rows[v]
-                row = nearest[v]
+                row = nearest.dense_row(v)
                 within = finite[row[finite] <= radius]
                 heavy = within.size >= k
                 if heavy:
@@ -101,21 +97,26 @@ def build_deterministic_hierarchy(
         else:
             # Vectorized candidate preselection: ball sizes and
             # |T_v| = |ball ∩ S'_i| for every active row at once; only the
-            # rows that actually join the instance extract their set.
+            # rows that actually join the instance extract their set.  Rows
+            # are sorted by (distance, id), so a ball is a row prefix.
             active = np.flatnonzero(sprime)
-            within_mask = nearest[active] <= radius
-            within_counts = within_mask.sum(axis=1)
+            owner, cols, dists = nearest.take(active)
+            within = dists <= radius
+            within_counts = np.bincount(owner[within], minlength=active.size)
             heavy = within_counts >= k
             newly_heavy = active[heavy]
             newly_heavy = newly_heavy[heavy_first_iteration[newly_heavy] < 0]
             heavy_first_iteration[newly_heavy] = i
-            t_counts = (within_mask & sprime).sum(axis=1)
+            t_counts = np.bincount(
+                owner[within & sprime[cols]], minlength=active.size
+            )
             cand = np.flatnonzero(~heavy & (t_counts >= delta_bound))
             for idx in cand.tolist():
                 v = int(active[idx])
-                within = sorted_cols[v, : int(within_counts[idx])]
+                start = nearest.indptr[v]
+                ball = nearest.cols[start : start + int(within_counts[idx])]
                 members.append(v)
-                sets.append(within[sprime[within]])
+                sets.append(ball[sprime[ball]])
         if sets:
             if use_soft:
                 instance = SoftHittingInstance(
@@ -143,12 +144,13 @@ def build_deterministic_hierarchy(
         heavy_sets = []
         for v in heavy_vertices:
             radius = params.deltas[heavy_first_iteration[v]]
-            row = nearest[v]
             if reference:
+                row = nearest.dense_row(v)
                 finite = finite_rows[v]
                 heavy_sets.append(finite[row[finite] <= radius][:k])
             else:
-                heavy_sets.append(sorted_cols[v, : int((row <= radius).sum())][:k])
+                lo, hi = nearest.indptr[v], nearest.indptr[v + 1]
+                heavy_sets.append(nearest.cols[lo:hi][nearest.dists[lo:hi] <= radius])
         a_set = deterministic_hitting_set(heavy_sets, n, ledger=ledger)
     else:
         a_set = np.zeros(0, dtype=np.int64)

@@ -34,11 +34,12 @@ from .. import kernels
 from ..cliquesim.ledger import RoundLedger
 from ..graph.distances import bfs_distances
 from ..graph.graph import Graph, WeightedGraph
+from ..kernels import NearestRows
 from ..kernels.config import reference_forced
 from ..toolkit.hopsets import build_bounded_hopset
 from ..toolkit.nearest import kd_nearest_bfs
 from ..toolkit.source_detection import source_detection
-from .builder import EmulatorResult, edges_for_level, edges_for_vertex
+from .builder import EmulatorResult, edges_for_vertex
 from .params import EmulatorParams
 from .sampling import Hierarchy, sample_hierarchy
 
@@ -102,6 +103,7 @@ def build_emulator_cc(
         heavy_count, light_count, patched_heavy = _light_heavy_edges_batched(
             g, emulator, nearest, hierarchy, params, k
         )
+    del nearest  # the hopset build below runs its own (k, t)-nearest
 
     # S_r x S_r edges via bounded hopset + source detection (Claim 27).
     sr = np.flatnonzero(sr_mask)
@@ -146,16 +148,17 @@ def build_emulator_cc(
 def _light_heavy_edges_batched(
     g: Graph,
     emulator: WeightedGraph,
-    nearest: np.ndarray,
+    nearest: NearestRows,
     hierarchy: Hierarchy,
     params: EmulatorParams,
     k: int,
 ) -> tuple:
-    """Level-bucketed mask algebra over the shared ``(k, d)``-nearest
-    matrix: every light vertex of a level goes through
-    :func:`edges_for_level` at once, every heavy vertex picks its closest
-    next-level member by a row ``argmin``.  Only the (rare, counted)
-    Claim 25 patches fall back to per-vertex exact BFS."""
+    """Level-bucketed pass over the shared ``(k, d)``-nearest rows.  A
+    row is sorted by (distance, id), so its ball is a prefix and the
+    first in-radius next-level member is the closest one (smallest id on
+    ties): light rows apply the Section 3.2 edge rule to their prefix,
+    heavy rows take that member.  Only the (rare, counted) Claim 25
+    patches fall back to per-vertex exact BFS."""
     r = params.r
     heavy_count = light_count = patched_heavy = 0
     for level in range(r):
@@ -163,47 +166,46 @@ def _light_heavy_edges_batched(
         if rows.size == 0:
             continue
         radius = params.deltas[level]
-        block = nearest[rows]
-        finite = np.isfinite(block)
-        within = finite & (block <= radius)
-        light = within.sum(axis=1) < k
+        owner, cols, dists = nearest.take(rows)
+        within = dists <= radius
+        light = np.bincount(owner[within], minlength=rows.size) < k
         light_count += int(light.sum())
         heavy_count += int(rows.size - light.sum())
 
-        light_rows = np.flatnonzero(light)
-        if light_rows.size:
-            ball_block = np.where(within[light_rows], block[light_rows], np.inf)
-            _, us, vs, ws = edges_for_level(
-                level, rows[light_rows], ball_block, hierarchy
-            )
-            emulator.add_edges_arrays(us, vs, ws)
+        # Dense rows (light or heavy): one edge to the closest next-level
+        # member.  A heavy row's k entries all lie within radius.
+        hit, first = kernels.first_per_row(
+            owner, within & hierarchy.masks[level + 1][cols]
+        )
+        emulator.add_edges_arrays(rows[hit], cols[first], dists[first])
+        dense = np.zeros(rows.size, dtype=bool)
+        dense[hit] = True
 
-        heavy_rows = np.flatnonzero(~light)
-        if heavy_rows.size:
-            # Heavy: the k nearest all lie within radius; v should be dense.
-            in_next = finite[heavy_rows] & hierarchy.masks[level + 1]
-            hit, targets, weights = kernels.masked_row_argmin(
-                block[heavy_rows], in_next
-            )
-            emulator.add_edges_arrays(rows[heavy_rows[hit]], targets, weights)
-            missed = np.ones(heavy_rows.size, dtype=bool)
-            missed[hit] = False
-            for v in rows[heavy_rows[missed]]:
-                # w.h.p. event of Claim 25 failed: exact fallback.
-                patched_heavy += 1
-                _patch_heavy_vertex(g, emulator, int(v), level, radius, hierarchy)
+        # Sparse light rows: every own-level ball member but v itself.
+        sparse = (
+            within & (light & ~dense)[owner]
+            & hierarchy.masks[level][cols] & (dists > 0)
+        )
+        emulator.add_edges_arrays(rows[owner[sparse]], cols[sparse], dists[sparse])
+
+        for v in rows[~light & ~dense]:
+            # Heavy: the k nearest all lie within radius, so v should be
+            # dense; w.h.p. event of Claim 25 failed: exact fallback.
+            patched_heavy += 1
+            _patch_heavy_vertex(g, emulator, int(v), level, radius, hierarchy)
     return heavy_count, light_count, patched_heavy
 
 
 def _light_heavy_edges_reference(
     g: Graph,
     emulator: WeightedGraph,
-    nearest: np.ndarray,
+    nearest: NearestRows,
     hierarchy: Hierarchy,
     params: EmulatorParams,
     k: int,
 ) -> tuple:
-    """The original one-vertex-at-a-time light/heavy loop."""
+    """The original one-vertex-at-a-time light/heavy loop, densifying
+    one row at a time."""
     r = params.r
     heavy_count = light_count = patched_heavy = 0
     for v in range(g.n):
@@ -211,7 +213,7 @@ def _light_heavy_edges_reference(
         if level >= r:
             continue  # S_r vertices handled by the hopset stage
         radius = params.deltas[level]
-        row = nearest[v]
+        row = nearest.dense_row(v)
         finite = np.flatnonzero(np.isfinite(row))
         order = np.lexsort((finite, row[finite]))
         finite = finite[order]

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..cliquesim.ledger import RoundLedger
 from ..graph.graph import Graph
+from ..kernels import NearestRows
 from ..kernels.config import reference_forced
 from ..toolkit.nearest import kd_nearest_bfs
 from .builder import EmulatorResult, edges_for_vertex
@@ -51,16 +52,16 @@ class DrawEvaluation:
 
 
 def evaluate_draw(
-    nearest: np.ndarray,
+    nearest: NearestRows,
     hierarchy: Hierarchy,
     params: EmulatorParams,
     k: int,
 ) -> DrawEvaluation:
     """Evaluate one hierarchy draw against the three Claim 30 events, using
-    only the shared ``(k, delta_r)``-nearest output (no new BFS).
+    only the shared ``(k, delta_r)``-nearest rows (no new BFS).
 
-    Rows are bucketed by level and counted with the same mask algebra as
-    the batched emulator build (one pass over the whole level's rows);
+    Rows are bucketed by level and counted in one pass over each level's
+    CSR entries, as the batched emulator build reads them;
     ``force_backend("reference")`` routes to the original per-vertex loop.
     """
     r = params.r
@@ -74,24 +75,25 @@ def evaluate_draw(
         if rows.size == 0:
             continue
         radius = params.deltas[level]
-        block = nearest[rows]
-        finite = np.isfinite(block)
-        within = finite & (block <= radius)
-        light = within.sum(axis=1) < k
+        owner, cols, dists = nearest.take(rows)
+        within = dists <= radius
+        light = np.bincount(owner[within], minlength=rows.size) < k
         # Light rows: one edge if the ball meets S_{level+1}, else one per
         # S_level ball member at positive distance (the edge rule's count).
-        light_within = within[light]
-        dense = (light_within & hierarchy.masks[level + 1]).any(axis=1)
-        sparse_counts = (
-            light_within[~dense]
-            & hierarchy.masks[level]
-            & (block[light][~dense] > 0)
-        ).sum()
-        edges += int(dense.sum()) + int(sparse_counts)
+        dense = np.zeros(rows.size, dtype=bool)
+        dense[owner[within & hierarchy.masks[level + 1][cols]]] = True
+        light_dense = light & dense
+        sparse = (
+            within & (light & ~dense)[owner]
+            & hierarchy.masks[level][cols] & (dists > 0)
+        )
+        edges += int(light_dense.sum()) + int(sparse.sum())
         # Heavy rows: one edge each; the Claim 30 hit event is checked.
         heavy = ~light
         edges += int(heavy.sum())
-        if heavy.any() and not (finite[heavy] & sr_mask).any(axis=1).all():
+        hit = np.zeros(rows.size, dtype=bool)
+        hit[owner[sr_mask[cols]]] = True
+        if (heavy & ~hit).any():
             heavy_all_hit = False
     return DrawEvaluation(
         non_sr_edges=edges,
@@ -101,13 +103,14 @@ def evaluate_draw(
 
 
 def _evaluate_draw_reference(
-    nearest: np.ndarray,
+    nearest: NearestRows,
     hierarchy: Hierarchy,
     params: EmulatorParams,
     k: int,
 ) -> DrawEvaluation:
-    """The original one-vertex-at-a-time Claim 30 evaluation loop."""
-    n = nearest.shape[0]
+    """The original one-vertex-at-a-time Claim 30 evaluation loop,
+    densifying one row at a time."""
+    n = nearest.n
     r = params.r
     sr_mask = hierarchy.masks[r]
     edges = 0
@@ -117,7 +120,7 @@ def _evaluate_draw_reference(
         if level >= r:
             continue
         radius = params.deltas[level]
-        row = nearest[v]
+        row = nearest.dense_row(v)
         finite = np.flatnonzero(np.isfinite(row))
         order = np.lexsort((finite, row[finite]))
         finite = finite[order]
@@ -179,6 +182,7 @@ def build_emulator_whp(
 
     draws: List[Hierarchy] = [sample_hierarchy(n, r, rng) for _ in range(num_draws)]
     evals = [evaluate_draw(nearest, h, params, k) for h in draws]
+    del nearest  # the chosen draw's build runs its own (k, d)-nearest
     ledger.charge(1, "emulator-whp:evaluate-and-agree")
 
     admissible = [i for i, e in enumerate(evals) if e.admissible(n)]

@@ -6,10 +6,12 @@ dispatcher (see DESIGN.md for the layer's contract and fidelity policy):
 
 * :func:`minplus` — sparse/dense/reference min-plus products (Theorem 36);
 * :func:`filter_rows` — row-wise top-``rho`` filtering (Theorem 58);
-* :func:`multi_source_bfs` / :func:`batched_bfs` / :func:`sharded_bfs` —
-  frontier BFS: one wave, many simultaneous waves (the ``(k, d)``-nearest
-  substrate), and the memory-bounded sharded form with per-source radii
-  (the batched emulator/hopset construction substrate);
+* :func:`multi_source_bfs` / :func:`batched_bfs` / :func:`sharded_bfs` /
+  :func:`k_nearest_bfs` — frontier BFS: one wave, many simultaneous
+  waves, the memory-bounded sharded form with per-source radii (the
+  batched emulator construction substrate), and the ``(k, d)``-nearest
+  substrate whose waves stop at their ``k``-th vertex and answer CSR rows
+  (:class:`NearestRows`);
 * :func:`hop_limited_relax` — the Bellman–Ford relaxation core
   (``(S, d)``-source detection).
 
@@ -21,10 +23,11 @@ original Python loops — how tests prove the vectorized kernels are
 bit-identical to them.
 """
 
-from .bfs import batched_bfs, multi_source_bfs, sharded_bfs
+from .bfs import batched_bfs, k_nearest_bfs, multi_source_bfs, sharded_bfs
 from .config import force_backend
 from .csr import (
     CsrParts,
+    NearestRows,
     dense_to_csr,
     edges_to_csr,
     slab_gather,
@@ -34,10 +37,11 @@ from .minplus import auto_block, finite_fraction, minplus, minplus_csr, minplus_
 from .parallel import ParallelFallback, shutdown_pool
 from .postprocess import fold_in_edges
 from .relax import hop_limited_relax
-from .topk import filter_rows, masked_row_argmin
+from .topk import filter_rows, first_per_row, masked_row_argmin
 
 __all__ = [
     "CsrParts",
+    "NearestRows",
     "ParallelFallback",
     "auto_block",
     "batched_bfs",
@@ -45,9 +49,11 @@ __all__ = [
     "edges_to_csr",
     "filter_rows",
     "finite_fraction",
+    "first_per_row",
     "fold_in_edges",
     "force_backend",
     "hop_limited_relax",
+    "k_nearest_bfs",
     "masked_row_argmin",
     "minplus",
     "minplus_csr",

@@ -5,17 +5,22 @@ All kernels are level-synchronous BFS over an adjacency CSR
 
 :func:`multi_source_bfs` runs one wave.  :func:`batched_bfs` runs *many
 independent* waves at once and returns the full ``(len(sources), n)``
-matrix — the ``(k, d)``-nearest substrate (Theorem 10).
-:func:`sharded_bfs` is its bounded-memory form: a generator that
+matrix.  :func:`sharded_bfs` is its bounded-memory form: a generator that
 processes sources in column shards of ``O(shard · n)`` memory and
 supports per-source radii, which is what lets emulator construction
 bucket vertices by hierarchy level and scale to ``n >= 10^4``.
+:func:`k_nearest_bfs` is the ``(k, d)``-nearest substrate (Theorem 10):
+one wave per vertex, each stopped at the level of its ``k``-th vertex,
+answered as CSR rows (:class:`repro.kernels.NearestRows`) in
+``O(n · k)`` memory instead of an ``(n, n)`` matrix.
 
-Wave expansion (:func:`_batched_wave`) adaptively switches per level
-between a flat ``(vertex, wave)`` key space (cost ∝ frontier size) and a
-bit-packed frontier advanced by a segmented ``bitwise_or.reduceat`` over
-the CSR (cost ``nnz · waves / 64`` words — the winner when many deep
-waves flood the graph together).  Both produce identical level maps.
+Many-wave expansion (:class:`_Waves`, shared by :func:`batched_bfs`,
+:func:`sharded_bfs` and :func:`k_nearest_bfs`) keeps "visited" as
+per-vertex bit rows and adaptively switches per level between a flat
+``(vertex, wave)`` key space (cost ∝ frontier size) and a bit-packed
+frontier advanced by a segmented ``bitwise_or.reduceat`` over the CSR
+(cost ``nnz · waves / 64`` words — the winner when many deep waves
+flood the graph together).  Both produce identical level maps.
 
 Under ``force_backend("reference")`` every entry point runs the
 per-source loops of :mod:`repro.kernels.reference` instead.
@@ -28,14 +33,23 @@ from typing import Optional
 import numpy as np
 
 from .config import reference_forced
-from .csr import slab_gather, slab_gather_owners
-from .reference import batched_bfs_reference, multi_source_bfs_reference
+from .csr import NearestRows, slab_gather, slab_gather_owners
+from .reference import (
+    batched_bfs_reference,
+    k_nearest_bfs_reference,
+    multi_source_bfs_reference,
+)
 
-__all__ = ["multi_source_bfs", "batched_bfs", "sharded_bfs"]
+__all__ = ["multi_source_bfs", "batched_bfs", "sharded_bfs", "k_nearest_bfs"]
 
 # Flat (wave, vertex) key-space budget per batch of waves (~128 MB of
 # transient boolean masks at the default).
 _BATCH_KEY_BUDGET = 1 << 27
+
+# Flat (wave, vertex) key-space budget per chunk of k-nearest waves
+# (~4 MB of transient boolean marks; the visited bit rows are 1/8 that,
+# and a chunk's kept pairs at most ``chunk * k``).
+_NEAREST_KEY_BUDGET = 1 << 22
 
 # Float budget for the live distance block of one shard (~64 MB at the
 # default — the yielded block *is* the wave kernel's vertex-major
@@ -168,6 +182,58 @@ def sharded_bfs(
         yield lo, hi, block
 
 
+def k_nearest_bfs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    k: int,
+    max_dist: float = np.inf,
+) -> NearestRows:
+    """The ``(k, d)``-nearest of every vertex as CSR rows: one truncated
+    BFS wave per vertex, each row keeping the ``k`` first vertices in
+    (distance, vertex id) order among those within ``max_dist`` (floored:
+    BFS levels are integral).  Equals
+    ``filter_rows(batched_bfs(..., arange(n), max_dist), k)`` entry for
+    entry without its two ``(n, n)`` matrices.
+
+    A wave leaves the shared frontier once it has finished the level at
+    which it settled its ``k``-th vertex: every later vertex is farther
+    than all ``k`` kept ones.  That last level is cut to the smallest
+    vertex ids — exactly ``filter_rows``' tie-break by column id.  Waves
+    run in chunks of ``_NEAREST_KEY_BUDGET // n``; per chunk the kernel
+    holds visited bit rows and the kept ``(wave, vertex)`` pairs, never
+    a float block.
+    """
+    max_dist = np.floor(max_dist)
+    if reference_forced():
+        return NearestRows(
+            *k_nearest_bfs_reference(indptr, indices, n, k, max_dist)
+        )
+    counts = np.zeros(n, dtype=np.int64)
+    # Rows hold at most k entries; pipelines fill every row, so the
+    # output is written in place and only trimmed when rows fall short.
+    capacity = n * min(max(k, 0), n)
+    cols = np.empty(capacity, dtype=np.int64)
+    dists = np.empty(capacity)
+    total = 0
+    chunk = max(1, _NEAREST_KEY_BUDGET // max(n, 1))
+    for lo in range(0, n if k >= 1 else 0, chunk):
+        src = np.arange(lo, min(n, lo + chunk), dtype=np.int64)
+        wave, vert, level = _k_nearest_waves(indptr, indices, n, src, k, max_dist)
+        # Pairs arrive level by level, each level in vertex order; a
+        # stable sort by wave yields (distance, vertex id) rows.
+        order = np.argsort(wave, kind="stable")
+        counts[lo : lo + src.size] = np.bincount(wave, minlength=src.size)
+        cols[total : total + order.size] = vert[order]
+        dists[total : total + order.size] = level[order]
+        total += order.size
+    indptr_out = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr_out[1:])
+    if total < capacity:
+        cols, dists = cols[:total].copy(), dists[:total].copy()
+    return NearestRows(indptr_out, cols, dists)
+
+
 # Below this many waves the bit-packed expansion is never worth its
 # per-level full-CSR pass; above it, the mode is chosen per level.
 _BITS_MIN_WAVES = 64
@@ -179,137 +245,192 @@ _BITS_MIN_WAVES = 64
 _KEY_PAIR_COST = 40
 
 
-def _batched_wave(indptr, indices, n, src, radii, dist_t) -> None:
-    """Run ``src.size`` simultaneous BFS waves, writing into the
-    *vertex-major* ``(n, src.size)`` array ``dist_t`` (prefilled ``inf``;
-    ``dist_t.T`` is the usual ``(waves, n)`` matrix — callers that need a
-    row-major copy transpose it themselves, while :func:`sharded_bfs`
-    yields the transposed view directly).  ``radii[i]`` truncates wave
-    ``i``; its column stops expanding (is spilled from the frontier) once
-    the level exceeds it.
+def _set_bits(bits, vert, wave) -> None:
+    """Set bit ``wave`` of row ``vert`` in the ``(n, words)`` uint64
+    bit rows, for every pair."""
+    np.bitwise_or.at(
+        bits, (vert, wave >> 6), np.uint64(1) << (wave & 63).astype(np.uint64)
+    )
 
-    Each level is expanded by one of two interchangeable schemes (the
-    output is identical — level-synchronous BFS):
+
+class _Waves:
+    """``src.size`` simultaneous BFS waves, advanced one level at a time.
+
+    The frontier is the pair arrays ``(vert, wave)``, sorted by (vertex,
+    wave) after every level; "visited" is a per-vertex bit row (wave
+    ``i`` = bit ``i``).  Each level is expanded by one of two
+    interchangeable schemes (the reached pairs are identical):
 
     * **flat keys** — frontier members are ``vertex * waves + wave``
       values; a slab gather expands them.  Cost proportional to the
       frontier's degree sum, best for small or shallow frontiers.
-    * **bit-packed** — wave ``i`` is bit ``i`` of a per-vertex bit row;
-      one gather plus a segmented ``bitwise_or.reduceat`` (both through a
-      ``uint64`` view) advances *every* wave at once for
-      ``nnz · waves / 64`` words, best when many deep waves flood the
-      graph together.
+    * **bit-packed** — one gather plus a segmented
+      ``bitwise_or.reduceat`` over the frontier bit rows advances *every*
+      wave at once for ``nnz · waves / 64`` words, best when many deep
+      waves flood the graph together.
 
-    The scheme is chosen per level from the measured frontier size, so a
+    The scheme is chosen per level from the frontier's degree sum, so a
     run can start bit-packed while waves flood the graph and finish on
-    flat keys once only a few waves remain alive.  The frontier always
-    exists as ``(fr_vert, fr_wave)`` pair arrays (they also drive the
-    distance writes); the bit rows are carried alongside only while the
-    bit-packed scheme runs.
+    flat keys once only a few waves remain alive; the frontier bit rows
+    are carried alongside the pairs only while the bit-packed scheme runs.
     """
+
+    def __init__(self, indptr, indices, n, src):
+        self.indptr, self.indices, self.n = indptr, indices, n
+        self.waves = src.size
+        words = (self.waves + 63) // 64
+        self.visited = np.zeros((n, words), dtype=np.uint64)
+        self.wave = np.arange(self.waves, dtype=np.int64)
+        self.vert = src.copy()
+        _set_bits(self.visited, self.vert, self.wave)
+        self.deg = np.diff(indptr)
+        nnz = int(indices.size)
+        width = words * 8  # bit-row bytes
+        self.use_bits = self.waves >= _BITS_MIN_WAVES and nnz > 0
+        self.bits_level_cost = nnz * width // 4 + 4 * n * width
+        self.frontier_bits = None  # valid iff the last level ran bit-packed
+        self.row_has_nbrs = self.offsets = None
+
+    def keep(self, alive: np.ndarray) -> None:
+        """Drop every wave ``i`` with ``alive[i]`` false from the frontier."""
+        sel = alive[self.wave]
+        self.vert, self.wave = self.vert[sel], self.wave[sel]
+        if self.frontier_bits is not None:
+            mask = np.zeros(self.frontier_bits.shape[1] * 8, dtype=np.uint8)
+            packed = np.packbits(alive, bitorder="little")
+            mask[: packed.size] = packed
+            self.frontier_bits &= mask.view(np.uint64)
+
+    def advance(self) -> bool:
+        """Expand the frontier by one level: it becomes the newly reached
+        pairs, now marked visited.  False once no wave reaches a vertex."""
+        n, waves = self.n, self.waves
+        expanded = int(self.deg[self.vert].sum())
+        if expanded == 0:
+            return False
+        if self.use_bits and expanded * _KEY_PAIR_COST > self.bits_level_cost:
+            if self.row_has_nbrs is None:
+                self.row_has_nbrs = np.flatnonzero(self.deg > 0)
+                self.offsets = self.indptr[self.row_has_nbrs]
+            if self.frontier_bits is None:
+                self.frontier_bits = np.zeros_like(self.visited)
+                _set_bits(self.frontier_bits, self.vert, self.wave)
+            neigh = np.zeros_like(self.visited)
+            neigh[self.row_has_nbrs] = np.bitwise_or.reduceat(
+                self.frontier_bits[self.indices], self.offsets, axis=0
+            )
+            new = neigh & ~self.visited
+            active = np.flatnonzero(new.any(axis=1))
+            if active.size == 0:
+                return False
+            self.visited |= new
+            # Unpack the full (padded) width and scan the contiguous
+            # buffer — padding bits are never set, and flatnonzero on a
+            # contiguous array is far faster than a strided 2-D nonzero.
+            unpacked = np.unpackbits(
+                new[active].view(np.uint8), axis=1, bitorder="little"
+            )
+            rows, self.wave = np.divmod(
+                np.flatnonzero(unpacked.ravel()), np.int64(unpacked.shape[1])
+            )
+            self.vert = active[rows]
+            self.frontier_bits = new
+            return True
+        self.frontier_bits = None
+        owners, nbrs = slab_gather_owners(
+            self.indptr, self.indices, self.vert, self.wave
+        )
+        keys = nbrs * np.int64(waves) + owners
+        if keys.size * 16 < n * waves:
+            # Sparse frontier: sort-dedup beats a full mark array.
+            keys = np.unique(keys)
+        else:
+            mark = np.zeros(n * waves, dtype=bool)
+            mark[keys] = True
+            keys = np.flatnonzero(mark)
+        vert, wave = np.divmod(keys, waves)
+        word = self.visited[vert, wave >> 6]
+        fresh = ((word >> (wave & 63).astype(np.uint64)) & np.uint64(1)) == 0
+        self.vert, self.wave = vert[fresh], wave[fresh]
+        _set_bits(self.visited, self.vert, self.wave)
+        return self.vert.size > 0
+
+
+def _k_nearest_waves(indptr, indices, n, src, k, max_dist):
+    """Run one wave per ``src`` vertex until it has settled ``k``
+    vertices (finishing that level) or passed ``max_dist``; returns the
+    kept ``(wave, vertex, level)`` pairs, at most ``k`` per wave, level
+    by level and each level sorted by vertex.  No float ``(n, waves)``
+    block is ever allocated: "visited" lives in :class:`_Waves`' bit
+    rows."""
     waves = src.size
-    # Vertex-major layout: bit rows, frontier keys and the level writes
-    # all touch contiguous memory this way round.
+    front = _Waves(indptr, indices, n, src)
+    settled = np.ones(waves, dtype=np.int64)
+    # Kept pairs in narrow ints (a chunk holds up to ``waves * k`` of
+    # them); wave ids fit 16 bits at any sane budget, which also lets the
+    # stable sorts by wave run as radix sorts.
+    wave_t = np.min_scalar_type(max(waves - 1, 0))
+    kept_wave = [front.wave.astype(wave_t)]
+    kept_vert = [front.vert.astype(np.int32)]
+    kept_level = [np.zeros(waves, dtype=np.int32)]
+    front.keep(settled < k)
+
+    level = 0
+    while front.vert.size and level < max_dist and front.advance():
+        level += 1
+        # The level's pairs are sorted by (vertex, wave).  A wave whose
+        # count passes k on this level keeps only its smallest new ids.
+        total = settled + np.bincount(front.wave, minlength=waves)
+        keep = np.ones(front.wave.size, dtype=bool)
+        if ((total > k) & (settled < k)).any():
+            over = np.flatnonzero((total > k)[front.wave])
+            over = over[np.argsort(front.wave[over].astype(wave_t), kind="stable")]
+            grp = front.wave[over]
+            starts = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
+            rank = np.arange(over.size) - np.repeat(
+                starts, np.diff(np.r_[starts, over.size])
+            )
+            keep[over[settled[grp] + rank >= k]] = False
+        kept_wave.append(front.wave[keep].astype(wave_t))
+        kept_vert.append(front.vert[keep].astype(np.int32))
+        kept_level.append(np.full(int(keep.sum()), level, dtype=np.int32))
+        if ((total >= k) & (settled < k)).any():
+            front.keep(total < k)
+        settled = total
+    return (
+        np.concatenate(kept_wave),
+        np.concatenate(kept_vert),
+        np.concatenate(kept_level),
+    )
+
+
+def _batched_wave(indptr, indices, n, src, radii, dist_t) -> None:
+    """Run ``src.size`` simultaneous BFS waves (:class:`_Waves`), writing
+    into the *vertex-major* ``(n, src.size)`` array ``dist_t`` (prefilled
+    ``inf``; ``dist_t.T`` is the usual ``(waves, n)`` matrix — callers
+    that need a row-major copy transpose it themselves, while
+    :func:`sharded_bfs` yields the transposed view directly).
+    ``radii[i]`` truncates wave ``i``; its column stops expanding (is
+    spilled from the frontier) once the level exceeds it."""
+    waves = src.size
+    # Vertex-major layout: the level writes touch contiguous memory.
     flat = dist_t.ravel()
-    fr_wave = np.arange(waves, dtype=np.int64)
-    fr_vert = src.copy()
-    flat[fr_vert * waves + fr_wave] = 0.0
-
-    deg = np.diff(indptr)
-    nnz = int(indices.size)
-    width64 = (waves + 63) // 64
-    width = width64 * 8  # bit-row bytes, uint64-aligned
-    use_bits_ever = waves >= _BITS_MIN_WAVES and nnz > 0
-    bits_level_cost = nnz * width // 4 + 4 * n * width
-    visited_bits = None
-    frontier_bits = None  # valid iff the previous level ran bit-packed
-    offsets = None
-    row_has_nbrs = None
-
+    front = _Waves(indptr, indices, n, src)
+    flat[front.vert * waves + front.wave] = 0.0
     # With one shared radius (every per-level / per-shard caller) the
     # spill check degenerates to a single scalar comparison per level.
     uniform_radius = bool(radii.min() == radii.max()) if waves else True
 
     level = 0
-    while fr_vert.size:
+    while front.vert.size:
         level += 1
         if uniform_radius:
             if radii[0] < level:
                 break
-        else:
-            alive = radii[fr_wave] >= level
-            if not alive.all():
-                fr_wave = fr_wave[alive]
-                fr_vert = fr_vert[alive]
-                if fr_vert.size == 0:
-                    break
-                if frontier_bits is not None:
-                    keep = np.zeros(width, dtype=np.uint8)
-                    packed = np.packbits(radii >= level, bitorder="little")
-                    keep[: packed.size] = packed
-                    frontier_bits &= keep
-        expanded = int(deg[fr_vert].sum())
-        if expanded == 0:
+        elif not (radii[front.wave] >= level).all():
+            front.keep(radii >= level)
+            if front.vert.size == 0:
+                break
+        if not front.advance():
             break
-
-        if use_bits_ever and expanded * _KEY_PAIR_COST > bits_level_cost:
-            if visited_bits is None:
-                # First bit-packed level: build the visited bit rows from
-                # the distances found so far (finite = visited).
-                visited_bits = np.zeros((n, width), dtype=np.uint8)
-                packed = np.packbits(
-                    np.isfinite(dist_t), axis=1, bitorder="little"
-                )
-                visited_bits[:, : packed.shape[1]] = packed
-                row_has_nbrs = np.flatnonzero(deg > 0)
-                offsets = indptr[row_has_nbrs]
-            if frontier_bits is None:
-                frontier_bits = np.zeros((n, width), dtype=np.uint8)
-                np.bitwise_or.at(
-                    frontier_bits,
-                    (fr_vert, fr_wave >> 3),
-                    np.uint8(1) << (fr_wave & 7).astype(np.uint8),
-                )
-            gathered = frontier_bits.view(np.uint64)[indices]
-            neigh = np.zeros((n, width64), dtype=np.uint64)
-            neigh[row_has_nbrs] = np.bitwise_or.reduceat(
-                gathered, offsets, axis=0
-            )
-            new = neigh & ~visited_bits.view(np.uint64)
-            active = np.flatnonzero(new.any(axis=1))
-            if active.size == 0:
-                break
-            visited_bits.view(np.uint64)[...] |= new
-            new8 = new.view(np.uint8)
-            # Unpack the full (padded) bit width and scan the contiguous
-            # buffer — padding bits are never set, and flatnonzero on a
-            # contiguous array is far faster than a strided 2-D nonzero.
-            unpacked = np.unpackbits(new8[active], axis=1, bitorder="little")
-            hits = np.flatnonzero(unpacked.ravel())
-            rows, fr_wave = np.divmod(hits, np.int64(8 * width))
-            fr_vert = active[rows]
-            flat[fr_vert * waves + fr_wave] = level
-            frontier_bits = new8
-        else:
-            frontier_bits = None
-            owners, nbrs = slab_gather_owners(indptr, indices, fr_vert, fr_wave)
-            if nbrs.size == 0:
-                break
-            keys = nbrs * np.int64(waves) + owners
-            if keys.size * 16 < n * waves:
-                # Sparse frontier: sort-dedup beats a full mark array.
-                keys = np.unique(keys)
-                keys = keys[np.isinf(flat[keys])]
-            else:
-                mark = np.zeros(n * waves, dtype=bool)
-                mark[keys] = True
-                mark &= np.isinf(flat)
-                keys = np.flatnonzero(mark)
-            flat[keys] = level
-            fr_vert, fr_wave = np.divmod(keys, waves)
-            if visited_bits is not None and fr_vert.size:
-                np.bitwise_or.at(
-                    visited_bits,
-                    (fr_vert, fr_wave >> 3),
-                    np.uint8(1) << (fr_wave & 7).astype(np.uint8),
-                )
+        flat[front.vert * waves + front.wave] = level

@@ -1,6 +1,6 @@
 """CSR plumbing shared by the vectorized kernels.
 
-Two representations are used:
+Three representations are used:
 
 * ``(indptr, indices)`` — the adjacency CSR a :class:`repro.graph.Graph`
   already carries; the BFS kernels consume it directly.
@@ -9,6 +9,11 @@ Two representations are used:
   through :class:`scipy.sparse.csr_matrix` because in the tropical
   semiring the missing element is ``inf`` while ``0.0`` is a perfectly
   valid stored value — scipy's implicit-zero convention would drop it.
+* :class:`NearestRows` — the ``(k, d)``-nearest answer, one row per
+  vertex holding at most ``k`` entries in (distance, vertex id) order,
+  so a ball of any radius is a row prefix and the first entry of a row
+  meeting a mask is that row's closest member under the library-wide
+  tie-break.
 
 The central primitive is :func:`slab_gather`: concatenate the CSR row
 slabs of many rows at once with ``np.repeat`` arithmetic, no Python loop.
@@ -22,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "CsrParts",
+    "NearestRows",
     "dense_to_csr",
     "edges_to_csr",
     "slab_gather",
@@ -35,6 +41,47 @@ class CsrParts(NamedTuple):
     indptr: np.ndarray   # (rows + 1,) int64
     indices: np.ndarray  # (nnz,) int64, column ids, sorted within each row
     data: np.ndarray     # (nnz,) float64 finite values
+
+
+class NearestRows(NamedTuple):
+    """CSR rows of a ``(k, d)``-nearest answer over ``n`` vertices: row
+    ``v`` is ``cols[indptr[v]:indptr[v + 1]]`` at distances
+    ``dists[indptr[v]:indptr[v + 1]]``, sorted by (distance, vertex id).
+    Absent entries are the ``inf`` entries of the dense form."""
+
+    indptr: np.ndarray  # (n + 1,) int64
+    cols: np.ndarray    # (nnz,) int64 vertex ids
+    dists: np.ndarray   # (nnz,) float64 distances, non-decreasing per row
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def lengths(self) -> np.ndarray:
+        """Entries per row."""
+        return np.diff(self.indptr)
+
+    def take(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``rows`` as ``(owner, cols, dists)``: ``owner[i]``
+        indexes ``rows``, and each row's entries keep their order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        positions, counts = _slab_positions(self.indptr, rows)
+        owner = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        return owner, self.cols[positions], self.dists[positions]
+
+    def dense_row(self, v: int) -> np.ndarray:
+        """Row ``v`` as a length-``n`` distance vector (``inf`` = absent)."""
+        out = np.full(self.n, np.inf)
+        lo, hi = self.indptr[v], self.indptr[v + 1]
+        out[self.cols[lo:hi]] = self.dists[lo:hi]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The ``(n, n)`` matrix :func:`repro.kernels.filter_rows` would
+        return for the same answer."""
+        out = np.full((self.n, self.n), np.inf)
+        out[np.repeat(np.arange(self.n), self.lengths()), self.cols] = self.dists
+        return out
 
 
 def dense_to_csr(m: np.ndarray) -> CsrParts:

@@ -20,6 +20,7 @@ __all__ = [
     "filter_rows_reference",
     "multi_source_bfs_reference",
     "batched_bfs_reference",
+    "k_nearest_bfs_reference",
 ]
 
 
@@ -105,3 +106,32 @@ def batched_bfs_reference(
     for i, s in enumerate(sources):
         out[i] = multi_source_bfs_reference(indptr, indices, n, [int(s)], max_dist)
     return out
+
+
+def k_nearest_bfs_reference(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    k: int,
+    max_dist: float = np.inf,
+):
+    """Per-source truncated BFS, then the per-row top-``k`` filter, each
+    kept row listed in (distance, vertex id) order; returns the CSR
+    arrays ``(indptr, cols, dists)``."""
+    cols, dists = [], []
+    counts = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        dist = multi_source_bfs_reference(indptr, indices, n, [s], max_dist)
+        row = filter_rows_reference(dist[None, :], k)[0]
+        finite = np.flatnonzero(np.isfinite(row))
+        finite = finite[np.lexsort((finite, row[finite]))]
+        cols.append(finite)
+        dists.append(row[finite])
+        counts[s] = finite.size
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_ptr[1:])
+    return (
+        out_ptr,
+        np.concatenate([np.zeros(0, dtype=np.int64)] + cols),
+        np.concatenate([np.zeros(0)] + dists),
+    )

@@ -16,7 +16,7 @@ import numpy as np
 from .config import reference_forced
 from .reference import filter_rows_reference
 
-__all__ = ["filter_rows", "masked_row_argmin"]
+__all__ = ["filter_rows", "first_per_row", "masked_row_argmin"]
 
 
 def masked_row_argmin(values, mask):
@@ -31,6 +31,19 @@ def masked_row_argmin(values, mask):
     cols = masked.argmin(axis=1)
     vals = masked[np.arange(rows.size), cols]
     return rows, cols, vals
+
+
+def first_per_row(owner, flag):
+    """Per-row first ``True`` entry of ``flag`` over entries grouped by a
+    non-decreasing ``owner`` array: returns ``(rows, positions)`` covering
+    exactly the rows with a flagged entry.  Over rows in (distance, vertex
+    id) order (:class:`repro.kernels.NearestRows`) that entry is the one
+    :func:`masked_row_argmin` picks from the dense row."""
+    positions = np.flatnonzero(flag)
+    rows = owner[positions]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first], positions[first]
 
 
 def filter_rows(m: np.ndarray, rho: int) -> np.ndarray:

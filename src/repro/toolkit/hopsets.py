@@ -48,6 +48,7 @@ from ..cliquesim.costs import bounded_hopset_rounds, source_detection_rounds
 from ..cliquesim.ledger import RoundLedger
 from ..graph.distances import hop_limited_bellman_ford
 from ..graph.graph import Graph, WeightedGraph
+from ..kernels import NearestRows
 from ..kernels.config import reference_forced
 from .hitting import deterministic_hitting_set, random_hitting_set
 from .nearest import kd_nearest_bfs
@@ -114,9 +115,11 @@ def build_bounded_hopset(
     # Step 1: (k, t)-nearest for everyone.
     nearest, _ = kd_nearest_bfs(g, k, t, ledger=local)
 
-    # Step 2: hitting set A_1 over the *full* (k, t)-neighbourhoods.
-    full_rows = np.flatnonzero(np.isfinite(nearest).sum(axis=1) >= k)
-    row_sets = [np.flatnonzero(np.isfinite(nearest[v])) for v in full_rows]
+    # Step 2: hitting set A_1 over the *full* (k, t)-neighbourhoods (the
+    # rows holding k entries).
+    full_rows = np.flatnonzero(nearest.lengths() == k)
+    row_sets = [nearest.cols[nearest.indptr[v] : nearest.indptr[v + 1]]
+                for v in full_rows]
     if deterministic:
         a1 = deterministic_hitting_set(row_sets, n, ledger=local)
     else:
@@ -124,6 +127,7 @@ def build_bounded_hopset(
             rng = np.random.default_rng(0)
         a1 = random_hitting_set(n, max(k, 1), rng, ledger=local)
         a1 = _patch_hitting_set(a1, row_sets)
+    del row_sets
     a1 = np.asarray(a1, dtype=np.int64)
     a1_mask = np.zeros(n, dtype=bool)
     a1_mask[a1] = True
@@ -134,6 +138,7 @@ def build_bounded_hopset(
         _bunch_edges_reference(hopset, nearest, a1_mask)
     else:
         _bunch_edges_batched(hopset, nearest, a1_mask)
+    del nearest  # not needed by the level loop
 
     # Step 4: iterative A_1 x A_1 levels, up to their fixpoint.
     beta = hopset_beta(t, eps, c_beta)
@@ -172,43 +177,40 @@ def build_bounded_hopset(
 
 
 def _bunch_edges_batched(
-    hopset: WeightedGraph, nearest: np.ndarray, a1_mask: np.ndarray
+    hopset: WeightedGraph, nearest: NearestRows, a1_mask: np.ndarray
 ) -> None:
     """The Claim 61 bunch edges for every non-``A_1`` vertex at once.
 
-    One pass of mask algebra over the ``(k, t)``-nearest matrix replaces
-    the per-vertex sort-and-scan: the pivot ``p(v)`` is the row ``argmin``
-    over the ``A_1`` columns (first minimum = smallest id, the same
-    tie-break as the sorted scan), the bunch is every strictly closer
-    member, and rows without an ``A_1`` member keep their whole ball.
+    One pass over the ``(k, t)``-nearest rows replaces the per-vertex
+    sort-and-scan: a row is sorted by (distance, id), so the pivot
+    ``p(v)`` is its first ``A_1`` member (smallest id on ties, the sorted
+    scan's pick), the bunch is every entry strictly closer than the
+    pivot, and rows without an ``A_1`` member keep their whole ball.
     """
     srcs = np.flatnonzero(~a1_mask)
     if srcs.size == 0:
         return
-    block = nearest[srcs]
-    finite = np.isfinite(block)
-    in_a1 = finite & a1_mask
-    piv_rows, pivots, piv_weights = kernels.masked_row_argmin(block, in_a1)
+    owner, cols, dists = nearest.take(srcs)
+    piv_rows, first = kernels.first_per_row(owner, a1_mask[cols])
     pivot_dist = np.full(srcs.size, np.inf)
-    pivot_dist[piv_rows] = piv_weights
+    pivot_dist[piv_rows] = dists[first]
 
     # Bunch members: strictly closer than the pivot (whole ball when no
-    # pivot, since pivot_dist stays inf); block > 0 excludes v itself.
-    bunch = finite & (block < pivot_dist[:, None]) & (block > 0)
-    b_rows, b_cols = np.nonzero(bunch)
-    hopset.add_edges_arrays(srcs[b_rows], b_cols, block[b_rows, b_cols])
-    hopset.add_edges_arrays(srcs[piv_rows], pivots, piv_weights)
+    # pivot, since pivot_dist stays inf); dists > 0 excludes v itself.
+    bunch = (dists < pivot_dist[owner]) & (dists > 0)
+    hopset.add_edges_arrays(srcs[owner[bunch]], cols[bunch], dists[bunch])
+    hopset.add_edges_arrays(srcs[piv_rows], cols[first], dists[first])
 
 
 def _bunch_edges_reference(
-    hopset: WeightedGraph, nearest: np.ndarray, a1_mask: np.ndarray
+    hopset: WeightedGraph, nearest: NearestRows, a1_mask: np.ndarray
 ) -> None:
-    """The original per-vertex bunch loop (sorted scan per row)."""
-    n = nearest.shape[0]
-    for v in range(n):
+    """The original per-vertex bunch loop (sorted scan per row), densifying
+    one row at a time."""
+    for v in range(nearest.n):
         if a1_mask[v]:
             continue
-        row = nearest[v]
+        row = nearest.dense_row(v)
         members = np.flatnonzero(np.isfinite(row))
         if members.size == 0:
             continue
@@ -231,10 +233,11 @@ def _bunch_edges_reference(
 
 
 def _patch_hitting_set(a1: np.ndarray, row_sets) -> np.ndarray:
-    """Add the first element of any set the random draw missed (the standard
-    w.h.p.-to-always fix-up; at small ``n`` the union bound is weak)."""
+    """Add the smallest element of any set the random draw missed (the
+    standard w.h.p.-to-always fix-up; at small ``n`` the union bound is
+    weak)."""
     chosen = set(int(x) for x in a1)
     for s in row_sets:
         if not any(int(v) in chosen for v in s):
-            chosen.add(int(s[0]))
+            chosen.add(int(s.min()))
     return np.asarray(sorted(chosen), dtype=np.int64)

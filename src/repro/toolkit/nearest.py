@@ -14,16 +14,19 @@ Two implementations are provided and cross-validated in tests:
   ``A_{i+1} = filter_rho(A_i · A_i)`` for ``ceil(log2 d)`` iterations
   (Claim 59), then masking entries ``> d``.
 
-* :func:`kd_nearest_bfs` — the BFS oracle: all ``n`` truncated BFS waves
-  run in *one batched pass* on :func:`repro.kernels.batched_bfs`, used as
-  ground truth and as the fast substrate inside larger pipelines
-  (identical output semantics; see DESIGN.md §3 on the fidelity policy).
+* :func:`kd_nearest_bfs` — the BFS oracle: one truncated BFS wave per
+  vertex on :func:`repro.kernels.k_nearest_bfs`, each wave stopped at the
+  level of its ``k``-th vertex, answered as CSR rows
+  (:class:`repro.kernels.NearestRows`, ``k`` entries per vertex at most,
+  in (distance, vertex id) order) — the fast substrate inside larger
+  pipelines.  ``.dense()`` of its answer equals the matrix algorithm's
+  output entry for entry (see DESIGN.md §3 on the fidelity policy).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .. import kernels
 from ..cliquesim.costs import kd_nearest_rounds
 from ..cliquesim.ledger import RoundLedger
 from ..graph.graph import Graph
+from ..kernels import NearestRows
 from ..matmul.filtered import filter_rows, filtered_product
 
 __all__ = ["kd_nearest_matrix", "kd_nearest_bfs", "kd_nearest"]
@@ -74,21 +78,23 @@ def kd_nearest_bfs(
     k: int,
     d: int,
     ledger: Optional[RoundLedger] = None,
-) -> Tuple[np.ndarray, float]:
-    """BFS oracle for ``(k, d)``-nearest: one batched multi-wave BFS
-    (every vertex's truncated wave expands simultaneously) followed by a
-    vectorized row-wise top-``k`` filter.
+) -> Tuple[NearestRows, float]:
+    """BFS oracle for ``(k, d)``-nearest: every vertex's truncated wave
+    expands together and stops once it has settled ``k`` vertices.
 
-    Output format and tie-breaking (by vertex id at equal distance) match
-    :func:`kd_nearest_matrix`; the Theorem 10 rounds are still charged so
-    pipelines account identically whichever substrate they use.
+    Returns ``(rows, rounds)``: row ``v`` of the CSR ``rows`` lists the
+    ``(k, d)``-nearest of ``v`` in (distance, vertex id) order, and
+    ``rows.dense()`` equals :func:`kd_nearest_matrix`'s matrix (the same
+    tie-break by vertex id at equal distance).  The Theorem 10 rounds are
+    charged so pipelines account identically whichever substrate they
+    use.
     """
-    # The kernel truncates waves at floor(d), so every entry > d is
-    # already inf — no post-mask needed.
-    dist = kernels.batched_bfs(
-        g.indptr, g.indices, g.n, np.arange(g.n, dtype=np.int64), max_dist=d
-    )
-    out = kernels.filter_rows(dist, k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    # The kernel truncates waves at floor(d), so no entry exceeds d.
+    out = kernels.k_nearest_bfs(g.indptr, g.indices, g.n, k, max_dist=d)
     rounds = kd_nearest_rounds(g.n, k, d)
     if ledger is not None:
         ledger.charge(rounds, "(k,d)-nearest")
@@ -101,10 +107,11 @@ def kd_nearest(
     d: int,
     ledger: Optional[RoundLedger] = None,
     method: str = "bfs",
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[Union[np.ndarray, NearestRows], float]:
     """Dispatch between the matrix algorithm (``method="matrix"``, the
-    paper's algorithm verbatim) and the BFS oracle (``method="bfs"``,
-    default inside larger pipelines for speed)."""
+    paper's algorithm verbatim, answering the ``(n, n)`` matrix) and the
+    BFS oracle (``method="bfs"``, default inside larger pipelines for
+    speed, answering :class:`repro.kernels.NearestRows`)."""
     if method == "matrix":
         return kd_nearest_matrix(g, k, d, ledger)
     if method == "bfs":
