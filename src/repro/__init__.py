@@ -9,8 +9,9 @@ The public API re-exports the main entry points:
   :func:`build_emulator_deterministic`;
 * applications (Section 4): :func:`apsp_near_additive`, :func:`mssp`,
   :func:`apsp_two_plus_eps`, :func:`apsp_three_plus_eps`;
-* toolkit (Appendix B): :func:`kd_nearest`, :func:`source_detection`,
-  :func:`build_bounded_hopset`, :func:`distance_through_sets`;
+* toolkit (Appendix B): :func:`source_detection`,
+  :func:`build_bounded_hopset`, :func:`distance_through_sets` (the
+  ``(k, d)``-nearest solvers are in :mod:`repro.toolkit`);
 * derandomization (Section 5): :func:`deterministic_soft_hitting_set`;
 * baselines: :func:`exact_apsp`, :func:`apsp_squaring`, :func:`spanner_apsp`;
 * hot-path substrate: :mod:`repro.kernels` — the vectorized CSR compute
@@ -41,7 +42,6 @@ from .emulator import (
 from .toolkit import (
     build_bounded_hopset,
     distance_through_sets,
-    kd_nearest,
     source_detection,
 )
 from .derand import (
@@ -85,7 +85,6 @@ __all__ = [
     "sample_hierarchy",
     "build_bounded_hopset",
     "distance_through_sets",
-    "kd_nearest",
     "source_detection",
     "SoftHittingInstance",
     "build_emulator_deterministic",

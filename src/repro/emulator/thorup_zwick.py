@@ -69,7 +69,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,11 +115,10 @@ class TZBunches:
     out-stars of the two endpoints — the classic ``B(u) ∩ B(v)``
     combine, whose per-vertex work stays ``O(k n^{1/k})`` (clusters
     ``C(w)`` can be ``Θ(n)``-sized and are deliberately not consulted).
-    ``star`` is the same relation as an undirected
-    :class:`WeightedGraph` (what spanner/path expansion consumes).
+    The arc arrays are the whole structure: path expansion builds its
+    own star from them (:mod:`repro.oracle.engine`).
     """
 
-    star: WeightedGraph
     hierarchy: Hierarchy
     srcs: np.ndarray
     dsts: np.ndarray
@@ -138,8 +137,8 @@ class TZBunches:
 
     @property
     def num_edges(self) -> int:
-        """Number of stored bunch/pivot edges."""
-        return self.star.m
+        """Number of stored bunch/pivot arcs."""
+        return int(self.srcs.size)
 
 
 # ----------------------------------------------------------------------
@@ -441,12 +440,14 @@ def build_tz_bunches(
       the top, where ``S_{r+1} = ∅``).
 
     All weights are exact ``g``-distances, so every 2-hop combine
-    ``d(v, w) + d(w, u)`` over the stored star is an upper bound on
+    ``d(v, w) + d(w, u)`` over the stored arcs is an upper bound on
     ``d(v, u)`` (soundness) and the classic pivot-walk argument bounds
-    the best combine by ``(2k - 1) d(v, u)``.  The default path collects
-    :func:`iter_tz_bunch_arc_blocks`; ``force_backend("reference")``
-    runs the per-vertex loop.  Both are bit-identical whenever path sums
-    are exact.
+    the best combine by ``(2k - 1) d(v, u)``.  The default path
+    concatenates the blocks of :func:`iter_tz_bunch_arc_blocks`, which
+    are canonical and cover disjoint ascending source ranges, so the
+    result is canonical as it stands; ``force_backend("reference")``
+    runs the per-vertex loop and canonicalizes its arcs.  Both are
+    bit-identical whenever path sums are exact.
     """
     if hierarchy is None:
         if rng is None:
@@ -480,13 +481,13 @@ def build_tz_bunches(
                     arcs_s.append(np.full(bunch.size, v, dtype=np.int64))
                     arcs_d.append(bunch.astype(np.int64))
                     arcs_w.append(dist[bunch].astype(np.float64))
-        return _assemble_bunches(g.n, hierarchy, arcs_s, arcs_d, arcs_w)
+        return TZBunches(hierarchy, *_canonical_arcs(arcs_s, arcs_d, arcs_w))
 
     for _lo, _hi, bs, bd, bw in iter_tz_bunch_arc_blocks(g, hierarchy):
         arcs_s.append(bs)
         arcs_d.append(bd)
         arcs_w.append(bw)
-    return _assemble_bunches(g.n, hierarchy, arcs_s, arcs_d, arcs_w)
+    return TZBunches(hierarchy, *_concat_arcs(arcs_s, arcs_d, arcs_w))
 
 
 class TZArcBlock(tuple):
@@ -587,6 +588,22 @@ def iter_tz_bunch_arc_blocks(
             yield TZArcBlock(lo, hi, *block, pass_arcs=held)
 
 
+def _concat_arcs(
+    arcs_s, arcs_d, arcs_w
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate arc fragments (empty int64 / int64 / float64 arrays
+    when there are none)."""
+    if not arcs_s:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    return (
+        np.concatenate(arcs_s), np.concatenate(arcs_d), np.concatenate(arcs_w)
+    )
+
+
 def _canonical_arcs(
     arcs_s, arcs_d, arcs_w
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -594,40 +611,35 @@ def _canonical_arcs(
     ``(src, dst)``, duplicates dropped (a pivot re-appearing as a bunch
     member carries the identical exact distance, so keep-first is
     value-stable)."""
-    srcs = (
-        np.concatenate(arcs_s) if arcs_s else np.empty(0, dtype=np.int64)
-    )
-    if not srcs.size:
-        return (
-            srcs.astype(np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    dsts = np.concatenate(arcs_d)
-    dists = np.concatenate(arcs_w)
+    srcs, dsts, dists = _concat_arcs(arcs_s, arcs_d, arcs_w)
     order = np.lexsort((dsts, srcs))
     srcs, dsts, dists = srcs[order], dsts[order], dists[order]
-    keep = np.concatenate(
-        [[True], (srcs[1:] != srcs[:-1]) | (dsts[1:] != dsts[:-1])]
-    )
+    keep = np.ones(srcs.size, dtype=bool)
+    keep[1:] = (srcs[1:] != srcs[:-1]) | (dsts[1:] != dsts[:-1])
     return srcs[keep], dsts[keep], dists[keep]
-
-
-def _assemble_bunches(n, hierarchy, arcs_s, arcs_d, arcs_w) -> TZBunches:
-    """Canonicalize the directed membership arcs and build the
-    undirected star view (already-canonical disjoint ascending blocks
-    pass through the sort/dedup unchanged)."""
-    srcs, dsts, dists = _canonical_arcs(arcs_s, arcs_d, arcs_w)
-    star = WeightedGraph(n)
-    star.add_edges_arrays(srcs, dsts, dists)
-    return TZBunches(
-        star=star, hierarchy=hierarchy, srcs=srcs, dsts=dsts, dists=dists
-    )
 
 
 # ----------------------------------------------------------------------
 # Variant registration: the classic TZ bunch oracle as a serving variant
 # ----------------------------------------------------------------------
+
+def _tz_summary(hierarchy: Hierarchy, arcs: int) -> Dict[str, object]:
+    """The ``tz`` manifest fields only the algorithm knows — ``name``,
+    ``multiplicative``, ``additive`` and ``stats`` — for a relation of
+    ``arcs`` stored arcs over ``hierarchy``.  The in-memory build and
+    the streamed sharded build both record these."""
+    k = hierarchy.r + 1
+    return {
+        "name": f"TZ-bunches[k={k}]",
+        "multiplicative": float(2 * k - 1),
+        "additive": 0.0,
+        "stats": {
+            "bunch_edges": int(arcs),
+            "k": int(k),
+            "set_sizes": hierarchy.sizes(),
+        },
+    }
+
 
 def _tz_build(g: AnyGraph, rng=None, r=None, **_):
     """Artifact payload for the ``tz`` variant (bunches kind)."""
@@ -636,19 +648,12 @@ def _tz_build(g: AnyGraph, rng=None, r=None, **_):
     bunches = build_tz_bunches(g, r=r, rng=rng)
     return VariantBuild(
         arrays={
-            "bunch_srcs": np.asarray(bunches.srcs, dtype=np.int64),
-            "bunch_dsts": np.asarray(bunches.dsts, dtype=np.int64),
-            "bunch_ds": np.asarray(bunches.dists, dtype=np.float64),
+            "bunch_srcs": bunches.srcs,
+            "bunch_dsts": bunches.dsts,
+            "bunch_ds": bunches.dists,
             "tz_levels": np.asarray(bunches.hierarchy.levels, dtype=np.int64),
         },
-        name=f"TZ-bunches[k={bunches.k}]",
-        multiplicative=float(bunches.stretch),
-        additive=0.0,
-        stats={
-            "bunch_edges": int(bunches.num_edges),
-            "k": int(bunches.k),
-            "set_sizes": bunches.hierarchy.sizes(),
-        },
+        **_tz_summary(bunches.hierarchy, bunches.num_edges),
     )
 
 

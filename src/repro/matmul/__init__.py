@@ -9,7 +9,7 @@ from .semiring import (
     minplus_square,
 )
 from .sparse import sparse_minplus_with_cost
-from .filtered import filter_rows, filtered_product, filtered_product_with_cost
+from .filtered import filtered_product, filtered_product_with_cost
 
 __all__ = [
     "MINPLUS_ZERO",
@@ -19,7 +19,6 @@ __all__ = [
     "minplus_product",
     "minplus_square",
     "sparse_minplus_with_cost",
-    "filter_rows",
     "filtered_product",
     "filtered_product_with_cost",
 ]

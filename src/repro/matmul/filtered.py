@@ -21,21 +21,10 @@ import numpy as np
 
 from ..cliquesim.costs import filtered_matmul_rounds
 from ..cliquesim.ledger import RoundLedger
-from ..kernels import filter_rows as _filter_rows_kernel
-from ..kernels import minplus
+from ..kernels import filter_rows, minplus
 from .semiring import density
 
-__all__ = ["filter_rows", "filtered_product", "filtered_product_with_cost"]
-
-
-def filter_rows(m: np.ndarray, rho: int) -> np.ndarray:
-    """Keep only the ``rho`` smallest finite entries in each row
-    (ties by column id); everything else becomes ``inf``.
-
-    Runs on :func:`repro.kernels.filter_rows` (one stable matrix-wide
-    argsort; the stability *is* the deterministic column-id tie-break).
-    """
-    return _filter_rows_kernel(m, rho)
+__all__ = ["filtered_product", "filtered_product_with_cost"]
 
 
 def filtered_product(s: np.ndarray, t: np.ndarray, rho: int) -> np.ndarray:

@@ -37,6 +37,9 @@ of silently answering for the wrong graph.  Newer ``format_version``
 values are rejected; version-1 artifacts (everything inside
 ``arrays.npz``) keep loading bit-identically — the read-compat shim is
 simply that ``estimates.npy`` is optional on read.
+
+Every artifact directory, plain or sharded (:mod:`repro.oracle.sharded`),
+is written by one crash-safe staged writer, :func:`_write_staged`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -261,6 +264,45 @@ def _embed_graph(g: AnyGraph, arrays: Dict[str, np.ndarray]) -> None:
         arrays["graph_edges"] = np.asarray(g.edges(), dtype=np.int64)
 
 
+def _resolve_build(
+    g: AnyGraph,
+    variant: str,
+    eps: Optional[float],
+    r: Optional[int],
+    params: Optional[Dict[str, object]],
+    rng: Optional[np.random.Generator],
+) -> Tuple[
+    variants_registry.VariantSpec, Dict[str, object], np.random.Generator
+]:
+    """The front half of every build (:func:`build_oracle` and the
+    streamed sharded build): the variant's spec, the graph-support check,
+    the ``eps`` / ``r`` shortcuts merged into ``params`` and resolved
+    against the spec's schema, and the default rng.  An unknown variant
+    or an unsupported graph flavour is an :class:`ArtifactError`."""
+    try:
+        spec = variants_registry.get_variant(variant)
+    except UnknownVariantError:
+        raise ArtifactError(
+            f"unknown oracle variant {variant!r}; expected one of "
+            f"{_variant_names()}"
+        )
+    try:
+        spec.check_graph_support(isinstance(g, WeightedGraph))
+    except variants_registry.VariantError as exc:
+        # Unsupported graph flavour is a build failure, not a schema
+        # error — keep the documented ArtifactError contract.
+        raise ArtifactError(str(exc))
+    merged = dict(params or {})
+    if eps is not None:
+        merged.setdefault("eps", eps)
+    if r is not None:
+        merged.setdefault("r", r)
+    resolved = spec.resolve_params(merged, n=g.n)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return spec, resolved, rng
+
+
 def build_oracle(
     g: AnyGraph,
     variant: str = "near-additive",
@@ -290,30 +332,7 @@ def build_oracle(
     stores the result in the manifest under ``build_profile``
     (``repro build-oracle --profile`` prints the joined table).
     """
-    try:
-        spec = variants_registry.get_variant(variant)
-    except UnknownVariantError:
-        raise ArtifactError(
-            f"unknown oracle variant {variant!r}; expected one of "
-            f"{_variant_names()}"
-        )
-    weighted = isinstance(g, WeightedGraph)
-    try:
-        spec.check_graph_support(weighted)
-    except variants_registry.VariantError as exc:
-        # Unsupported graph flavour is a build failure, not a schema
-        # error — keep the documented ArtifactError contract.
-        raise ArtifactError(str(exc))
-
-    merged = dict(params or {})
-    if eps is not None:
-        merged.setdefault("eps", eps)
-    if r is not None:
-        merged.setdefault("r", r)
-    resolved = spec.resolve_params(merged, n=g.n)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
+    spec, resolved, rng = _resolve_build(g, variant, eps, r, params, rng)
     manifest = _manifest_base(g, spec.name, resolved, include_graph)
 
     if profile:
@@ -420,13 +439,22 @@ def _array_digest(arr: np.ndarray) -> str:
     manifest's ``checksums`` record and :meth:`OracleArtifact.verify`
     recompute)."""
     a = np.ascontiguousarray(arr)
+    return _streamed_digest(a.dtype, a.shape, (a,))
+
+
+def _streamed_digest(dtype: np.dtype, shape: Tuple[int, ...], chunks) -> str:
+    """The :func:`_array_digest` of a logical array whose bytes arrive as
+    a sequence of contiguous chunks — what lets the sharded writer record
+    canonical checksums without ever materializing the merged array."""
     h = hashlib.sha256()
-    h.update(a.dtype.str.encode())
-    h.update(repr(a.shape).encode())
-    try:
-        h.update(memoryview(a).cast("B"))
-    except (TypeError, ValueError):
-        h.update(a.tobytes())
+    h.update(np.dtype(dtype).str.encode())
+    h.update(repr(tuple(int(s) for s in shape)).encode())
+    for chunk in chunks:
+        a = np.ascontiguousarray(chunk)
+        try:
+            h.update(memoryview(a).cast("B"))
+        except (TypeError, ValueError):
+            h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -471,67 +499,106 @@ def _reap_workdirs(path: str) -> None:
         shutil.rmtree(stale, ignore_errors=True)
 
 
-def save_artifact(artifact: OracleArtifact, path: str) -> None:
-    """Write an artifact directory crash-safely in the current format.
+def _write_staged(
+    path: str,
+    npy_files: Iterable[Tuple[str, np.ndarray]],
+    npz_files: Dict[str, Dict[str, np.ndarray]],
+    manifest: Callable[[str], Dict[str, object]],
+) -> Dict[str, object]:
+    """The one crash-safe artifact writer: :func:`save_artifact` and the
+    sharded layout (:mod:`repro.oracle.sharded`) both write through it.
 
-    The payload (``manifest.json`` + ``arrays.npz``, with matrix/sources
-    estimates split out to an uncompressed, mmap-able ``estimates.npy``)
-    is staged in a ``<path>.tmp-<pid>`` sibling directory, every file is
-    fsynced, and the staged directory is atomically renamed into place —
-    an interrupt at *any* point leaves either the previous artifact or
-    no artifact, never a half-written directory that ``load_artifact``
-    accepts.  Leftover tmp directories from interrupted saves are reaped
-    on the next save to the same path.  The written manifest is
-    normalized to :data:`FORMAT_VERSION` and gains per-array SHA-256
-    ``checksums`` (what ``repro verify-artifact`` /
-    :meth:`OracleArtifact.verify` check); the in-memory ``artifact`` is
-    not mutated.
+    Everything is staged in a ``<path>.tmp-<pid>`` sibling directory
+    (file names are relative to it and may sit one subdirectory down):
+    first each uncompressed, mmap-able ``.npy`` of ``npy_files`` — read
+    lazily, so a producer can stream them and drop each array once it is
+    staged — then each compressed ``.npz`` of ``npz_files``.  Only then
+    is ``manifest(staging_dir)`` called (it may read the staged files
+    back); its result is written last, because a staged directory is
+    complete exactly when its manifest exists.  Every file and every
+    staged directory is fsynced, and :func:`_commit_staged` renames the
+    staging into place, so an interrupt at *any* point leaves either the
+    previous artifact or none, never a half-written directory that
+    :func:`load_artifact` accepts; an in-process failure also removes
+    the staging.  The ``artifact.save`` fault point fires at each stage
+    (``begin``, ``estimates`` after the ``.npy`` files, ``arrays``,
+    ``manifest``, then ``rename`` / ``swap``).  Leftover tmp/old
+    directories of interrupted saves to the same path are reaped first.
+    Returns the written manifest.
     """
     path = os.path.abspath(path)
     _reap_workdirs(path)
     tmp = f"{path}.tmp-{os.getpid()}"
+    os.makedirs(tmp)
+    subdirs: List[str] = []
+
+    def staged(rel: str) -> str:
+        full = os.path.join(tmp, rel)
+        parent = os.path.dirname(full)
+        if parent != tmp and parent not in subdirs:
+            os.makedirs(parent)
+            subdirs.append(parent)
+        return full
+
+    try:
+        FAULTS.fire("artifact.save", stage="begin")
+        for rel, arr in npy_files:
+            with open(staged(rel), "wb") as fh:
+                np.save(fh, np.ascontiguousarray(arr))
+                _fsync_fh(fh)
+            del arr  # a streamed array is freed before the next is made
+        FAULTS.fire("artifact.save", stage="estimates")
+        for rel, arrays in npz_files.items():
+            with open(staged(rel), "wb") as fh:
+                np.savez_compressed(fh, **arrays)
+                _fsync_fh(fh)
+        FAULTS.fire("artifact.save", stage="arrays")
+        written = manifest(tmp)
+        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
+            json.dump(written, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            _fsync_fh(fh)
+        FAULTS.fire("artifact.save", stage="manifest")
+        for d in subdirs + [tmp]:
+            _fsync_dir(d)
+        _commit_staged(tmp, path)
+    except BaseException:
+        # An in-process failure cleans its staging up; a hard crash
+        # leaves the tmp dir for the next save's reap.  Either way the
+        # final path holds the old artifact or none.
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return written
+
+
+def save_artifact(artifact: OracleArtifact, path: str) -> None:
+    """Write an artifact directory crash-safely in the current format
+    (through :func:`_write_staged`).
+
+    The payload is ``manifest.json`` + ``arrays.npz``, with
+    matrix/sources estimates split out to an uncompressed, mmap-able
+    ``estimates.npy``.  The written manifest is normalized to
+    :data:`FORMAT_VERSION` and gains per-array SHA-256 ``checksums``
+    (what ``repro verify-artifact`` / :meth:`OracleArtifact.verify`
+    check); the in-memory ``artifact`` is not mutated.
+    """
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
     arrays = dict(artifact.arrays)
     estimates = arrays.pop(_MMAP_KEY, None)
+    checksums = {name: _array_digest(a) for name, a in arrays.items()}
+    npy_files = []
     if estimates is not None:
         estimates = np.ascontiguousarray(estimates, dtype=np.float64)
-    checksums = {name: _array_digest(a) for name, a in arrays.items()}
-    if estimates is not None:
         checksums[_MMAP_KEY] = _array_digest(estimates)
+        npy_files.append((ESTIMATES_NAME, estimates))
     manifest["checksums"] = checksums
-    os.makedirs(tmp)
-    try:
-        FAULTS.fire("artifact.save", stage="begin")
-        if estimates is not None:
-            with open(os.path.join(tmp, ESTIMATES_NAME), "wb") as fh:
-                np.save(fh, estimates)
-                _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="estimates")
-        with open(os.path.join(tmp, ARRAYS_NAME), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="arrays")
-        # The manifest is written last: a staged directory is complete
-        # exactly when its manifest exists.
-        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="manifest")
-        _fsync_dir(tmp)
-    except BaseException:
-        # An in-process failure cleans its staging up; a hard crash
-        # leaves the tmp dir for the next save's reap.  Either way the
-        # final path was never touched.
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    _commit_staged(tmp, path)
+    _write_staged(path, npy_files, {ARRAYS_NAME: arrays}, lambda _: manifest)
 
 
 def _commit_staged(tmp: str, path: str) -> None:
     """Atomically promote a fully-written staging directory to ``path``
-    (shared by :func:`save_artifact` and the sharded writer)."""
+    (the last step of :func:`_write_staged`)."""
     FAULTS.fire("artifact.save", stage="rename")
     if os.path.isdir(path):
         # Swap: move the old artifact aside, rename the staged one in,
@@ -546,7 +613,6 @@ def _commit_staged(tmp: str, path: str) -> None:
         except BaseException:
             if not os.path.exists(path):
                 os.rename(old, path)
-            shutil.rmtree(tmp, ignore_errors=True)
             raise
         shutil.rmtree(old, ignore_errors=True)
     else:

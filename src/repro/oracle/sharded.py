@@ -29,25 +29,35 @@ and shard only the query routing (every shard answers over the same
 load-time CSR); ``sources`` artifacts cannot be
 sharded (either endpoint may answer, so no id-range owns a query).
 
-The manifest's ``checksums`` are the digests of the *logical* arrays
-(``bunch_srcs``/``bunch_dsts``/``bunch_ds``, ...), computed by
-streaming over the shard files — so a merged load verifies with the
-ordinary :meth:`~repro.oracle.artifact.OracleArtifact.verify`, and a
-sharded save of an artifact round-trips bit-identically through
+Every layout is written by :func:`_write_sharded`, which takes the
+per-shard array dicts as an iterator and writes through the one staged
+writer, :func:`~repro.oracle.artifact._write_staged` — the same
+``<path>.tmp-<pid>`` staging, file *and* directory fsyncs (the staging
+dir, each ``shard-XXXX/`` and ``shared/``), manifest-last rule, atomic
+swap and ``artifact.save`` fault-point stages as ``save_artifact``.  It
+stages each shard as it arrives, then records as ``checksums`` the
+digests of the *logical* arrays (``bunch_srcs``/``bunch_dsts``/
+``bunch_ds``, ...), streamed from the staged shard files — so a merged
+load verifies with the ordinary
+:meth:`~repro.oracle.artifact.OracleArtifact.verify`, and a sharded
+save of an artifact round-trips bit-identically through
 :func:`~repro.oracle.artifact.load_artifact` (which detects the layout
-and merges transparently).  Writes stage in a ``<path>.tmp-<pid>``
-sibling and commit with the same atomic swap as ``save_artifact``,
-firing the same ``artifact.save`` fault-point stages.
+and merges transparently).  ``save_sharded_artifact`` feeds it
+:func:`_partition_arrays` of an in-memory artifact.
 
 **Streaming build** — ``build_sharded_oracle(g, path, shards)`` for the
-``tz`` variant consumes
-:func:`repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks`, whose
-per-source-range blocks are already canonical, and writes each shard as
-soon as its vertex range is complete: peak resident arc memory is
+``tz`` variant feeds it :func:`_tz_shard_parts`, which cuts the
+per-source-range blocks of
+:func:`repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks` (already
+canonical) at the shard bounds and yields each shard as soon as its
+vertex range is complete: peak resident arc memory is
 ``O(n^{1+1/k} / S)`` plus one in-flight block, not the whole relation,
 or the generator's cluster-pass working set if that is larger (the
-manifest records ``stats.peak_resident_arcs``).  Other variants build
-in memory and re-partition.
+manifest records ``stats.peak_resident_arcs``).  Its front half and its
+manifest summary are the unsharded build's, so ``name``, the stretch,
+``params`` and ``stats`` (``bunch_edges`` counts stored arcs in both)
+agree with ``build_oracle``.  Other variants build in memory and
+re-partition.
 
 **ShardedOracle** — routes batched queries by vertex id to a persistent
 pool of forked worker processes, one per shard (the parent never loads
@@ -84,20 +94,19 @@ received request, which is how the chaos suite kills one mid-burst.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shutil
 import threading
 import time
 import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import multiprocessing
 
 import numpy as np
 
-from .. import variants as variants_registry
 from ..kernels.parallel import (
     ParallelFallback,
     fork_available,
@@ -106,7 +115,6 @@ from ..kernels.parallel import (
 )
 from ..telemetry import instruments as _instr
 from ..telemetry import metrics as _metrics
-from ..variants import UnknownVariantError
 from .artifact import (
     ARRAYS_NAME,
     FORMAT_VERSION,
@@ -116,13 +124,13 @@ from .artifact import (
     ArtifactMismatch,
     OracleArtifact,
     _array_digest,
-    _commit_staged,
     _embed_graph,
-    _fsync_fh,
     _manifest_base,
     _manifest_finish,
-    _reap_workdirs,
+    _resolve_build,
+    _streamed_digest,
     _validate_manifest,
+    _write_staged,
     build_oracle,
     graph_fingerprint,
 )
@@ -169,6 +177,8 @@ def _shard_dir(index: int) -> str:
 def _shard_bounds(n: int, shards: int) -> np.ndarray:
     """The canonical vertex split (``shard_edges``); ``len - 1`` is the
     *effective* shard count (clamped to ``n``)."""
+    if shards < 1:
+        raise ArtifactError(f"shards must be >= 1, got {shards}")
     return shard_edges(n, int(shards))
 
 
@@ -195,57 +205,6 @@ def is_sharded_artifact(path: str) -> bool:
 # Writing
 # ----------------------------------------------------------------------
 
-class _StagedWriter:
-    """Crash-safe sharded-artifact writer: every file lands in a
-    ``<path>.tmp-<pid>`` sibling, the manifest is written last, and
-    ``finish`` promotes the staging atomically (same swap + fault-point
-    stages as ``save_artifact``)."""
-
-    def __init__(self, path: str):
-        self.final = os.path.abspath(path)
-        _reap_workdirs(self.final)
-        self.tmp = f"{self.final}.tmp-{os.getpid()}"
-        os.makedirs(self.tmp)
-        FAULTS.fire("artifact.save", stage="begin")
-
-    def _ensure_parent(self, rel: str) -> str:
-        full = os.path.join(self.tmp, rel)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        return full
-
-    def save_array(self, rel: str, arr: np.ndarray) -> None:
-        """One uncompressed, mmap-able ``.npy`` under the staging."""
-        with open(self._ensure_parent(rel), "wb") as fh:
-            np.save(fh, np.ascontiguousarray(arr))
-            _fsync_fh(fh)
-
-    def save_npz(self, rel: str, arrays: Dict[str, np.ndarray]) -> None:
-        with open(self._ensure_parent(rel), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            _fsync_fh(fh)
-
-    def staged(self, rel: str) -> str:
-        """Path of an already-staged file (the digest pass re-reads
-        shard files from the staging before the manifest is written)."""
-        return os.path.join(self.tmp, rel)
-
-    def finish(self, manifest: Dict[str, object]) -> None:
-        try:
-            FAULTS.fire("artifact.save", stage="arrays")
-            with open(os.path.join(self.tmp, MANIFEST_NAME), "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-                _fsync_fh(fh)
-            FAULTS.fire("artifact.save", stage="manifest")
-        except BaseException:
-            self.abort()
-            raise
-        _commit_staged(self.tmp, self.final)
-
-    def abort(self) -> None:
-        shutil.rmtree(self.tmp, ignore_errors=True)
-
-
 def _local_bunch_csr(
     n: int, lo: int, hi: int, srcs: np.ndarray,
 ) -> np.ndarray:
@@ -260,61 +219,50 @@ def _local_bunch_csr(
     return indptr
 
 
-def _streamed_digest(dtype: np.dtype, shape: Tuple[int, ...], chunks) -> str:
-    """The :func:`~repro.oracle.artifact._array_digest` of a logical
-    array whose bytes arrive as a sequence of contiguous chunks —
-    what lets the streaming builder record canonical checksums without
-    ever materializing the merged array."""
-    h = hashlib.sha256()
-    h.update(np.dtype(dtype).str.encode())
-    h.update(repr(tuple(int(s) for s in shape)).encode())
-    for chunk in chunks:
-        a = np.ascontiguousarray(chunk)
-        try:
-            h.update(memoryview(a).cast("B"))
-        except (TypeError, ValueError):
-            h.update(a.tobytes())
-    return h.hexdigest()
-
-
-def _bunch_shard_checksums(
-    n: int, bounds: np.ndarray, shard_files
+def _logical_checksums(
+    staged: str, kind: str, bounds: np.ndarray
 ) -> Dict[str, str]:
-    """Canonical ``bunch_*`` digests computed shard-at-a-time.
+    """The digests of the logical arrays a sharded layout splits,
+    streamed shard by shard over the staged (mmap'd) shard files.
 
-    ``shard_files(i)`` returns ``(indptr, cols, ds)`` arrays (typically
-    mmap'd) for shard ``i``; concatenating shards in order *is* the
-    canonical global array, so streaming each shard's bytes through one
-    hash per logical array reproduces ``_array_digest`` of the merged
-    arrays exactly."""
-    shards = bounds.size - 1
-    total = 0
-    srcs_chunks: List[np.ndarray] = []
-    cols_chunks: List[np.ndarray] = []
-    ds_chunks: List[np.ndarray] = []
+    Concatenating the shards in bound order *is* the canonical array
+    (``bunch_srcs`` is each shard's clamped CSR expanded over its own
+    range), so one hash per logical array over the shards' bytes
+    reproduces ``_array_digest`` of the merged array exactly."""
+    n = int(bounds[-1])
+    shards = range(bounds.size - 1)
 
-    def _chunks(kind: str) -> Iterator[np.ndarray]:
-        for i in range(shards):
+    def files(i: int) -> Dict[str, np.ndarray]:
+        return _load_shard_files(staged, kind, i)
+
+    if kind == "matrix":
+        return {"estimates": _streamed_digest(
+            np.float64, (n, n), (files(i)["estimates"] for i in shards)
+        )}
+    if kind != "bunches":
+        return {}
+
+    def srcs() -> Iterator[np.ndarray]:
+        for i in shards:
             lo, hi = int(bounds[i]), int(bounds[i + 1])
-            indptr, cols, ds = shard_files(i)
-            if kind == "srcs":
-                counts = np.diff(indptr[lo:hi + 1])
-                yield np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), counts
-                )
-            elif kind == "cols":
-                yield np.asarray(cols, dtype=np.int64)
-            else:
-                yield np.asarray(ds, dtype=np.float64)
+            indptr = np.asarray(files(i)["indptr"], dtype=np.int64)
+            yield np.repeat(
+                np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1])
+            )
 
-    for i in range(shards):
-        _, cols, _ = shard_files(i)
-        total += int(np.asarray(cols).size)
-    shape = (total,)
+    def column(name: str, dtype) -> Iterator[np.ndarray]:
+        for i in shards:
+            yield np.asarray(files(i)[name], dtype=dtype)
+
+    shape = (sum(int(files(i)["cols"].size) for i in shards),)
     return {
-        "bunch_srcs": _streamed_digest(np.int64, shape, _chunks("srcs")),
-        "bunch_dsts": _streamed_digest(np.int64, shape, _chunks("cols")),
-        "bunch_ds": _streamed_digest(np.float64, shape, _chunks("ds")),
+        "bunch_srcs": _streamed_digest(np.int64, shape, srcs()),
+        "bunch_dsts": _streamed_digest(
+            np.int64, shape, column("cols", np.int64)
+        ),
+        "bunch_ds": _streamed_digest(
+            np.float64, shape, column("ds", np.float64)
+        ),
     }
 
 
@@ -362,66 +310,134 @@ def _partition_arrays(
     return parts, shared
 
 
+def _write_sharded(
+    path: str,
+    kind: str,
+    bounds: np.ndarray,
+    parts: Iterable[Dict[str, np.ndarray]],
+    shared: Dict[str, np.ndarray],
+    manifest: Callable[[], Dict[str, object]],
+) -> Dict[str, object]:
+    """Write the sharded layout through the one staged writer
+    (:func:`~repro.oracle.artifact._write_staged`); returns the written
+    manifest.
+
+    ``parts`` yields one dict of arrays per shard (the
+    :func:`_partition_arrays` shape), each staged as
+    ``shard-XXXX/<name>.npy`` as soon as it arrives and popped from its
+    dict, so a streaming producer never holds a finished shard.
+    ``shared`` becomes ``shared/arrays.npz`` (when non-empty).
+    ``manifest()`` is called once every part is staged, so a producer's
+    stats are complete; the written manifest adds the logical-array
+    ``checksums`` (streamed from the staged shard files, plus the shared
+    arrays' digests) and the shard map."""
+
+    def shard_files() -> Iterator[Tuple[str, np.ndarray]]:
+        for i, part in enumerate(parts):
+            for name in list(part):
+                rel = os.path.join(_shard_dir(i), f"{name}.npy")
+                yield rel, part.pop(name)
+
+    def finish(staged: str) -> Dict[str, object]:
+        out = dict(manifest())
+        out["format_version"] = FORMAT_VERSION
+        checksums = _logical_checksums(staged, kind, bounds)
+        checksums.update({k: _array_digest(v) for k, v in shared.items()})
+        out["checksums"] = checksums
+        out[SHARD_MAP_KEY] = {
+            "layout_version": SHARD_LAYOUT_VERSION,
+            "shards": int(bounds.size - 1),
+            "bounds": [int(b) for b in bounds],
+        }
+        return out
+
+    npz = {os.path.join(SHARED_DIR, ARRAYS_NAME): shared} if shared else {}
+    return _write_staged(path, shard_files(), npz, finish)
+
+
 def save_sharded_artifact(
     artifact: OracleArtifact, path: str, shards: int
 ) -> Dict[str, object]:
     """Re-partition an in-memory artifact into the sharded layout
-    (:func:`_partition_arrays`).
+    (:func:`_partition_arrays`, written by :func:`_write_sharded`).
 
     The recorded ``checksums`` are the canonical logical-array digests,
-    streamed over the shard arrays, so a merged
-    :func:`~repro.oracle.artifact.load_artifact` of the result verifies
-    and serves bit-identically to the original.  Returns the written
-    manifest."""
-    if shards < 1:
-        raise ArtifactError(f"shards must be >= 1, got {shards}")
+    so a merged :func:`~repro.oracle.artifact.load_artifact` of the
+    result verifies and serves bit-identically to the original.  Returns
+    the written manifest."""
     kind = artifact.kind
     if kind not in _SHARDABLE_KINDS:
         raise ArtifactError(
             f"artifact kind {kind!r} cannot be sharded; supported kinds: "
             f"{list(_SHARDABLE_KINDS)}"
         )
-    n = artifact.n
-    bounds = _shard_bounds(n, shards)
-    eff = bounds.size - 1
-    manifest = dict(artifact.manifest)
-    manifest["format_version"] = FORMAT_VERSION
-    checksums: Dict[str, str] = {}
+    bounds = _shard_bounds(artifact.n, shards)
+    parts, shared = _partition_arrays(
+        kind, artifact.n, artifact.arrays, bounds
+    )
+    return _write_sharded(
+        path, kind, bounds, parts, shared, lambda: artifact.manifest
+    )
 
-    parts, shared = _partition_arrays(kind, n, artifact.arrays, bounds)
-    if kind == "bunches":
-        checksums.update(_bunch_shard_checksums(
-            n, bounds,
-            lambda i: (parts[i]["indptr"], parts[i]["cols"], parts[i]["ds"]),
-        ))
-    elif kind == "matrix":
-        checksums["estimates"] = _streamed_digest(
-            np.float64, (n, n), (part["estimates"] for part in parts)
-        )
 
-    writer = _StagedWriter(path)
-    try:
-        for i, part in enumerate(parts):
-            for name, arr in part.items():
-                writer.save_array(
-                    os.path.join(_shard_dir(i), f"{name}.npy"), arr
-                )
-        if shared:
-            writer.save_npz(os.path.join(SHARED_DIR, ARRAYS_NAME), shared)
-        checksums.update(
-            {k: _array_digest(v) for k, v in shared.items()}
-        )
-        manifest["checksums"] = checksums
-        manifest[SHARD_MAP_KEY] = {
-            "layout_version": SHARD_LAYOUT_VERSION,
-            "shards": int(eff),
-            "bounds": [int(b) for b in bounds],
+def _tz_shard_parts(
+    g, hierarchy, bounds: np.ndarray, stats: Dict[str, object]
+) -> Iterator[Dict[str, np.ndarray]]:
+    """The canonical TZ arc blocks
+    (:func:`~repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks`) cut
+    at the shard bounds: one bunches part per shard (the
+    :func:`_partition_arrays` shape), yielded as soon as the blocks have
+    passed its vertex range.  Block sources are sorted, so a
+    searchsorted cut is exact.
+
+    Once exhausted it has filled ``stats`` with ``shard_arcs`` (arcs per
+    shard) and ``peak_resident_arcs``: the most arcs held at once — the
+    current shard's buffer plus the in-flight block, or the generator's
+    cluster-pass working set (``pass_arcs``) if that is larger."""
+    # Looked up per call, so a tracer that wraps the module's generator
+    # sees this build.
+    from ..emulator import thorup_zwick
+
+    n = int(g.n)
+    ends = [int(b) for b in bounds[1:]]
+    shard_arcs: List[int] = []
+    # The current shard's srcs / dsts / dists slices.
+    pending: Tuple[List[np.ndarray], ...] = ([], [], [])
+    cur = buffered = peak = 0
+
+    def take(block, a: int, b: Optional[int] = None) -> None:
+        for buf, arcs in zip(pending, block[2:]):
+            buf.append(arcs[a:b])
+
+    def part() -> Dict[str, np.ndarray]:
+        srcs, cols, ds = thorup_zwick._concat_arcs(*pending)
+        for buf in pending:
+            buf.clear()
+        shard_arcs.append(int(srcs.size))
+        return {
+            "indptr": _local_bunch_csr(n, int(bounds[cur]), ends[cur], srcs),
+            "cols": cols,
+            "ds": ds,
         }
-        writer.finish(manifest)
-    except BaseException:
-        writer.abort()
-        raise
-    return manifest
+
+    for block in thorup_zwick.iter_tz_bunch_arc_blocks(g, hierarchy):
+        hi, bs = block[1], block[2]
+        # The generator holds its cluster pass before the first block and
+        # only the block it yields afterwards.
+        peak = max(peak, block.pass_arcs, buffered + bs.size)
+        start = 0
+        while cur < len(ends) - 1 and hi > ends[cur]:
+            cut = int(np.searchsorted(bs, ends[cur], side="left"))
+            take(block, start, cut)
+            yield part()
+            buffered, cur, start = 0, cur + 1, cut
+        take(block, start)
+        buffered += bs.size - start
+    while cur < len(ends):
+        yield part()
+        cur += 1
+    stats["shard_arcs"] = shard_arcs
+    stats["peak_resident_arcs"] = int(peak)
 
 
 def build_sharded_oracle(
@@ -439,17 +455,20 @@ def build_sharded_oracle(
     """Build a sharded artifact directly at ``path``; returns the
     manifest.
 
-    For the ``tz`` variant this **streams**: bunch arcs are consumed
-    from :func:`~repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks`
-    in ascending source ranges and each shard's files are written (and
-    the buffers dropped) as soon as its range completes — peak resident
-    arc memory is one shard plus one in-flight block, or the generator's
-    cluster-pass working set if larger, recorded in the manifest as
-    ``stats.peak_resident_arcs``.  The hierarchy sampling,
-    the per-range arc rule, and the canonical ordering are exactly
-    :func:`build_oracle`'s, so the merged load is bit-identical to an
-    unsharded build with the same seed.  Any other variant builds in
-    memory via :func:`build_oracle` and re-partitions."""
+    For the ``tz`` variant this **streams**: :func:`_tz_shard_parts`
+    cuts the canonical blocks of
+    :func:`~repro.emulator.thorup_zwick.iter_tz_bunch_arc_blocks` at the
+    shard bounds and :func:`_write_sharded` stages each shard as soon as
+    its range completes — peak resident arc memory is one shard plus one
+    in-flight block, or the generator's cluster-pass working set if
+    larger, recorded in the manifest as ``stats.peak_resident_arcs``.
+    The front half (:func:`~repro.oracle.artifact._resolve_build`), the
+    hierarchy sampling, the per-range arc rule, the canonical ordering
+    and the manifest summary are :func:`build_oracle`'s, so the merged
+    load and the manifest's ``name``, stretch, ``params`` and ``stats``
+    equal an unsharded build with the same seed.  Any other variant
+    builds in memory via :func:`build_oracle` and re-partitions."""
+    bounds = _shard_bounds(g.n, shards)  # a bad count fails before the build
     if variant != "tz":
         artifact = build_oracle(
             g, variant=variant, eps=eps, r=r, rng=rng,
@@ -459,156 +478,29 @@ def build_sharded_oracle(
     extra.pop("profile", None)  # the streamed build is not profiled
 
     from ..emulator.sampling import sample_hierarchy
-    from ..emulator.thorup_zwick import iter_tz_bunch_arc_blocks
+    from ..emulator.thorup_zwick import _tz_summary
 
-    try:
-        spec = variants_registry.get_variant(variant)
-    except UnknownVariantError:
-        raise ArtifactError(f"unknown oracle variant {variant!r}")
-    from ..graph.graph import WeightedGraph
-
-    try:
-        spec.check_graph_support(isinstance(g, WeightedGraph))
-    except variants_registry.VariantError as exc:
-        raise ArtifactError(str(exc))
-    merged = dict(params or {})
-    if eps is not None:
-        merged.setdefault("eps", eps)
-    if r is not None:
-        merged.setdefault("r", r)
-    resolved = spec.resolve_params(merged, n=g.n)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    spec, resolved, rng = _resolve_build(g, variant, eps, r, params, rng)
     hierarchy = sample_hierarchy(g.n, int(resolved["r"]), rng)
-    k = hierarchy.r + 1
+    shared: Dict[str, np.ndarray] = {
+        "tz_levels": np.asarray(hierarchy.levels, dtype=np.int64),
+    }
+    if include_graph:
+        _embed_graph(g, shared)
+    stream: Dict[str, object] = {}
 
-    n = int(g.n)
-    bounds = _shard_bounds(n, shards)
-    eff = bounds.size - 1
-    writer = _StagedWriter(path)
-    try:
-        cur = 0  # shard currently accumulating
-        buf_s: List[np.ndarray] = []
-        buf_d: List[np.ndarray] = []
-        buf_w: List[np.ndarray] = []
-        buffered = 0
-        peak = 0
-        total_arcs = 0
-        shard_counts = np.zeros(eff, dtype=np.int64)
-
-        def _flush(i: int) -> None:
-            nonlocal buffered, total_arcs
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            srcs = (
-                np.concatenate(buf_s) if buf_s
-                else np.empty(0, dtype=np.int64)
-            )
-            cols = (
-                np.concatenate(buf_d) if buf_d
-                else np.empty(0, dtype=np.int64)
-            )
-            ds = (
-                np.concatenate(buf_w) if buf_w
-                else np.empty(0, dtype=np.float64)
-            )
-            d = _shard_dir(i)
-            writer.save_array(
-                os.path.join(d, "indptr.npy"),
-                _local_bunch_csr(n, lo, hi, srcs),
-            )
-            writer.save_array(os.path.join(d, "cols.npy"), cols)
-            writer.save_array(os.path.join(d, "ds.npy"), ds)
-            shard_counts[i] = srcs.size
-            total_arcs += srcs.size
-            buf_s.clear()
-            buf_d.clear()
-            buf_w.clear()
-            buffered = 0
-
-        for block in iter_tz_bunch_arc_blocks(g, hierarchy):
-            lo, hi, bs, bd, bw = block
-            # The generator holds its cluster pass before the first block
-            # and only the block it yields afterwards.
-            peak = max(peak, block.pass_arcs, buffered + bs.size)
-            # Close out every shard whose range this block has passed.
-            while cur < eff - 1 and lo >= int(bounds[cur + 1]):
-                _flush(cur)
-                cur += 1
-            # Split the block across the shard boundaries it straddles
-            # (block sources are sorted, so a searchsorted cut is exact).
-            start = 0
-            while cur < eff - 1 and hi > int(bounds[cur + 1]):
-                cut = int(
-                    np.searchsorted(bs, int(bounds[cur + 1]), side="left")
-                )
-                if cut > start:
-                    buf_s.append(bs[start:cut])
-                    buf_d.append(bd[start:cut])
-                    buf_w.append(bw[start:cut])
-                    buffered += cut - start
-                _flush(cur)
-                cur += 1
-                start = cut
-            if bs.size > start:
-                buf_s.append(bs[start:])
-                buf_d.append(bd[start:])
-                buf_w.append(bw[start:])
-                buffered += bs.size - start
-        while cur < eff:
-            _flush(cur)
-            cur += 1
-
-        shared: Dict[str, np.ndarray] = {
-            "tz_levels": np.asarray(hierarchy.levels, dtype=np.int64),
-        }
-        if include_graph:
-            _embed_graph(g, shared)
-        writer.save_npz(os.path.join(SHARED_DIR, ARRAYS_NAME), shared)
-
-        # Second pass over the staged shard files (mmap'd, O(shard)
-        # resident): the canonical logical-array checksums.
-        def _staged_shard(i: int):
-            d = _shard_dir(i)
-            return tuple(
-                np.load(
-                    writer.staged(os.path.join(d, f"{name}.npy")),
-                    mmap_mode="r", allow_pickle=False,
-                )
-                for name in ("indptr", "cols", "ds")
-            )
-
-        checksums = _bunch_shard_checksums(n, bounds, _staged_shard)
-        checksums.update(
-            {name: _array_digest(a) for name, a in shared.items()}
+    def manifest() -> Dict[str, object]:
+        summary = _tz_summary(hierarchy, sum(stream["shard_arcs"]))
+        summary["stats"].update(streamed=True, **stream)
+        return _manifest_finish(
+            _manifest_base(g, spec.name, resolved, include_graph),
+            kind=spec.kind, **summary,
         )
 
-        manifest = _manifest_base(g, spec.name, resolved, include_graph)
-        _manifest_finish(
-            manifest,
-            kind=spec.kind,
-            name=f"TZ-bunches[k={k}]",
-            multiplicative=float(2 * k - 1),
-            additive=0.0,
-            stats={
-                "bunch_edges": int(total_arcs),
-                "k": int(k),
-                "set_sizes": hierarchy.sizes(),
-                "streamed": True,
-                "peak_resident_arcs": int(peak),
-                "shard_arcs": [int(c) for c in shard_counts],
-            },
-        )
-        manifest["checksums"] = checksums
-        manifest[SHARD_MAP_KEY] = {
-            "layout_version": SHARD_LAYOUT_VERSION,
-            "shards": int(eff),
-            "bounds": [int(b) for b in bounds],
-        }
-        writer.finish(manifest)
-    except BaseException:
-        writer.abort()
-        raise
-    return manifest
+    return _write_sharded(
+        path, spec.kind, bounds,
+        _tz_shard_parts(g, hierarchy, bounds, stream), shared, manifest,
+    )
 
 
 # ----------------------------------------------------------------------

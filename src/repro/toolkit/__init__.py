@@ -6,7 +6,7 @@ from .hitting import (
     random_hitting_set,
     unhit_sets,
 )
-from .nearest import kd_nearest, kd_nearest_bfs, kd_nearest_matrix
+from .nearest import kd_nearest_bfs, kd_nearest_matrix
 from .source_detection import source_detection, source_detection_k
 from .hopsets import BoundedHopset, build_bounded_hopset, hopset_beta
 from .through_sets import distance_through_sets
@@ -16,7 +16,6 @@ __all__ = [
     "hits_all",
     "random_hitting_set",
     "unhit_sets",
-    "kd_nearest",
     "kd_nearest_bfs",
     "kd_nearest_matrix",
     "source_detection",

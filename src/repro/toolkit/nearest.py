@@ -26,7 +26,7 @@ Two implementations are provided and cross-validated in tests:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from ..cliquesim.costs import kd_nearest_rounds
 from ..cliquesim.ledger import RoundLedger
 from ..graph.graph import Graph
 from ..kernels import NearestRows
-from ..matmul.filtered import filter_rows, filtered_product
+from ..matmul.filtered import filtered_product
 
-__all__ = ["kd_nearest_matrix", "kd_nearest_bfs", "kd_nearest"]
+__all__ = ["kd_nearest_matrix", "kd_nearest_bfs"]
 
 
 def kd_nearest_matrix(
@@ -58,7 +58,7 @@ def kd_nearest_matrix(
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     a = g.adjacency_matrix()
-    cur = filter_rows(a, k)
+    cur = kernels.filter_rows(a, k)
     iterations = max(1, math.ceil(math.log2(d))) if d > 1 else 0
     for _ in range(iterations):
         cur = filtered_product(cur, cur, k)
@@ -66,7 +66,7 @@ def kd_nearest_matrix(
     # re-filter (some rows may have had > k entries within 2d but fewer
     # within d — re-filtering keeps exactly the (k, d)-nearest).
     cur[cur > d] = np.inf
-    cur = filter_rows(cur, k)
+    cur = kernels.filter_rows(cur, k)
     rounds = kd_nearest_rounds(g.n, k, d)
     if ledger is not None:
         ledger.charge(rounds, "(k,d)-nearest")
@@ -99,21 +99,3 @@ def kd_nearest_bfs(
     if ledger is not None:
         ledger.charge(rounds, "(k,d)-nearest")
     return out, rounds
-
-
-def kd_nearest(
-    g: Graph,
-    k: int,
-    d: int,
-    ledger: Optional[RoundLedger] = None,
-    method: str = "bfs",
-) -> Tuple[Union[np.ndarray, NearestRows], float]:
-    """Dispatch between the matrix algorithm (``method="matrix"``, the
-    paper's algorithm verbatim, answering the ``(n, n)`` matrix) and the
-    BFS oracle (``method="bfs"``, default inside larger pipelines for
-    speed, answering :class:`repro.kernels.NearestRows`)."""
-    if method == "matrix":
-        return kd_nearest_matrix(g, k, d, ledger)
-    if method == "bfs":
-        return kd_nearest_bfs(g, k, d, ledger)
-    raise ValueError(f"unknown method {method!r}")

@@ -21,7 +21,7 @@ from repro.graph import generators as gen
 from repro.graph.distances import hop_limited_bellman_ford, multi_source_bfs
 from repro.kernels import reference as ref
 from repro.kernels.config import reference_forced
-from repro.matmul import filter_rows, minplus_power, minplus_product
+from repro.matmul import minplus_power, minplus_product
 from repro.toolkit import kd_nearest_bfs, source_detection, source_detection_k
 
 
@@ -167,10 +167,6 @@ class TestFilterRowsKernel:
     def test_negative_rho(self):
         with pytest.raises(ValueError):
             kernels.filter_rows(np.ones((1, 1)), -1)
-
-    def test_public_filter_rows_is_kernel(self, rng):
-        m = random_minplus_matrix(rng, 9, 9, 0.5)
-        assert exact_equal(filter_rows(m, 4), kernels.filter_rows(m, 4))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro import kernels
 from repro.cliquesim import RoundLedger
 from repro.graph import Graph, generators as gen
 from repro.graph.distances import all_pairs_distances
-from repro.toolkit import kd_nearest, kd_nearest_bfs, kd_nearest_matrix
+from repro.toolkit import kd_nearest_bfs, kd_nearest_matrix
 
 
 class TestEquivalence:
@@ -99,15 +99,6 @@ class TestSemantics:
 
 
 class TestDispatchAndRounds:
-    def test_dispatch_methods(self, triangle):
-        a, _ = kd_nearest(triangle, 2, 1, method="bfs")
-        b, _ = kd_nearest(triangle, 2, 1, method="matrix")
-        assert np.array_equal(a.dense(), b)
-
-    def test_dispatch_unknown(self, triangle):
-        with pytest.raises(ValueError):
-            kd_nearest(triangle, 1, 1, method="quantum")
-
     def test_rounds_charged_equally(self, small_er):
         la, lb = RoundLedger(), RoundLedger()
         _, ra = kd_nearest_matrix(small_er, 4, 4, ledger=la)

@@ -271,6 +271,62 @@ class TestCrashSafeSave:
         assert load_artifact(path, verify=True)
 
 
+def _save_sharded(writer, g, path, r):
+    """A 2-shard tz layout at ``path``: a re-partitioned in-memory build
+    (``resave``) or the streamed build (``streamed``)."""
+    if writer == "resave":
+        art = build_oracle(g, variant="tz", r=r, rng=np.random.default_rng(2))
+        oracle.save_sharded_artifact(art, path, shards=2)
+    else:
+        oracle.build_sharded_oracle(
+            g, path, shards=2, variant="tz", r=r,
+            rng=np.random.default_rng(2),
+        )
+
+
+class TestCrashSafeShardedSave:
+    """The sharded layout writes through the same staged writer, so it
+    keeps ``save_artifact``'s old-or-none guarantee at every stage."""
+
+    @pytest.mark.parametrize("writer", ["resave", "streamed"])
+    @pytest.mark.parametrize("stage", _SAVE_STAGES)
+    def test_interrupt_with_no_prior_artifact(
+        self, stage, writer, served_graph, tmp_path
+    ):
+        path = str(tmp_path / "a")
+        if stage == "swap":  # no prior artifact: swap never runs
+            _save_sharded(writer, served_graph, path, r=2)
+            assert load_artifact(path, verify=True)
+            return
+        FAULTS.arm("artifact.save", "error", stage=stage)
+        with pytest.raises(InjectedFault):
+            _save_sharded(writer, served_graph, path, r=2)
+        FAULTS.disarm()
+        with pytest.raises(ArtifactError):
+            load_artifact(path)
+        # An in-process failure removes its own staging.
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("writer", ["resave", "streamed"])
+    @pytest.mark.parametrize("stage", _SAVE_STAGES)
+    def test_interrupt_preserves_old_artifact(
+        self, stage, writer, served_graph, tmp_path
+    ):
+        path = str(tmp_path / "a")
+        _save_sharded(writer, served_graph, path, r=2)
+        FAULTS.arm("artifact.save", "error", stage=stage)
+        with pytest.raises(InjectedFault):
+            _save_sharded(writer, served_graph, path, r=1)
+        FAULTS.disarm()
+        assert os.listdir(tmp_path) == ["a"]
+        survivor = load_artifact(path, verify=True)
+        assert survivor.manifest["params"] == {"r": 2}
+        # The next (healthy) save completes and reaps any leftovers.
+        _save_sharded(writer, served_graph, path, r=1)
+        assert load_artifact(path, verify=True).manifest["params"] == {"r": 1}
+        assert os.listdir(tmp_path) == ["a"]
+
+
 class TestCorruptionDetection:
     @pytest.fixture
     def saved(self, matrix_artifact, tmp_path):

@@ -131,6 +131,68 @@ class TestShardedLayout:
         assert sharded_manifest["shard_map"]["shards"] == 4
         assert sharded_manifest["stats"]["streamed"] is True
 
+    def test_streamed_manifest_matches_unsharded(
+        self, sharded_dir, art_u, tmp_path
+    ):
+        """One TZ summary: the streamed build records the unsharded
+        build's name, stretch, params and stats, and ``bunch_edges`` is
+        the stored arc count in both."""
+        plain = str(tmp_path / "plain")
+        save_artifact(art_u, plain)
+        with open(os.path.join(plain, "manifest.json")) as fh:
+            want = json.load(fh)
+        with open(os.path.join(sharded_dir, "manifest.json")) as fh:
+            got = json.load(fh)
+        for key in ("name", "multiplicative", "additive", "params"):
+            assert got[key] == want[key], key
+        for key in ("bunch_edges", "k", "set_sizes"):
+            assert got["stats"][key] == want["stats"][key], key
+        assert want["stats"]["bunch_edges"] == art_u.arrays["bunch_srcs"].size
+        assert sum(got["stats"]["shard_arcs"]) == got["stats"]["bunch_edges"]
+
+    @pytest.mark.parametrize("writer", ["resave", "streamed"])
+    def test_every_staged_directory_is_fsynced(
+        self, writer, graph_u, art_u, tmp_path, monkeypatch
+    ):
+        """The staging dir, each ``shard-XXXX/`` and ``shared/`` are
+        fsynced before the rename, as ``save_artifact`` does for its
+        one directory."""
+        import repro.oracle.artifact as artifact_mod
+
+        synced = []
+        real = artifact_mod._fsync_dir
+
+        def record(path):
+            synced.append(path)
+            real(path)
+
+        monkeypatch.setattr(artifact_mod, "_fsync_dir", record)
+        path = str(tmp_path / "a")
+        if writer == "resave":
+            save_sharded_artifact(art_u, path, shards=3)
+        else:
+            build_sharded_oracle(
+                graph_u, path, shards=3, variant="tz", r=2,
+                rng=np.random.default_rng(0),
+            )
+        staging = f"{os.path.abspath(path)}.tmp-{os.getpid()}"
+        want = {staging, os.path.join(staging, "shared")} | {
+            os.path.join(staging, f"shard-{i:04d}") for i in range(3)
+        }
+        assert want <= set(synced)
+        # The parent directory is synced after the rename, last.
+        assert synced[-1] == str(tmp_path)
+        assert set(synced[:-1]) == want
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_streamed_build_rejects_nonpositive_shards(
+        self, shards, graph_u, tmp_path
+    ):
+        path = str(tmp_path / "a")
+        with pytest.raises(ArtifactError, match="shards must be >= 1"):
+            build_sharded_oracle(graph_u, path, shards=shards, variant="tz")
+        assert os.listdir(tmp_path) == []
+
     def test_load_artifact_detects_layout(self, sharded_dir, graph_u, art_u):
         via = load_artifact(sharded_dir, expected_graph=graph_u)
         assert np.array_equal(

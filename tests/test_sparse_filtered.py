@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cliquesim import RoundLedger
-from repro.kernels import minplus
+from repro.kernels import filter_rows, minplus
 from repro.matmul import (
-    filter_rows,
     filtered_product,
     filtered_product_with_cost,
     minplus_product,

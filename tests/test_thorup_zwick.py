@@ -131,7 +131,7 @@ class TestTZBunches:
         bunches = build_tz_bunches(g, 2, rng=rng)
         assert bunches.k == 3
         assert bunches.stretch == 5
-        assert bunches.num_edges == bunches.star.m
+        assert bunches.num_edges == bunches.srcs.size
 
 
 class TestAppendixAContainment:
