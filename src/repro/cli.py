@@ -38,6 +38,12 @@ being silently ignored.
 
 The one-shot commands print the measured quality against the exact
 distances and the round-ledger summary.
+
+``repro query`` has one body for both sources: ``--artifact`` sends its
+request dicts to a local :class:`repro.oracle.OracleService`, ``--url``
+posts the same dicts to a server, and both print the same lines.  A
+query the oracle rejects (say, a vertex out of range) prints ``error:``
+and exits 2 locally, 3 from a server.
 """
 
 from __future__ import annotations
@@ -202,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--timeout-ms", type=float, default=None,
-        help="per-request deadline sent to the server (--url only); "
-             "expiry returns the server's 504",
+        help="per-request deadline (local or --url); expiry is the "
+             "service's 504",
     )
     p_query.add_argument("--u", type=int, default=None)
     p_query.add_argument("--v", type=int, default=None)
@@ -607,10 +613,6 @@ def _parse_pairs(spec: str):
     return pairs
 
 
-#: Per-mount option parsers for ``--artifact NAME=PATH,key=value``.
-_MOUNT_OPTION_PARSERS = {"shards": int}
-
-
 def _parse_artifact_mounts(entries):
     """``--artifact`` values: ``PATH`` or ``NAME=PATH``, optionally
     followed by ``,key=value`` per-mount overrides (``shards=S``).
@@ -640,20 +642,10 @@ def _parse_artifact_mounts(entries):
                     f"malformed mount option {part!r} in --artifact "
                     f"entry {entry!r}; expected key=value"
                 )
-            parse = _MOUNT_OPTION_PARSERS.get(key)
-            if parse is None:
-                raise oracle.ArtifactError(
-                    f"unknown mount option {key!r} in --artifact entry "
-                    f"{entry!r}; supported: "
-                    f"{sorted(_MOUNT_OPTION_PARSERS)}"
-                )
-            try:
-                options[key] = parse(value)
-            except ValueError:
-                raise oracle.ArtifactError(
-                    f"mount option {key}={value!r} in --artifact entry "
-                    f"{entry!r} is not a valid {parse.__name__}"
-                )
+            options[key] = value
+        options = oracle.parse_mount_options(
+            options, f"in --artifact entry {entry!r}"
+        )
         mounts.append((name, path, options) if options else (name, path))
     return mounts
 
@@ -758,77 +750,49 @@ def _main_serving(args) -> int:
         )
         return 2
     if args.url is not None:
-        return _main_query_remote(args)
-
+        # Closed on exit, so its keep-alive socket does not outlive the
+        # command.
+        with oracle.OracleClient(args.url) as client:
+            return _query(
+                args, lambda request: client.query(request, name=args.name),
+                source="server", fail=3,
+            )
     engine = oracle.DistanceOracle.load(args.artifact, mmap=args.mmap)
     m = engine.artifact.manifest
     print(
         f"artifact: variant={m['variant']} kind={m['kind']} n={m['n']} "
         f"graph={str(m['graph_hash'])[:12]}…"
     )
-    if args.pairs is not None:
-        pairs = _parse_pairs(args.pairs)
-        us = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        vs = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        values = engine.query_batch(us, vs)
-        rows = [
-            [int(u), int(v), "inf" if not np.isfinite(d) else round(float(d), 3)]
-            for u, v, d in zip(us, vs, values)
-        ]
-        print(format_table(["u", "v", "estimate"], rows))
-        return 0
-    if args.u is None or args.v is None:
-        print("error: query needs --u and --v (or --pairs)", file=sys.stderr)
-        return 2
-    estimate = engine.query(args.u, args.v)
-    shown = "inf (unreachable)" if not np.isfinite(estimate) else f"{estimate:g}"
-    print(f"d({args.u}, {args.v}) <= {shown}")
-    if args.cert:
-        cert = engine.certificate(args.u, args.v)
-        lo = "inf" if not np.isfinite(cert.lower_bound) else f"{cert.lower_bound:g}"
-        print(
-            f"certificate: {lo} <= d <= {shown}  "
-            f"(mult={cert.multiplicative:g}, add={cert.additive:g}, "
-            f"witness={cert.witness})"
-        )
-    if args.want_path:
-        path = engine.path(args.u, args.v)
-        if path is None:
-            print("path: unreachable")
-        else:
-            print(f"path ({len(path) - 1} hops): {' -> '.join(map(str, path))}")
-    return 0
+    return _query(
+        args, oracle.OracleService(engine).handle, source="oracle", fail=2
+    )
 
 
-def _main_query_remote(args) -> int:
-    """``repro query --url``: the same queries over HTTP, through the
-    retrying :class:`repro.oracle.OracleClient` (closed on exit, so its
-    keep-alive socket does not outlive the command)."""
-    with oracle.OracleClient(args.url) as client:
-        return _query_remote(args, client)
-
-
-def _query_remote(args, client) -> int:
-    """The body of :func:`_main_query_remote` over an open ``client``."""
+def _query(args, ask, source: str, fail: int) -> int:
+    """The ``repro query`` body: send the request dicts of
+    :class:`repro.oracle.OracleService` through ``ask(request) ->
+    (status, body)`` — the local service's ``handle`` or the server
+    client — and print the answers.  A non-200 reply prints its error
+    and exits ``fail``."""
 
     def run(request):
         if args.timeout_ms is not None:
             request["timeout_ms"] = args.timeout_ms
-        status, body = client.query(request, name=args.name)
+        status, body = ask(request)
         if status != 200:
             print(
-                f"error: server returned {status}: "
+                f"error: {source} returned {status}: "
                 f"{body.get('error', body)}",
                 file=sys.stderr,
             )
-            return status, None
-        return status, body
+            return None
+        return body
 
     if args.pairs is not None:
         pairs = _parse_pairs(args.pairs)
-        status, body = run({"pairs": [[u, v] for u, v in pairs]})
+        body = run({"pairs": [[u, v] for u, v in pairs]})
         if body is None:
-            return 3
+            return fail
         rows = [
             [u, v, "inf" if d is None else round(float(d), 3)]
             for (u, v), d in zip(pairs, body["distances"])
@@ -838,16 +802,16 @@ def _query_remote(args, client) -> int:
     if args.u is None or args.v is None:
         print("error: query needs --u and --v (or --pairs)", file=sys.stderr)
         return 2
-    status, body = run({"u": args.u, "v": args.v})
+    body = run({"u": args.u, "v": args.v})
     if body is None:
-        return 3
+        return fail
     d = body["distance"]
     shown = "inf (unreachable)" if d is None else f"{d:g}"
     print(f"d({args.u}, {args.v}) <= {shown}")
     if args.cert:
-        status, cert = run({"op": "certificate", "u": args.u, "v": args.v})
+        cert = run({"op": "certificate", "u": args.u, "v": args.v})
         if cert is None:
-            return 3
+            return fail
         lo = "inf" if cert["lower_bound"] is None else f"{cert['lower_bound']:g}"
         print(
             f"certificate: {lo} <= d <= {shown}  "
@@ -855,9 +819,9 @@ def _query_remote(args, client) -> int:
             f"witness={cert['witness']})"
         )
     if args.want_path:
-        status, pbody = run({"op": "path", "u": args.u, "v": args.v})
+        pbody = run({"op": "path", "u": args.u, "v": args.v})
         if pbody is None:
-            return 3
+            return fail
         path = pbody["path"]
         if path is None:
             print("path: unreachable")

@@ -8,8 +8,8 @@ dispatcher (see DESIGN.md for the layer's contract and fidelity policy):
 * :func:`filter_rows` — row-wise top-``rho`` filtering (Theorem 58);
 * :func:`multi_source_bfs` / :func:`batched_bfs` / :func:`sharded_bfs` /
   :func:`k_nearest_bfs` — frontier BFS: one wave, many simultaneous
-  waves, the memory-bounded sharded form with per-source radii (the
-  batched emulator construction substrate), and the ``(k, d)``-nearest
+  waves, the memory-bounded sharded form (the batched emulator
+  construction substrate), and the ``(k, d)``-nearest
   substrate whose waves stop at their ``k``-th vertex and answer CSR rows
   (:class:`NearestRows`);
 * :func:`hop_limited_relax` — the Bellman–Ford relaxation core

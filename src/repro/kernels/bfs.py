@@ -6,9 +6,9 @@ All kernels are level-synchronous BFS over an adjacency CSR
 :func:`multi_source_bfs` runs one wave.  :func:`batched_bfs` runs *many
 independent* waves at once and returns the full ``(len(sources), n)``
 matrix.  :func:`sharded_bfs` is its bounded-memory form: a generator that
-processes sources in column shards of ``O(shard · n)`` memory and
-supports per-source radii, which is what lets emulator construction
-bucket vertices by hierarchy level and scale to ``n >= 10^4``.
+processes sources in column shards of ``O(shard · n)`` memory, which is
+what lets emulator construction run one radius-bounded BFS per hierarchy
+level and scale to ``n >= 10^4``.
 :func:`k_nearest_bfs` is the ``(k, d)``-nearest substrate (Theorem 10):
 one wave per vertex, each stopped at the level of its ``k``-th vertex,
 answered as CSR rows (:class:`repro.kernels.NearestRows`) in
@@ -108,7 +108,6 @@ def batched_bfs(
     sources = np.asarray(list(sources), dtype=np.int64)
     if reference_forced():
         return batched_bfs_reference(indptr, indices, n, sources, max_dist)
-    radii = np.full(sources.size, max_dist)
     dist = np.full((sources.size, n), np.inf)
     if sources.size == 0 or n == 0:
         return dist
@@ -117,7 +116,7 @@ def batched_bfs(
     for lo in range(0, sources.size, batch_size):
         hi = min(sources.size, lo + batch_size)
         block = np.full((n, hi - lo), np.inf)
-        _batched_wave(indptr, indices, n, sources[lo:hi], radii[lo:hi], block)
+        _batched_wave(indptr, indices, n, sources[lo:hi], max_dist, block)
         # Cache-blocked transpose into the row-major output (a straight
         # `dist[lo:hi] = block.T` thrashes on large batches).
         for v0 in range(0, n, 64):
@@ -130,7 +129,7 @@ def sharded_bfs(
     indices: np.ndarray,
     n: int,
     sources,
-    max_dist=np.inf,
+    max_dist: float = np.inf,
     shard_size: Optional[int] = None,
 ):
     """Radius-bounded batched BFS over column shards of ``sources``.
@@ -150,15 +149,10 @@ def sharded_bfs(
     order-agnostic numpy arrays (all do) and must finish with a block
     before requesting the next one; blocks may be reused internally.
 
-    ``max_dist`` may be a scalar or a per-source array — each wave is
-    spilled from the shared frontier as soon as its own radius is
-    exhausted, so mixed-radius shards (vertices of different hierarchy
-    levels) cost only as much as their deepest wave.  Fractional radii are
-    floored (BFS levels are integral).
+    A fractional ``max_dist`` is floored (BFS levels are integral).
     """
+    max_dist = np.floor(max_dist)
     sources = np.asarray(list(sources), dtype=np.int64)
-    radii = np.floor(np.broadcast_to(np.asarray(max_dist, dtype=np.float64),
-                                     sources.shape)).copy()
     if shard_size is None:
         # One live (n, shard) float block per shard (the yielded view is
         # the working array itself, so the whole budget buys shard rows).
@@ -170,13 +164,13 @@ def sharded_bfs(
             block = np.full((hi - lo, n), np.inf)
             for i in range(lo, hi):
                 block[i - lo] = multi_source_bfs_reference(
-                    indptr, indices, n, [int(sources[i])], radii[i]
+                    indptr, indices, n, [int(sources[i])], max_dist
                 )
         else:
             work = np.full((n, hi - lo), np.inf)
             if n:
                 _batched_wave(
-                    indptr, indices, n, sources[lo:hi], radii[lo:hi], work
+                    indptr, indices, n, sources[lo:hi], max_dist, work
                 )
             block = work.T  # Fortran-ordered (hi - lo, n) view, no copy
         yield lo, hi, block
@@ -404,33 +398,22 @@ def _k_nearest_waves(indptr, indices, n, src, k, max_dist):
     )
 
 
-def _batched_wave(indptr, indices, n, src, radii, dist_t) -> None:
+def _batched_wave(indptr, indices, n, src, radius, dist_t) -> None:
     """Run ``src.size`` simultaneous BFS waves (:class:`_Waves`), writing
     into the *vertex-major* ``(n, src.size)`` array ``dist_t`` (prefilled
     ``inf``; ``dist_t.T`` is the usual ``(waves, n)`` matrix — callers
     that need a row-major copy transpose it themselves, while
-    :func:`sharded_bfs` yields the transposed view directly).
-    ``radii[i]`` truncates wave ``i``; its column stops expanding (is
-    spilled from the frontier) once the level exceeds it."""
+    :func:`sharded_bfs` yields the transposed view directly).  Every
+    wave stops at level ``radius``."""
     waves = src.size
     # Vertex-major layout: the level writes touch contiguous memory.
     flat = dist_t.ravel()
     front = _Waves(indptr, indices, n, src)
     flat[front.vert * waves + front.wave] = 0.0
-    # With one shared radius (every per-level / per-shard caller) the
-    # spill check degenerates to a single scalar comparison per level.
-    uniform_radius = bool(radii.min() == radii.max()) if waves else True
 
     level = 0
-    while front.vert.size:
+    while front.vert.size and level < radius:
         level += 1
-        if uniform_radius:
-            if radii[0] < level:
-                break
-        elif not (radii[front.wave] >= level).all():
-            front.keep(radii >= level)
-            if front.vert.size == 0:
-                break
         if not front.advance():
             break
         flat[front.vert * waves + front.wave] = level

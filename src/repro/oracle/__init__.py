@@ -82,6 +82,7 @@ from .service import (
     OracleRouter,
     OracleService,
     load_mount,
+    parse_mount_options,
     serve,
     start_async_server,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "graph_fingerprint",
     "load_artifact",
     "load_mount",
+    "parse_mount_options",
     "save_artifact",
     "serve",
     "start_async_server",

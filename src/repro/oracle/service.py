@@ -2,7 +2,8 @@
 
 :class:`OracleService` is transport-agnostic — ``handle(request_dict)``
 returns ``(status, response_dict)`` — so the same semantics back the CLI
-(``repro query``), tests, and the HTTP endpoint (``repro serve``).
+(``repro query``, local or ``--url``), tests, and the HTTP endpoint
+(``repro serve``).
 :class:`OracleRouter` hosts **many** artifacts in one process: each
 loaded artifact is mounted under a name, requests route per artifact
 (HTTP ``POST /query/<name>``), unknown names 404 listing what is
@@ -37,8 +38,8 @@ queries: requests park in a per-artifact
 window or a size trigger, and are answered by *one* vectorized
 ``query_batch`` gather run in a worker thread (the loop never blocks).
 Explicit batches, certificates, paths and info bypass the coalescer
-straight to a worker thread.  ``/info`` carries per-artifact
-``coalescing`` counters.
+straight to a worker thread; ``/query`` and ``/stream`` share that one
+submit path.  ``/info`` carries per-artifact ``coalescing`` counters.
 
 Routes: ``POST /query[/<name>]`` with a JSON body, ``POST
 /stream[/<name>]`` (newline-delimited JSON), ``GET /info[/<name>]``,
@@ -97,6 +98,7 @@ __all__ = [
     "OracleRouter",
     "OracleService",
     "load_mount",
+    "parse_mount_options",
     "serve",
     "start_async_server",
 ]
@@ -181,6 +183,9 @@ def _register_server_metrics(started_at: float) -> None:
 
 class OracleService:
     """JSON request/response semantics over a :class:`DistanceOracle`.
+
+    Every front end answers through it: each HTTP mount holds one, and
+    ``repro query --artifact`` sends a local one the dicts ``--url`` posts.
 
     ``limits`` bounds the request lifecycle (in-flight requests, batch
     size, deadlines); the default :data:`~repro.oracle.resilience.DEFAULT_LIMITS`
@@ -544,9 +549,30 @@ class OracleService:
 # Multi-artifact routing
 # ----------------------------------------------------------------------
 
-#: Mount options accepted by :func:`load_mount` (the
-#: ``--artifact NAME=PATH,key=value`` surface).
-_MOUNT_OPTIONS = ("shards",)
+#: Mount options (``--artifact NAME=PATH,key=value``) and their parsers.
+_MOUNT_OPTIONS = {"shards": int}
+
+
+def parse_mount_options(options: Dict, where: str) -> Dict[str, object]:
+    """Parse one mount's options (for :func:`load_mount` and the CLI);
+    ``where`` names the mount in the :class:`ArtifactError` raised for an
+    unknown option or an unparsable value."""
+    parsed = {}
+    for key, value in options.items():
+        parse = _MOUNT_OPTIONS.get(key)
+        if parse is None:
+            raise ArtifactError(
+                f"unknown mount option {key!r} {where}; supported: "
+                f"{sorted(_MOUNT_OPTIONS)}"
+            )
+        try:
+            parsed[key] = parse(value)
+        except (TypeError, ValueError):
+            raise ArtifactError(
+                f"mount option {key}={value!r} {where} is not a valid "
+                f"{parse.__name__}"
+            )
+    return parsed
 
 
 def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
@@ -557,27 +583,21 @@ def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
     ``name=None`` defaults to the artifact's manifest ``variant``.  The
     ``options`` dict overrides serving knobs for this artifact alone —
     today only ``shards`` (the CLI spells it
-    ``--artifact NAME=PATH,shards=S``); unknown options fail loudly.  A path holding the sharded layout opens as a
+    ``--artifact NAME=PATH,shards=S``); unknown options fail loudly.  A
+    path holding the sharded layout opens as a
     :class:`~repro.oracle.sharded.ShardedOracle` automatically
     (``shards=`` is then an optional cross-check); ``shards=S`` on a
     plain artifact partitions it in memory."""
     name, path = item[0], item[1]
-    options = dict(item[2] or {}) if len(item) > 2 else {}
-    shards = options.pop("shards", None)
-    if options:
-        raise ArtifactError(
-            f"unknown mount option(s) {sorted(options)} for "
-            f"artifact {name or path!r}; supported: "
-            f"{list(_MOUNT_OPTIONS)}"
-        )
+    options = parse_mount_options(
+        (item[2] or {}) if len(item) > 2 else {},
+        f"for artifact {name or path!r}",
+    )
+    shards = options.get("shards")
     if shards is None and not is_sharded_artifact(path):
         oracle = DistanceOracle.load(path, mmap=mmap)
         return name or oracle.artifact.variant, oracle
-    oracle = ShardedOracle.load(
-        path,
-        shards=int(shards) if shards is not None else None,
-        mmap=mmap,
-    )
+    oracle = ShardedOracle.load(path, shards=shards, mmap=mmap)
     name = name or oracle.artifact.variant
     oracle.set_mount(name)
     return name, oracle
@@ -782,6 +802,11 @@ async def _read_head(
     return parts[0], parts[1], parts[2], headers
 
 
+def _request_id(headers: Dict[str, str]) -> str:
+    """The client's clean ``X-Request-Id``, else a fresh one."""
+    return clean_trace_id(headers.get("x-request-id")) or new_trace_id()
+
+
 async def _lingering_close(reader, writer, timeout: float = 1.0) -> None:
     """Half-close, then discard what the client is still sending (up to
     EOF or ``timeout``) so closing does not reset the connection — a
@@ -956,13 +981,10 @@ class AsyncOracleServer:
                     head = await _read_head(reader)
                 except _HeadRejected as exc:
                     _count_http_error(exc.status)
-                    request_id = (
-                        clean_trace_id(exc.headers.get("x-request-id"))
-                        or new_trace_id()
-                    )
                     await self._write(
                         writer, exc.status, {"error": str(exc)},
-                        (("X-Request-Id", request_id),), keep=False,
+                        (("X-Request-Id", _request_id(exc.headers)),),
+                        keep=False,
                     )
                     break
                 if head is None:
@@ -1022,23 +1044,15 @@ class AsyncOracleServer:
         ``413`` line carrying the stream's ``X-Request-Id`` (counted in
         ``repro_http_errors_total``), and ends the stream.
         """
-        request_id = (
-            clean_trace_id(headers.get("x-request-id")) or new_trace_id()
-        )
+        request_id = _request_id(headers)
         id_header = (("X-Request-Id", request_id),)
         if self.draining:
-            retry = self.limits.retry_after_s
-            _count_http_error(503)
-            await self._write(writer, 503, {
-                "error": "server is draining for shutdown; retry "
-                "against another instance",
-                "draining": True,
-                "retry_after": retry,
-            }, (("Retry-After", f"{retry:g}"),) + id_header, keep=False)
+            await self._write(
+                writer, *self._draining_reply(id_header), keep=False
+            )
             return
-        svc, status, err = self.router._resolve(name)
+        svc, status, err = self._resolve(name)
         if svc is None:
-            _count_http_error(status)
             await self._write(writer, status, err, id_header, keep=False)
             return
         writer.write(
@@ -1105,13 +1119,7 @@ class AsyncOracleServer:
                         400, {"error": f"malformed JSON request: {exc}"}
                     ))
                     continue
-                if self._coalescable(request):
-                    fut = asyncio.wrap_future(svc.submit_coalesced(request))
-                else:
-                    fut = self._loop.run_in_executor(
-                        self._executor, svc.handle, request
-                    )
-                await queue.put(fut)
+                await queue.put(self._submit(svc, request))
         finally:
             await queue.put(None)
             await drain_task
@@ -1146,23 +1154,14 @@ class AsyncOracleServer:
         if method != "POST":
             return 501, {"error": f"unsupported method {method!r}"}, (), True
         start = time.perf_counter()
-        request_id = (
-            clean_trace_id(headers.get("x-request-id")) or new_trace_id()
-        )
+        request_id = _request_id(headers)
         id_header = (("X-Request-Id", request_id),)
         matched, name = _split_route(path, "/query")
         if not matched:
             _count_http_error(404)
             return 404, {"error": f"unknown path {path!r}"}, id_header, True
         if self.draining:
-            retry = self.limits.retry_after_s
-            _count_http_error(503)
-            return 503, {
-                "error": "server is draining for shutdown; retry "
-                "against another instance",
-                "draining": True,
-                "retry_after": retry,
-            }, (("Retry-After", f"{retry:g}"),) + id_header, True
+            return (*self._draining_reply(id_header), True)
         raw_length = headers.get("content-length")
         if raw_length is None:
             _count_http_error(411)
@@ -1204,21 +1203,10 @@ class AsyncOracleServer:
             debug=isinstance(request, dict) and request.get("debug") is True,
         )
         _instr.observe_stage(trace, "parse", time.perf_counter() - start)
-        svc, status, err = self.router._resolve(name)
+        svc, status, err = self._resolve(name)
         if svc is None:
-            _count_http_error(status)
             return status, err, id_header, False
-        if self._coalescable(request):
-            status, body = await asyncio.wrap_future(
-                svc.submit_coalesced(request, trace)
-            )
-        else:
-            # Batches, certificates, paths, info: straight to a worker
-            # thread — an explicit batch is already vectorized, so the
-            # coalescer would only add latency.
-            status, body = await self._loop.run_in_executor(
-                self._executor, svc.handle, request, trace
-            )
+        status, body = await self._submit(svc, request, trace)
         extra: Tuple = id_header
         if status == 503 and "retry_after" in body:
             extra = (
@@ -1227,10 +1215,31 @@ class AsyncOracleServer:
         _log_request(svc.name, status, time.perf_counter() - start, trace)
         return status, body, extra, False
 
-    @staticmethod
-    def _coalescable(request: object) -> bool:
-        """Single distance queries coalesce; everything else bypasses."""
-        return (
+    def _draining_reply(self, id_header: Tuple) -> Tuple[int, Dict, Tuple]:
+        """``(status, body, headers)`` of the counted 503 every POST
+        route sends while the server drains."""
+        retry = self.limits.retry_after_s
+        _count_http_error(503)
+        return 503, {
+            "error": "server is draining for shutdown; retry "
+            "against another instance",
+            "draining": True,
+            "retry_after": retry,
+        }, (("Retry-After", f"{retry:g}"),) + id_header
+
+    def _resolve(self, name: Optional[str]):
+        """The router's mount lookup, counting a miss as an HTTP error."""
+        svc, status, err = self.router._resolve(name)
+        if svc is None:
+            _count_http_error(status)
+        return svc, status, err
+
+    def _submit(self, svc: OracleService, request: object, trace=None):
+        """Start answering one parsed request: an awaitable of ``(status,
+        body)``.  Single distance queries park in the coalescer; the rest
+        go straight to a worker thread (an explicit batch is already
+        vectorized, so the coalescer would only add latency)."""
+        coalescable = (
             isinstance(request, dict)
             and request.get("op", "distance") == "distance"
             and "pairs" not in request
@@ -1238,6 +1247,11 @@ class AsyncOracleServer:
             and "vs" not in request
             and "u" in request
             and "v" in request
+        )
+        if coalescable:
+            return asyncio.wrap_future(svc.submit_coalesced(request, trace))
+        return self._loop.run_in_executor(
+            self._executor, svc.handle, request, trace
         )
 
     async def _write(

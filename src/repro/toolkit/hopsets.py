@@ -44,14 +44,14 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels
-from ..cliquesim.costs import bounded_hopset_rounds, source_detection_rounds
+from ..cliquesim.costs import bounded_hopset_rounds
 from ..cliquesim.ledger import RoundLedger
-from ..graph.distances import hop_limited_bellman_ford
 from ..graph.graph import Graph, WeightedGraph
 from ..kernels import NearestRows
 from ..kernels.config import reference_forced
 from .hitting import deterministic_hitting_set, random_hitting_set
 from .nearest import kd_nearest_bfs
+from .source_detection import source_detection
 
 __all__ = ["BoundedHopset", "build_bounded_hopset", "hopset_beta"]
 
@@ -147,10 +147,9 @@ def build_bounded_hopset(
     for _ in range(levels):
         union = g.to_weighted()
         union.union_update(hopset)
-        dist = hop_limited_bellman_ford(union, a1_list, max_hops=4 * beta)
-        local.charge(
-            source_detection_rounds(n, union.m, len(a1_list), 4 * beta),
-            "hopset:level-source-detection",
+        dist, _ = source_detection(
+            union, a1_list, 4 * beta, ledger=local,
+            phase="hopset:level-source-detection",
         )
         sub = dist[:, a1]
         finite_i, finite_j = np.nonzero(np.isfinite(sub))

@@ -8,7 +8,7 @@ sets (endpoints and weights), identical stats dicts, identical round
 ledgers.
 
 Also covers the new substrate pieces themselves: ``sharded_bfs`` against
-``batched_bfs`` (including per-source radii and shard-size invariance)
+``batched_bfs`` (including shard-size invariance)
 and the ``WeightedGraph`` bulk/caching additions.
 """
 
@@ -93,26 +93,6 @@ class TestShardedBfs:
                 np.nan_to_num(want, posinf=-1),
             )
 
-    def test_per_source_radii(self):
-        g = gen.make_family("er_sparse", 40, seed=6)
-        sources = np.arange(g.n)
-        radii = np.arange(g.n) % 4  # mixed radii, including 0
-        rows = np.vstack(
-            [
-                b.copy()
-                for _, _, b in kernels.sharded_bfs(
-                    g.indptr, g.indices, g.n, sources, radii, shard_size=11
-                )
-            ]
-        )
-        for v in range(g.n):
-            want = kernels.multi_source_bfs(
-                g.indptr, g.indices, g.n, [v], max_dist=radii[v]
-            )
-            assert np.array_equal(
-                np.nan_to_num(rows[v], posinf=-1), np.nan_to_num(want, posinf=-1)
-            )
-
     def test_reference_backend(self):
         g = gen.make_family("grid", 36, seed=7)
         sources = np.arange(g.n)
@@ -163,16 +143,16 @@ def test_sharded_bfs_hypothesis(data):
     iu = np.triu_indices(n, 1)
     edges = [(int(i), int(j)) for i, j in zip(*iu) if mask[i, j]]
     g = Graph(n, edges)
-    radii = rng.integers(0, 6, n).astype(float)
+    radius = float(rng.integers(0, 6))
     shard = data.draw(st.integers(1, 50))
     rows = np.vstack(
         [b.copy() for _, _, b in kernels.sharded_bfs(
-            g.indptr, g.indices, g.n, np.arange(n), radii, shard_size=shard
+            g.indptr, g.indices, g.n, np.arange(n), radius, shard_size=shard
         )]
     ) if n else np.zeros((0, 0))
     for v in range(n):
         want = kernels.multi_source_bfs(
-            g.indptr, g.indices, g.n, [v], max_dist=radii[v]
+            g.indptr, g.indices, g.n, [v], max_dist=radius
         )
         assert np.array_equal(
             np.nan_to_num(rows[v], posinf=-1), np.nan_to_num(want, posinf=-1)

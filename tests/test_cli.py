@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -115,3 +117,60 @@ class TestMain:
         assert main(["serve", "--artifact", mount, "--port", "0"]) == 2
         assert "unknown mount option" in capsys.readouterr().err
         assert started == []
+
+
+@pytest.fixture(scope="module")
+def query_artifacts(tmp_path_factory):
+    """Grid n=64 artifacts of a matrix kind (``exact``) and a bunches
+    kind (``tz``, whose certificates carry a witness)."""
+    root = tmp_path_factory.mktemp("query")
+    paths = {}
+    for variant in ("exact", "tz"):
+        paths[variant] = str(root / variant)
+        assert main([
+            "build-oracle", "--family", "grid", "--n", "64",
+            "--variant", variant, "--out", paths[variant],
+        ]) == 0
+    return paths
+
+
+class TestQuery:
+    @pytest.mark.parametrize("variant", ["exact", "tz"])
+    def test_local_and_remote_print_the_same_answers(
+        self, query_artifacts, variant, capsys
+    ):
+        from repro.oracle import DistanceOracle, start_async_server
+
+        path = query_artifacts[variant]
+        handle = start_async_server(DistanceOracle.load(path))
+        try:
+            host, port = handle.server_address
+            url = f"http://{host}:{port}"
+            capsys.readouterr()
+            for args in (
+                ["--u", "0", "--v", "63", "--cert", "--path"],
+                ["--pairs", "0:5,1:7"],
+            ):
+                assert main(["query", "--artifact", path] + args) == 0
+                header, local = capsys.readouterr().out.split("\n", 1)
+                assert header.startswith("artifact: ")
+                assert main(["query", "--url", url] + args) == 0
+                assert capsys.readouterr().out == local
+                if variant == "tz" and "--cert" in args:
+                    assert "witness=None" not in local
+        finally:
+            handle.drain_and_shutdown()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--u", "0", "--v", "999"], "returned 400: query .*out of range"),
+        (["--pairs", "0:999"], "returned 400: query .*out of range"),
+        (["--u", "0", "--v", "1", "--timeout-ms", "0"], "returned 504"),
+    ])
+    def test_local_rejected_query_exits_2(
+        self, query_artifacts, args, message, capsys
+    ):
+        rc = main(["query", "--artifact", query_artifacts["exact"]] + args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and re.search(message, err)
+        assert "Traceback" not in err
