@@ -401,9 +401,29 @@ def _result_table(results):
     )
 
 
+def _host():
+    """The CPUs and RAM this run had (the record names its hardware)."""
+    model = "unknown CPU"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS)
+        cpus = os.cpu_count()
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    return f"host: {cpus} x {model}, {ram:.1f} GiB RAM"
+
+
 def persist(results):
     table = _result_table(results)
     header = (
+        f"{_host()}\n"
         f"n={results['n']} m={results['m']} k={results['k']} "
         f"(stretch {results['stretch']})  "
         f"build {results['build_wall_s']:.1f}s  "

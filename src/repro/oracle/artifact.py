@@ -12,8 +12,16 @@ An artifact is a directory with up to three files:
 * ``estimates.npy`` (format 2, matrix/sources kinds) — the large
   ``(rows, n)`` estimate matrix stored *uncompressed* so it can be
   memory-mapped: ``load_artifact(path, mmap=True)`` opens it with
-  ``mmap_mode="r"`` and an ``n = 10^4`` matrix serves without an 800 MB
-  resident load.
+  ``mmap_mode="r"`` and an ``n = 10^4`` matrix serves without a 400 MB
+  resident load (800 MB when its values need float64, see below).
+
+Every payload array is stored in the narrowest lossless dtype
+(:func:`_narrow`, applied as arrays enter the writer): int64 as int32
+when every value fits, float64 as float32 when ``float32 -> float64``
+gives back every value bit for bit.  Readers keep the stored dtype and
+accept int32 or int64 ids and float32 or float64 distances, so older
+artifacts load unchanged; each query path widens to float64 before its
+one addition or min, so answers are bit-identical either way.
 
 Which variants exist, what arrays they store, and which parameters they
 accept is **not** decided here: everything dispatches through the
@@ -138,7 +146,7 @@ class OracleArtifact:
 
     @property
     def kind(self) -> str:
-        """``"matrix"``, ``"bunches"``, or ``"sources"``."""
+        """``"matrix"``, ``"bunches"``, ``"sources"``, or ``"edges"``."""
         return str(self.manifest["kind"])
 
     @property
@@ -443,19 +451,100 @@ def _array_digest(arr: np.ndarray) -> str:
 
 
 def _streamed_digest(dtype: np.dtype, shape: Tuple[int, ...], chunks) -> str:
-    """The :func:`_array_digest` of a logical array whose bytes arrive as
-    a sequence of contiguous chunks — what lets the sharded writer record
-    canonical checksums without ever materializing the merged array."""
+    """The :func:`_array_digest` of a logical ``dtype`` array whose values
+    arrive as a sequence of chunks (each cast to ``dtype``, a no-op when
+    it already has it) — what lets the sharded writer record canonical
+    checksums without ever materializing the merged array."""
     h = hashlib.sha256()
     h.update(np.dtype(dtype).str.encode())
     h.update(repr(tuple(int(s) for s in shape)).encode())
     for chunk in chunks:
-        a = np.ascontiguousarray(chunk)
+        a = np.ascontiguousarray(chunk, dtype=dtype)
         try:
             h.update(memoryview(a).cast("B"))
         except (TypeError, ValueError):
             h.update(a.tobytes())
     return h.hexdigest()
+
+
+_INT32 = np.iinfo(np.int32)
+
+#: Elements per block of the float32 round-trip check: its scratch (one
+#: float64 block and one bool block, ~0.6 MB) stays far below the
+#: float32 copy it fills.
+_NARROW_BLOCK = 1 << 16
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The artifact dtype rule: the form in which a payload array is
+    stored.
+
+    An int64 array whose values all fit in int32 becomes int32; a
+    float64 array becomes float32 when ``float32 -> float64`` gives back
+    every value bit for bit (every integer of magnitude at most
+    ``2**24`` does, so every hop distance does), and otherwise stays
+    float64.  Every other
+    array is returned as it is.  Whether a value passes is decided value
+    by value, so the logical dtype of an array stored in slices (the
+    sharded layout) is the ``np.result_type`` of its slices' stored
+    dtypes — the dtype a whole-array save would pick.
+
+    The float check casts block by block into one preallocated float32
+    array, so it adds at most that array plus one block of scratch."""
+    a = np.asarray(a)
+    if a.dtype == np.int64:
+        if a.size == 0 or (a.min() >= _INT32.min and a.max() <= _INT32.max):
+            return a.astype(np.int32)
+        return a
+    if a.dtype != np.float64:
+        return a
+    src = np.ascontiguousarray(a).reshape(-1)
+    out = np.empty(a.shape, dtype=np.float32)
+    dst = out.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, src.size, _NARROW_BLOCK):
+            block = src[lo:lo + _NARROW_BLOCK]
+            narrow = dst[lo:lo + block.size]
+            narrow[...] = block
+            back = narrow.astype(np.float64)
+            if not np.array_equal(back.view(np.uint64), block.view(np.uint64)):
+                return a
+    return out
+
+
+_ID_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
+_DIST_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+#: The dtypes a reader accepts for each known payload array (plain
+#: artifacts, shared arrays and shard files): the two sides of the
+#: dtype rule, :func:`_narrow`'s output and its input.
+_PAYLOAD_DTYPES = {
+    **dict.fromkeys(
+        ("bunch_srcs", "bunch_dsts", "sources", "emu_us", "emu_vs",
+         "tz_levels", "graph_edges", "graph_us", "graph_vs",
+         "indptr", "cols"),
+        _ID_DTYPES,
+    ),
+    **dict.fromkeys(
+        ("estimates", "bunch_ds", "emu_ws", "graph_ws", "ds"),
+        _DIST_DTYPES,
+    ),
+}
+
+
+def _check_dtypes(arrays: Dict[str, np.ndarray], where: str) -> None:
+    """Raise :class:`ArtifactError` naming the first known payload array
+    of ``arrays`` (read from ``where``) whose dtype no reader accepts —
+    a float id array or an integer distance array would otherwise index
+    wrongly or answer wrongly."""
+    for name, a in arrays.items():
+        allowed = _PAYLOAD_DTYPES.get(name)
+        if allowed is not None and a.dtype not in allowed:
+            raise ArtifactError(
+                f"array {name!r} in {where!r} has dtype {a.dtype}; "
+                f"expected one of {[str(d) for d in allowed]} — rebuild "
+                "the artifact"
+            )
 
 
 def _fsync_fh(fh) -> None:
@@ -577,22 +666,20 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
 
     The payload is ``manifest.json`` + ``arrays.npz``, with
     matrix/sources estimates split out to an uncompressed, mmap-able
-    ``estimates.npy``.  The written manifest is normalized to
-    :data:`FORMAT_VERSION` and gains per-array SHA-256 ``checksums``
-    (what ``repro verify-artifact`` / :meth:`OracleArtifact.verify`
-    check); the in-memory ``artifact`` is not mutated.
+    ``estimates.npy``.  Every array is stored as :func:`_narrow` gives
+    it.  The written manifest is normalized to :data:`FORMAT_VERSION`
+    and gains per-array SHA-256 ``checksums`` of the stored arrays (what
+    ``repro verify-artifact`` / :meth:`OracleArtifact.verify` check);
+    the in-memory ``artifact`` is not mutated.
     """
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
-    arrays = dict(artifact.arrays)
+    arrays = {name: _narrow(a) for name, a in artifact.arrays.items()}
+    manifest["checksums"] = {
+        name: _array_digest(a) for name, a in arrays.items()
+    }
     estimates = arrays.pop(_MMAP_KEY, None)
-    checksums = {name: _array_digest(a) for name, a in arrays.items()}
-    npy_files = []
-    if estimates is not None:
-        estimates = np.ascontiguousarray(estimates, dtype=np.float64)
-        checksums[_MMAP_KEY] = _array_digest(estimates)
-        npy_files.append((ESTIMATES_NAME, estimates))
-    manifest["checksums"] = checksums
+    npy_files = [] if estimates is None else [(ESTIMATES_NAME, estimates)]
     _write_staged(path, npy_files, {ARRAYS_NAME: arrays}, lambda _: manifest)
 
 
@@ -692,8 +779,12 @@ def load_artifact(
     load cannot see).  Leftover ``<path>.tmp-*`` staging directories
     from interrupted saves are ignored: only the final path is read.
 
-    Raises :class:`ArtifactError` on missing/malformed files, a newer
-    format version, or a parameter echo outside the variant's schema;
+    Arrays keep their stored dtype (int32 or int64 ids, float32 or
+    float64 distances; see :func:`_narrow`).
+
+    Raises :class:`ArtifactError` on missing/malformed files, a payload
+    array of any other dtype, a newer format version, or a parameter
+    echo outside the variant's schema;
     :class:`ArtifactMismatch` when ``expected_graph`` does not hash to
     the manifest's ``graph_hash``.
     """
@@ -760,6 +851,7 @@ def load_artifact(
             raise ArtifactError(
                 f"artifact {path!r} ({kind}) is missing array {key!r}"
             )
+    _check_dtypes(arrays, path)
     artifact = OracleArtifact(manifest=manifest, arrays=arrays)
     if verify:
         artifact.verify()

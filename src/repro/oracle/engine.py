@@ -4,8 +4,9 @@ Answers point-to-point distance and path queries from an
 :class:`~repro.oracle.artifact.OracleArtifact`:
 
 * **matrix artifacts** — a batched query is one fancy-index gather
-  ``estimates[us, vs]`` (with ``mmap=True`` the gather reads straight
-  from the memory-mapped ``estimates.npy``);
+  ``estimates[us, vs]``, widened to float64 (with ``mmap=True`` the
+  gather reads straight from the memory-mapped ``estimates.npy``, which
+  stays in its stored float32 or float64);
 * **sources artifacts** — an MSSP snapshot: ``estimates[i, v]``
   approximates ``d(sources[i], v)``, so a query is answerable when
   either endpoint is a source (the ``u`` row wins when both are);
@@ -123,18 +124,18 @@ class DistanceOracle:
 
     def __init__(self, artifact: OracleArtifact):
         self._init_common(artifact)
+        # Arrays keep their stored dtype (int32/int64 ids, float32/
+        # float64 distances): each query path widens what it gathers.
         if self.kind == "matrix":
-            self._est = np.asarray(artifact.arrays["estimates"], dtype=np.float64)
+            self._est = np.asarray(artifact.arrays["estimates"])
             if self._est.shape != (self.n, self.n):
                 raise ArtifactError(
                     f"matrix artifact has estimates of shape {self._est.shape}, "
                     f"expected {(self.n, self.n)}"
                 )
         elif self.kind == "sources":
-            self._est = np.asarray(artifact.arrays["estimates"], dtype=np.float64)
-            self._sources = np.asarray(
-                artifact.arrays["sources"], dtype=np.int64
-            )
+            self._est = np.asarray(artifact.arrays["estimates"])
+            self._sources = np.asarray(artifact.arrays["sources"])
             if self._est.shape != (self._sources.size, self.n):
                 raise ArtifactError(
                     f"sources artifact has estimates of shape "
@@ -324,7 +325,7 @@ class DistanceOracle:
         reductions — the values are identical either way, and plain
         ``query_batch`` traffic (the serving hot path) only needs them."""
         if self.kind == "matrix":
-            values = self._est[us, vs]
+            values = np.asarray(self._est[us, vs], dtype=np.float64)
             return values, np.full(us.size, -1, dtype=np.int64)
         if self.kind == "sources":
             return self._sources_batch(us, vs)
@@ -448,9 +449,13 @@ def combine_bunch_slabs(
     ``u == v`` zero — is identical either way, and ``min`` over float64
     candidates plus the smallest-witness-id tie-break are
     order-independent, so every caller produces bit-identical answers.
+    Ids may be int32 or int64 and distances float32 or float64, on
+    either side: both are widened to float64 (the dense scatter target
+    and the gathered ``B(v)`` distances) before the one addition, so the
+    stored dtypes never change an answer.
 
     Queries are grouped by source: each group scatters ``B(u)`` into a
-    reused dense ``(n,)`` distance vector once, then one flat gather/add
+    reused float64 ``(n,)`` distance vector once, then one flat gather/add
     over the group's ``B(v)`` slabs produces every candidate
     ``d(u, w) + d(v, w)`` (non-members read ``inf`` from the dense
     vector and drop out of the min), and one ``np.minimum.reduceat`` per
@@ -470,6 +475,12 @@ def combine_bunch_slabs(
     bounds = np.flatnonzero(
         np.concatenate([[True], sus[1:] != sus[:-1]])
     )
+    # Every slab is widened as it is read — ids to intp, distances to
+    # float64 — before any fancy index or addition: the stored dtype
+    # never reaches the arithmetic, and numpy's own per-call casts of
+    # int32 indices and float32 values cost more than one astype.
+    v_lo = v_lo.astype(np.intp, copy=False)
+    v_hi = v_hi.astype(np.intp, copy=False)
     dense = np.full(n, np.inf)  # reused B(u) scatter target
     for gi in range(bounds.size):
         start = bounds[gi]
@@ -478,13 +489,13 @@ def combine_bunch_slabs(
         qidx = order[start:end]  # original positions of this group
         gvs = svs[start:end]
         u_a, u_b = int(u_indptr[u]), int(u_indptr[u + 1])
-        ucols = u_cols[u_a:u_b]
-        dense[ucols] = u_ds[u_a:u_b]
+        ucols = u_cols[u_a:u_b].astype(np.intp, copy=False)
+        dense[ucols] = u_ds[u_a:u_b].astype(np.float64, copy=False)
 
         v_pos, owners = _flat_ranges(v_lo[qidx], v_hi[qidx])
         if v_pos.size:
-            vcols = v_cols[v_pos]
-            vds = v_ds[v_pos]
+            vcols = v_cols[v_pos].astype(np.intp, copy=False)
+            vds = v_ds[v_pos].astype(np.float64, copy=False)
             cand = dense[vcols] + vds
             starts = np.flatnonzero(
                 np.concatenate([[True], owners[1:] != owners[:-1]])
@@ -610,10 +621,9 @@ def _directed_csr(
     """Weighted CSR over the directed bunch relation, columns sorted per
     row (what the key-space intersection relies on).  The artifact arrays
     are already in canonical ``(src, dst)`` order; the lexsort makes the
-    invariant independent of who produced them."""
-    srcs = np.asarray(srcs, dtype=np.int64)
-    cols = np.asarray(dsts, dtype=np.int64)
-    vals = np.asarray(ds, dtype=np.float64)
+    invariant independent of who produced them.  ``cols`` and ``vals``
+    keep the stored dtypes; ``indptr`` is int64."""
+    srcs, cols, vals = np.asarray(srcs), np.asarray(dsts), np.asarray(ds)
     order = np.lexsort((cols, srcs))
     srcs, cols, vals = srcs[order], cols[order], vals[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -633,9 +643,9 @@ def _flat_ranges(
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    seg_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-    positions = np.repeat(lo, counts) + within
+    # Position p of range i is lo[i] + (p - start of range i's run).
+    shift = lo - (np.cumsum(counts) - counts)
+    positions = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
     owners = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
     return positions, owners
 

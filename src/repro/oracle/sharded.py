@@ -18,6 +18,10 @@ and the *serving* across vertex ranges:
         cols.npy ds.npy      #   — rows outside the range read empty
       shard-0001/ ...
 
+Every file holds the dtype the one dtype rule
+(:func:`~repro.oracle.artifact._narrow`) gives it — int32 ``indptr`` and
+``cols``, float32 ``ds`` and ``estimates`` when lossless.
+
 The shard map (``{"layout_version": 1, "shards": S, "bounds": [...]}``)
 lives in the manifest; ``bounds`` comes from
 :func:`repro.kernels.parallel.shard_edges`, the *canonical* vertex
@@ -37,7 +41,8 @@ dir, each ``shard-XXXX/`` and ``shared/``), manifest-last rule, atomic
 swap and ``artifact.save`` fault-point stages as ``save_artifact``.  It
 stages each shard as it arrives, then records as ``checksums`` the
 digests of the *logical* arrays (``bunch_srcs``/``bunch_dsts``/
-``bunch_ds``, ...), streamed from the staged shard files — so a merged
+``bunch_ds``, ...), streamed from the staged shard files under the
+shards' common dtype — so a merged
 load verifies with the ordinary
 :meth:`~repro.oracle.artifact.OracleArtifact.verify`, and a sharded
 save of an artifact round-trips bit-identically through
@@ -124,9 +129,11 @@ from .artifact import (
     ArtifactMismatch,
     OracleArtifact,
     _array_digest,
+    _check_dtypes,
     _embed_graph,
     _manifest_base,
     _manifest_finish,
+    _narrow,
     _resolve_build,
     _streamed_digest,
     _validate_manifest,
@@ -219,6 +226,19 @@ def _local_bunch_csr(
     return indptr
 
 
+def _shard_srcs(lo: int, hi: int, indptr: np.ndarray, dtype) -> np.ndarray:
+    """One bunches shard's slice of the logical ``bunch_srcs``: each
+    source of ``[lo, hi)`` repeated over its row of the clamped indptr.
+
+    ``bunch_srcs`` is not stored in a sharded layout, so it takes the
+    stored dtype of the ids that are (``cols``): int32 from a writer
+    with the dtype rule — what an unsharded save narrows ``bunch_srcs``
+    to — and int64 in layouts written before it, whose checksums hash
+    int64 sources."""
+    counts = np.diff(np.asarray(indptr[lo:hi + 1], dtype=np.int64))
+    return np.repeat(np.arange(lo, hi, dtype=dtype), counts)
+
+
 def _logical_checksums(
     staged: str, kind: str, bounds: np.ndarray
 ) -> Dict[str, str]:
@@ -227,42 +247,33 @@ def _logical_checksums(
 
     Concatenating the shards in bound order *is* the canonical array
     (``bunch_srcs`` is each shard's clamped CSR expanded over its own
-    range), so one hash per logical array over the shards' bytes
-    reproduces ``_array_digest`` of the merged array exactly."""
+    range, :func:`_shard_srcs`), and the dtype rule is decided value by
+    value, so hashing the shards' values under their common dtype
+    reproduces ``_array_digest`` of the merged array — and of an
+    unsharded save — exactly."""
     n = int(bounds[-1])
-    shards = range(bounds.size - 1)
+    files = [
+        _load_shard_files(staged, kind, i) for i in range(bounds.size - 1)
+    ]
 
-    def files(i: int) -> Dict[str, np.ndarray]:
-        return _load_shard_files(staged, kind, i)
+    def digest(shape, chunks: List[np.ndarray]) -> str:
+        return _streamed_digest(np.result_type(*chunks), shape, chunks)
 
     if kind == "matrix":
-        return {"estimates": _streamed_digest(
-            np.float64, (n, n), (files(i)["estimates"] for i in shards)
-        )}
+        return {"estimates": digest((n, n), [f["estimates"] for f in files])}
     if kind != "bunches":
         return {}
-
-    def srcs() -> Iterator[np.ndarray]:
-        for i in shards:
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            indptr = np.asarray(files(i)["indptr"], dtype=np.int64)
-            yield np.repeat(
-                np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1])
-            )
-
-    def column(name: str, dtype) -> Iterator[np.ndarray]:
-        for i in shards:
-            yield np.asarray(files(i)[name], dtype=dtype)
-
-    shape = (sum(int(files(i)["cols"].size) for i in shards),)
+    cols = [f["cols"] for f in files]
+    shape = (sum(int(c.size) for c in cols),)
+    ids = np.result_type(*cols)
     return {
-        "bunch_srcs": _streamed_digest(np.int64, shape, srcs()),
-        "bunch_dsts": _streamed_digest(
-            np.int64, shape, column("cols", np.int64)
-        ),
-        "bunch_ds": _streamed_digest(
-            np.float64, shape, column("ds", np.float64)
-        ),
+        # Each shard's sources are expanded only as the hash reaches it.
+        "bunch_srcs": _streamed_digest(ids, shape, (
+            _shard_srcs(int(bounds[i]), int(bounds[i + 1]), f["indptr"], ids)
+            for i, f in enumerate(files)
+        )),
+        "bunch_dsts": digest(shape, cols),
+        "bunch_ds": digest(shape, [f["ds"] for f in files]),
     }
 
 
@@ -299,7 +310,7 @@ def _partition_arrays(
                 "ds": ds[a:b],
             }
     elif kind == "matrix":
-        est = np.asarray(shared.pop("estimates"), dtype=np.float64)
+        est = shared.pop("estimates")
         if est.shape != (n, n):
             raise ArtifactError(
                 f"matrix artifact has estimates of shape {est.shape}, "
@@ -326,17 +337,19 @@ def _write_sharded(
     :func:`_partition_arrays` shape), each staged as
     ``shard-XXXX/<name>.npy`` as soon as it arrives and popped from its
     dict, so a streaming producer never holds a finished shard.
-    ``shared`` becomes ``shared/arrays.npz`` (when non-empty).
+    ``shared`` becomes ``shared/arrays.npz`` (when non-empty).  Every
+    array is stored as :func:`~repro.oracle.artifact._narrow` gives it.
     ``manifest()`` is called once every part is staged, so a producer's
     stats are complete; the written manifest adds the logical-array
     ``checksums`` (streamed from the staged shard files, plus the shared
     arrays' digests) and the shard map."""
+    shared = {k: _narrow(v) for k, v in shared.items()}
 
     def shard_files() -> Iterator[Tuple[str, np.ndarray]]:
         for i, part in enumerate(parts):
             for name in list(part):
                 rel = os.path.join(_shard_dir(i), f"{name}.npy")
-                yield rel, part.pop(name)
+                yield rel, _narrow(part.pop(name))
 
     def finish(staged: str) -> Dict[str, object]:
         out = dict(manifest())
@@ -566,13 +579,15 @@ def _load_shared_arrays(path: str) -> Dict[str, np.ndarray]:
             f"unreadable shared array payload {npz!r} ({exc}); "
             "rebuild the artifact"
         )
+    _check_dtypes(arrays, npz)
     return arrays
 
 
 def _load_shard_files(
     path: str, kind: str, index: int, mmap: bool = True
 ) -> Dict[str, np.ndarray]:
-    """The per-shard arrays of one shard directory (mmap'd by default)."""
+    """The per-shard arrays of one shard directory (mmap'd by default),
+    in their stored dtypes."""
     d = os.path.join(path, _shard_dir(index))
     names = {
         "bunches": ("indptr", "cols", "ds"),
@@ -591,6 +606,7 @@ def _load_shard_files(
                 f"shard array {fp!r} is missing, truncated, or corrupted "
                 f"({exc}); rebuild the artifact"
             )
+    _check_dtypes(out, d)
     return out
 
 
@@ -610,44 +626,23 @@ def load_sharded_artifact(
     (the ``repro verify-artifact`` path) recomputes."""
     manifest, bounds = _read_sharded_manifest(path)
     kind = str(manifest["kind"])
-    n = int(manifest["n"])
     shards = bounds.size - 1
     arrays = _load_shared_arrays(path)
+    # A validated shard map has at least one shard, so every concatenate
+    # below has a part; it promotes mixed stored dtypes to their common
+    # one, as the checksums do (_logical_checksums).
+    files = [_load_shard_files(path, kind, i) for i in range(shards)]
     if kind == "bunches":
-        srcs_parts, cols_parts, ds_parts = [], [], []
-        for i in range(shards):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            files = _load_shard_files(path, kind, i, mmap=True)
-            indptr = np.asarray(files["indptr"], dtype=np.int64)
-            counts = np.diff(indptr[lo:hi + 1])
-            srcs_parts.append(
-                np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-            )
-            cols_parts.append(np.asarray(files["cols"], dtype=np.int64))
-            ds_parts.append(np.asarray(files["ds"], dtype=np.float64))
-        arrays["bunch_srcs"] = (
-            np.concatenate(srcs_parts) if srcs_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        arrays["bunch_dsts"] = (
-            np.concatenate(cols_parts) if cols_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        arrays["bunch_ds"] = (
-            np.concatenate(ds_parts) if ds_parts
-            else np.empty(0, dtype=np.float64)
-        )
+        arrays["bunch_dsts"] = np.concatenate([f["cols"] for f in files])
+        arrays["bunch_srcs"] = np.concatenate([
+            _shard_srcs(int(bounds[i]), int(bounds[i + 1]), f["indptr"],
+                        arrays["bunch_dsts"].dtype)
+            for i, f in enumerate(files)
+        ])
+        arrays["bunch_ds"] = np.concatenate([f["ds"] for f in files])
     elif kind == "matrix":
-        rows = [
-            np.asarray(
-                _load_shard_files(path, kind, i, mmap=True)["estimates"],
-                dtype=np.float64,
-            )
-            for i in range(shards)
-        ]
-        arrays["estimates"] = (
-            np.concatenate(rows, axis=0) if rows
-            else np.empty((0, n), dtype=np.float64)
+        arrays["estimates"] = np.concatenate(
+            [f["estimates"] for f in files], axis=0
         )
     artifact = OracleArtifact(manifest=manifest, arrays=arrays)
     if verify:
@@ -704,8 +699,9 @@ class ShardBackend:
 
     # -- loading -------------------------------------------------------
     def _attach(self, arrays: Dict[str, np.ndarray]) -> None:
+        # Arrays keep their stored dtype; gather widens what it reads.
         if self.kind == "bunches":
-            self.indptr = np.asarray(arrays["indptr"], dtype=np.int64)
+            self.indptr = arrays["indptr"]
             self.cols = arrays["cols"]
             self.ds = arrays["ds"]
         elif self.kind == "matrix":

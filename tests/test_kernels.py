@@ -511,3 +511,62 @@ class TestFoldInEdges:
         e = triangle.edges()
         out = kernels.fold_in_edges(est, e[:, 0], e[:, 1])
         assert out is est
+
+
+# ----------------------------------------------------------------------
+# Narrow dtypes: the dtypes an artifact stores (int32 ids, lossless
+# float32 distances) give every kernel and its reference loop the
+# wide-dtype answer bit for bit.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("fdt,idt", [
+    (np.float64, np.int64), (np.float32, np.int32),
+])
+class TestBothDtypes:
+    def test_minplus(self, rng, fdt, idt):
+        s = random_minplus_matrix(rng, 30, 40, 0.3)
+        t = random_minplus_matrix(rng, 40, 25, 0.3)
+        want = ref.minplus_reference(s, t)
+        s_, t_ = s.astype(fdt), t.astype(fdt)
+        for got in (
+            ref.minplus_reference(s_, t_),
+            kernels.minplus(s_, t_),
+            kernels.minplus_dense(s_, t_, block=7),
+            kernels.minplus_csr(s_, t_),
+        ):
+            assert got.dtype == np.float64 and exact_equal(got, want)
+
+    def test_filter_rows(self, rng, fdt, idt):
+        m = random_minplus_matrix(rng, 17, 23, 0.5)
+        want = ref.filter_rows_reference(m, 4)
+        m_ = m.astype(fdt)
+        assert np.array_equal(ref.filter_rows_reference(m_, 4), want)
+        assert np.array_equal(kernels.filter_rows(m_, 4), want)
+
+    @pytest.mark.parametrize("max_dist", [2, np.inf])
+    def test_bfs(self, fdt, idt, max_dist):
+        for g in graph_cases()[1:]:
+            ip, ix = g.indptr.astype(idt), g.indices.astype(idt)
+            sources = np.arange(g.n)
+            want = ref.batched_bfs_reference(
+                g.indptr, g.indices, g.n, sources, max_dist
+            )
+            for got in (
+                ref.batched_bfs_reference(ip, ix, g.n, sources, max_dist),
+                kernels.batched_bfs(ip, ix, g.n, sources, max_dist),
+            ):
+                assert exact_equal(got, want)
+            assert exact_equal(
+                kernels.multi_source_bfs(ip, ix, g.n, [0], max_dist),
+                ref.multi_source_bfs_reference(
+                    g.indptr, g.indices, g.n, [0], max_dist
+                ),
+            )
+            want_k = ref.k_nearest_bfs_reference(
+                g.indptr, g.indices, g.n, 5, max_dist
+            )
+            for got_k in (
+                ref.k_nearest_bfs_reference(ip, ix, g.n, 5, max_dist),
+                kernels.k_nearest_bfs(ip, ix, g.n, 5, max_dist),
+            ):
+                assert all(map(np.array_equal, got_k, want_k))

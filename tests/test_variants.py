@@ -175,8 +175,15 @@ class TestSpecCompleteness:
 
         path = str(tmp_path / name)
         save_artifact(artifact, path)
-        loaded = DistanceOracle.load(path)
-        assert np.array_equal(fresh, loaded.query_batch(us, vs))
+        for mmap in (False, True):
+            loaded = DistanceOracle.load(path, mmap=mmap)
+            got = loaded.query_batch(us, vs)
+            assert got.dtype == np.float64 and np.array_equal(fresh, got)
+        # Unweighted distances are small integers: every array is stored
+        # narrow (int32 ids, float32 distances) and still answers the same.
+        assert {a.dtype.str for a in loaded.artifact.arrays.values()} <= {
+            "<i4", "<f4"
+        }
 
     @pytest.mark.parametrize(
         "name", [s.name for s in variants.all_variants()
@@ -482,6 +489,8 @@ class TestPreRefactorBitIdentity:
         path = os.path.join(FIXTURES, variant)
         art = load_artifact(path, expected_graph=fixture_graph)
         assert int(art.manifest["format_version"]) == 1  # pre-refactor bytes
+        # Loaded as stored: no narrowing, no widening on read.
+        assert {a.dtype.str for a in art.arrays.values()} == {"<i8", "<f8"}
         us, vs = pinned_queries
         got = DistanceOracle(art).query_batch(us, vs)
         expected = np.load(os.path.join(FIXTURES, f"{variant}-answers.npy"))
@@ -502,16 +511,23 @@ class TestPreRefactorBitIdentity:
     def test_resave_upgrades_format_and_keeps_answers(
         self, fixture_graph, pinned_queries, tmp_path
     ):
-        art = load_artifact(os.path.join(FIXTURES, "near-additive"))
-        out = str(tmp_path / "upgraded")
-        save_artifact(art, out)
-        with open(os.path.join(out, oracle.artifact.MANIFEST_NAME)) as fh:
-            assert json.load(fh)["format_version"] == oracle.FORMAT_VERSION
         us, vs = pinned_queries
-        got = DistanceOracle.load(out, mmap=True).query_batch(us, vs)
-        expected = np.load(
-            os.path.join(FIXTURES, "near-additive-answers.npy"))
-        assert np.array_equal(got, expected)
+        for variant in ("near-additive", "tz"):
+            art = load_artifact(os.path.join(FIXTURES, variant))
+            out = str(tmp_path / variant)
+            save_artifact(art, out)
+            with open(os.path.join(out, oracle.artifact.MANIFEST_NAME)) as fh:
+                assert json.load(fh)["format_version"] == oracle.FORMAT_VERSION
+            # Re-saving narrows the int64/float64 arrays and records
+            # checksums of the narrowed bytes.
+            again = load_artifact(out, mmap=True, verify=True)
+            assert {a.dtype.str for a in again.arrays.values()} == {
+                "<i4", "<f4"
+            }
+            got = DistanceOracle(again).query_batch(us, vs)
+            expected = np.load(
+                os.path.join(FIXTURES, f"{variant}-answers.npy"))
+            assert np.array_equal(got, expected)
 
 
 class TestRouter:
