@@ -111,7 +111,7 @@ def _burst(engine, us, vs, rounds=ROUNDS):
 #
 # Each probe runs in a fresh interpreter so RSS numbers are clean:
 # the unsharded probe's ru_maxrss is baseline + the fully-resident
-# merged load; a shard worker's is baseline + its own mmap'd shard.
+# merged load; a shard worker's is baseline + its own mapped shard.
 
 
 def _current_rss_kb():
@@ -127,7 +127,7 @@ def _current_rss_kb():
 
 
 def _probe_unsharded(spec):
-    art = oracle.load_artifact(spec["path"], mmap=False)
+    art = oracle.load_artifact(spec["path"])
     engine = oracle.DistanceOracle(art)
     engine.query_batch([0], [0])  # materialize lazy structures
     load_rss = _current_rss_kb()
@@ -157,7 +157,7 @@ def _pss_kb(pid):
 
 
 def _probe_sharded(spec):
-    engine = oracle.ShardedOracle.load(spec["path"], mmap=True, pool=True)
+    engine = oracle.ShardedOracle.load(spec["path"], pool=True)
     try:
         us, vs = _pairs(engine.n, spec["burst"])
         qps, values = _burst(engine, us, vs, spec["rounds"])

@@ -14,9 +14,8 @@ Examples::
     python -m repro serve --artifact /tmp/oracle --port 8080
     # multi-artifact serving: one process, per-artifact routes
     python -m repro serve --artifact tz=/tmp/tz --artifact na=/tmp/na
-    # per-mount shard override + serving limits
-    python -m repro serve --artifact tz=/tmp/tz,shards=4 \\
-        --artifact es=/tmp/es \\
+    # a sharded layout (build-oracle --shards 4) + serving limits
+    python -m repro serve --artifact tz=/tmp/tz4 --artifact es=/tmp/es \\
         --max-inflight 32 --default-timeout-ms 2000
     # tune the request coalescer (keep-alive + micro-batching)
     python -m repro serve --artifact /tmp/oracle \\
@@ -147,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("families", help="list workload families")
 
-    def mmap_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--mmap", action="store_true",
-            help="memory-map matrix estimates instead of loading them "
-                 "resident (format-2 artifacts; answers are identical)",
-        )
-
     p_build = sub.add_parser(
         "build-oracle",
         help="preprocess a workload into an on-disk oracle artifact",
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--path", action="store_true", dest="want_path",
         help="also reconstruct a concrete G-path",
     )
-    mmap_flag(p_query)
 
     p_serve = sub.add_parser(
         "serve", help="serve artifacts over HTTP (JSON; stdlib only)"
@@ -234,12 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifact", required=True, action="append",
         help="artifact directory, or NAME=PATH to mount it under a "
              "route name; repeat the flag to serve several artifacts "
-             "from one process (POST /query/<name>).  Per-mount "
-             "overrides append as ,key=value — e.g. "
-             "NAME=PATH,shards=4 "
-             "(a sharded-layout path is detected and served by its "
-             "worker pool automatically; shards=S on a plain artifact "
-             "partitions it in memory)",
+             "from one process (POST /query/<name>).  A sharded layout "
+             "(build-oracle --shards) is detected and served by its "
+             "worker pool",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
@@ -301,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not enable the metrics registry (GET /metrics scrapes "
              "as zeros; for overhead comparisons)",
     )
-    mmap_flag(p_serve)
 
     profile_lines = [
         f"  {p.name:<18} [{p.driver}-loop] {p.summary}"
@@ -320,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--artifact", action="append", default=None,
-        help="prebuilt artifact to mount: PATH or NAME=PATH[,key=value]; "
+        help="prebuilt artifact to mount: PATH or NAME=PATH; "
              "repeat for multi-tenant runs.  Omit to build an in-memory "
              "tenant from --family/--n/--variant",
     )
@@ -365,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None,
         help="JSON report path (default loadgen-<profile>.json)",
     )
-    mmap_flag(p_load)
 
     p_verify = sub.add_parser(
         "verify-artifact",
@@ -614,39 +600,21 @@ def _parse_pairs(spec: str):
 
 
 def _parse_artifact_mounts(entries):
-    """``--artifact`` values: ``PATH`` or ``NAME=PATH``, optionally
-    followed by ``,key=value`` per-mount overrides (``shards=S``).
-
-    Returns ``(name, path)`` or ``(name, path, options)`` tuples — the
-    :meth:`repro.oracle.OracleRouter.load` input shape."""
+    """``--artifact`` values, ``PATH`` or ``NAME=PATH``, as the
+    ``(name, path)`` tuples :meth:`repro.oracle.OracleRouter.load`
+    takes (``name`` is ``None`` for a bare path)."""
     mounts = []
     for entry in entries:
-        first, *option_parts = entry.split(",")
-        first = first.strip()
-        if "=" in first:
-            name, _, path = first.partition("=")
-            name, path = name.strip(), path.strip()
-            if not name or not path:
-                raise oracle.ArtifactError(
-                    f"malformed --artifact entry {entry!r}; expected "
-                    "NAME=PATH[,key=value...]"
-                )
-        else:
-            name, path = None, first
-        options = {}
-        for part in option_parts:
-            key, sep, value = part.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise oracle.ArtifactError(
-                    f"malformed mount option {part!r} in --artifact "
-                    f"entry {entry!r}; expected key=value"
-                )
-            options[key] = value
-        options = oracle.parse_mount_options(
-            options, f"in --artifact entry {entry!r}"
-        )
-        mounts.append((name, path, options) if options else (name, path))
+        name, sep, path = entry.partition("=")
+        if not sep:
+            mounts.append((None, entry.strip()))
+            continue
+        name, path = name.strip(), path.strip()
+        if not name or not path:
+            raise oracle.ArtifactError(
+                f"malformed --artifact entry {entry!r}; expected NAME=PATH"
+            )
+        mounts.append((name, path))
     return mounts
 
 
@@ -728,7 +696,6 @@ def _main_serving(args) -> int:
             _parse_artifact_mounts(args.artifact),
             host=args.host,
             port=args.port,
-            mmap=args.mmap,
             limits=limits,
         )
         return 0
@@ -757,7 +724,7 @@ def _main_serving(args) -> int:
                 args, lambda request: client.query(request, name=args.name),
                 source="server", fail=3,
             )
-    engine = oracle.DistanceOracle.load(args.artifact, mmap=args.mmap)
+    engine = oracle.DistanceOracle.load(args.artifact)
     m = engine.artifact.manifest
     print(
         f"artifact: variant={m['variant']} kind={m['kind']} n={m['n']} "

@@ -108,15 +108,12 @@ def build_tenants(
     ]
 
 
-def load_mounts(
-    mounts: Sequence[Tuple], mmap: bool = False
-) -> List[Tuple[str, DistanceOracle]]:
-    """Load prebuilt artifacts from ``(name, path)`` /
-    ``(name, path, options)`` mount tuples — the same shape
-    ``repro serve --artifact`` parses, opened by the same
+def load_mounts(mounts: Sequence[Tuple]) -> List[Tuple[str, DistanceOracle]]:
+    """Load prebuilt artifacts from ``(name, path)`` mount tuples — the
+    shape ``repro serve --artifact`` parses, opened by the same
     :func:`~repro.oracle.load_mount`; ``name=None`` defaults to the
     manifest variant."""
-    return [load_mount(item, mmap=mmap) for item in mounts]
+    return [load_mount(item) for item in mounts]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ bunches, Appendix A) into a persistent *artifact* behind a query front
 end, the preprocess/query split production distance services amortize:
 
 * :mod:`repro.oracle.artifact` — versioned on-disk snapshots (npz +
-  mmap-able ``estimates.npy`` + JSON manifest: variant, schema-validated
+  memory-mapped ``estimates.npy`` + JSON manifest: variant, schema-validated
   parameter echo, stretch guarantee, round-ledger totals, graph hash)
   with :func:`save_artifact` / :func:`load_artifact` round-tripping any
   variant registered in :mod:`repro.variants`;
@@ -82,7 +82,6 @@ from .service import (
     OracleRouter,
     OracleService,
     load_mount,
-    parse_mount_options,
     serve,
     start_async_server,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "graph_fingerprint",
     "load_artifact",
     "load_mount",
-    "parse_mount_options",
     "save_artifact",
     "serve",
     "start_async_server",

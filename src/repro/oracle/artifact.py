@@ -11,9 +11,12 @@ An artifact is a directory with up to three files:
   ``allow_pickle=False``);
 * ``estimates.npy`` (format 2, matrix/sources kinds) — the large
   ``(rows, n)`` estimate matrix stored *uncompressed* so it can be
-  memory-mapped: ``load_artifact(path, mmap=True)`` opens it with
-  ``mmap_mode="r"`` and an ``n = 10^4`` matrix serves without a 400 MB
-  resident load (800 MB when its values need float64, see below).
+  memory-mapped: :func:`load_artifact` always opens it with
+  ``mmap_mode="r"``, so an ``n = 10^4`` matrix serves from the page
+  cache without a 400 MB resident load (800 MB when its values need
+  float64, see below).  A mapped file is never rewritten in place: a
+  save stages a new directory and renames it over the old one, so a
+  live oracle keeps reading the bytes it opened.
 
 Every payload array is stored in the narrowest lossless dtype
 (:func:`_narrow`, applied as arrays enter the writer): int64 as int32
@@ -83,14 +86,14 @@ __all__ = [
 ]
 
 #: Format 2 stores matrix/sources estimates as an uncompressed,
-#: mmap-able ``estimates.npy``; format 1 kept every array in the npz.
+#: mappable ``estimates.npy``; format 1 kept every array in the npz.
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 ESTIMATES_NAME = "estimates.npy"
 
 #: The array key that is split out to ``estimates.npy`` on save.
-_MMAP_KEY = "estimates"
+_NPY_KEY = "estimates"
 
 AnyGraph = Union[Graph, WeightedGraph]
 
@@ -533,14 +536,16 @@ _PAYLOAD_DTYPES = {
 
 
 def _check_dtypes(arrays: Dict[str, np.ndarray], where: str) -> None:
-    """Raise :class:`ArtifactError` naming the first known payload array
-    of ``arrays`` (read from ``where``) whose dtype no reader accepts —
-    a float id array or an integer distance array would otherwise index
-    wrongly or answer wrongly."""
+    """Raise :class:`ArtifactCorrupt` naming the first known payload
+    array of ``arrays`` (read from ``where``) whose dtype no reader
+    accepts — a float id array or an integer distance array would
+    otherwise index wrongly or answer wrongly.  No writer stores such a
+    dtype, so the bytes on disk are damaged: a served query that meets
+    it is the server's fault (500), not the client's."""
     for name, a in arrays.items():
         allowed = _PAYLOAD_DTYPES.get(name)
         if allowed is not None and a.dtype not in allowed:
-            raise ArtifactError(
+            raise ArtifactCorrupt(
                 f"array {name!r} in {where!r} has dtype {a.dtype}; "
                 f"expected one of {[str(d) for d in allowed]} — rebuild "
                 "the artifact"
@@ -599,7 +604,7 @@ def _write_staged(
 
     Everything is staged in a ``<path>.tmp-<pid>`` sibling directory
     (file names are relative to it and may sit one subdirectory down):
-    first each uncompressed, mmap-able ``.npy`` of ``npy_files`` — read
+    first each uncompressed, mappable ``.npy`` of ``npy_files`` — read
     lazily, so a producer can stream them and drop each array once it is
     staged — then each compressed ``.npz`` of ``npz_files``.  Only then
     is ``manifest(staging_dir)`` called (it may read the staged files
@@ -665,7 +670,7 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     (through :func:`_write_staged`).
 
     The payload is ``manifest.json`` + ``arrays.npz``, with
-    matrix/sources estimates split out to an uncompressed, mmap-able
+    matrix/sources estimates split out to an uncompressed, mappable
     ``estimates.npy``.  Every array is stored as :func:`_narrow` gives
     it.  The written manifest is normalized to :data:`FORMAT_VERSION`
     and gains per-array SHA-256 ``checksums`` of the stored arrays (what
@@ -678,7 +683,7 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     manifest["checksums"] = {
         name: _array_digest(a) for name, a in arrays.items()
     }
-    estimates = arrays.pop(_MMAP_KEY, None)
+    estimates = arrays.pop(_NPY_KEY, None)
     npy_files = [] if estimates is None else [(ESTIMATES_NAME, estimates)]
     _write_staged(path, npy_files, {ARRAYS_NAME: arrays}, lambda _: manifest)
 
@@ -756,20 +761,41 @@ def _validate_manifest(manifest: Dict[str, object], path: str) -> None:
                 )
 
 
+def _read_manifest(path: str) -> Dict[str, object]:
+    """The validated manifest of artifact directory ``path`` — the one
+    manifest reader of plain and sharded loads.  A missing or
+    undecodable manifest, or one that fails :func:`_validate_manifest`,
+    is an :class:`ArtifactError`."""
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    if not os.path.isfile(manifest_path):
+        raise ArtifactError(
+            f"{path!r} is not an oracle artifact (no {MANIFEST_NAME})"
+        )
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"unreadable manifest in {path!r}: {exc}")
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"manifest in {path!r} is not a JSON object")
+    _validate_manifest(manifest, path)
+    return manifest
+
+
 def load_artifact(
     path: str,
     expected_graph: Optional[AnyGraph] = None,
-    mmap: bool = False,
     verify: bool = False,
 ) -> OracleArtifact:
     """Read an artifact directory back, validating version, completeness,
     the parameter echo, and (optionally) the graph fingerprint.
 
-    ``mmap=True`` opens a format-2 ``estimates.npy`` with
-    ``mmap_mode="r"`` — queries gather straight from the page cache and
+    A format-2 ``estimates.npy`` is always opened with
+    ``mmap_mode="r"``: queries gather straight from the page cache and
     a large matrix artifact serves without loading the full payload
     resident.  Version-1 artifacts (estimates inside the compressed
-    npz) cannot be mapped and fall back to a full load.
+    npz) load resident.  A sharded layout is merged into one resident
+    artifact (:func:`~repro.oracle.sharded.load_sharded_artifact`).
 
     Truncated or undecodable arrays (a torn write, a bad disk) raise
     :class:`ArtifactCorrupt` naming the bad array instead of leaking a
@@ -782,9 +808,9 @@ def load_artifact(
     Arrays keep their stored dtype (int32 or int64 ids, float32 or
     float64 distances; see :func:`_narrow`).
 
-    Raises :class:`ArtifactError` on missing/malformed files, a payload
-    array of any other dtype, a newer format version, or a parameter
-    echo outside the variant's schema;
+    Raises :class:`ArtifactError` on missing/malformed files, a newer
+    format version, or a parameter echo outside the variant's schema;
+    :class:`ArtifactCorrupt` on a payload array of any other dtype;
     :class:`ArtifactMismatch` when ``expected_graph`` does not hash to
     the manifest's ``graph_hash``.
     """
@@ -799,20 +825,14 @@ def load_artifact(
 
         if is_sharded_artifact(path):
             return load_sharded_artifact(
-                path, expected_graph=expected_graph, mmap=mmap,
-                verify=verify,
+                path, expected_graph=expected_graph, verify=verify
             )
     if not os.path.isfile(manifest_path) or not os.path.isfile(arrays_path):
         raise ArtifactError(
             f"{path!r} is not an oracle artifact (expected "
             f"{MANIFEST_NAME} and {ARRAYS_NAME})"
         )
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"unreadable manifest in {path!r}: {exc}")
-    _validate_manifest(manifest, path)
+    manifest = _read_manifest(path)
     kind = str(manifest["kind"])
     if kind not in _KIND_ARRAYS:
         raise ArtifactError(f"unknown artifact kind {kind!r} in {path!r}")
@@ -837,9 +857,8 @@ def load_artifact(
     estimates_path = os.path.join(path, ESTIMATES_NAME)
     if os.path.isfile(estimates_path):
         try:
-            arrays[_MMAP_KEY] = np.load(
-                estimates_path, mmap_mode="r" if mmap else None,
-                allow_pickle=False,
+            arrays[_NPY_KEY] = np.load(
+                estimates_path, mmap_mode="r", allow_pickle=False
             )
         except Exception as exc:
             raise ArtifactCorrupt(

@@ -4,7 +4,7 @@ Answers point-to-point distance and path queries from an
 :class:`~repro.oracle.artifact.OracleArtifact`:
 
 * **matrix artifacts** — a batched query is one fancy-index gather
-  ``estimates[us, vs]``, widened to float64 (with ``mmap=True`` the
+  ``estimates[us, vs]``, widened to float64 (a loaded artifact's
   gather reads straight from the memory-mapped ``estimates.npy``, which
   stays in its stored float32 or float64);
 * **sources artifacts** — an MSSP snapshot: ``estimates[i, v]``
@@ -175,19 +175,13 @@ class DistanceOracle:
         self._path_oracle = None
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        expected_graph=None,
-        mmap: bool = False,
-    ) -> "DistanceOracle":
+    def load(cls, path: str, expected_graph=None) -> "DistanceOracle":
         """Load an artifact directory and wrap it in an oracle.
 
-        ``mmap=True`` memory-maps a format-2 estimate matrix
-        (:func:`repro.oracle.artifact.load_artifact`): answers are
-        bit-identical, but the payload stays on disk and pages in on
-        demand."""
-        return cls(load_artifact(path, expected_graph=expected_graph, mmap=mmap))
+        A format-2 estimate matrix is memory-mapped
+        (:func:`repro.oracle.artifact.load_artifact`): the payload stays
+        on disk and pages in on demand."""
+        return cls(load_artifact(path, expected_graph=expected_graph))
 
     # ------------------------------------------------------------------
     # Distance queries
@@ -444,7 +438,7 @@ def combine_bunch_slabs(
     engine passes its own CSR on both sides (``v_lo = indptr[vs]``);
     a sharded worker passes its local CSR on the u side and, on the v
     side, the clamped local CSR of v's shard — its own for a same-shard
-    pair, the peer shard's mmap'd files for a cross-shard pair.  The
+    pair, the peer shard's mapped files for a cross-shard pair.  The
     candidate set — common members, the two direct-arc conventions, the
     ``u == v`` zero — is identical either way, and ``min`` over float64
     candidates plus the smallest-witness-id tie-break are

@@ -8,10 +8,12 @@ returns ``(status, response_dict)`` — so the same semantics back the CLI
 loaded artifact is mounted under a name, requests route per artifact
 (HTTP ``POST /query/<name>``), unknown names 404 listing what is
 mounted, and ``GET /info`` merges every artifact's manifest and serving
-counters.  A router with a single artifact keeps the original
-single-oracle surface (bare ``POST /query`` works, ``/info`` carries
-the legacy top-level ``manifest``/``stats`` keys), so existing clients
-are unaffected.
+counters.  A mount takes no options: :func:`load_mount` opens each
+artifact as it is stored — a sharded layout behind its worker pool, a
+plain artifact with its ``estimates.npy`` memory-mapped.  A router
+with a single artifact keeps the original single-oracle surface (bare
+``POST /query`` works, ``/info`` carries the legacy top-level
+``manifest``/``stats`` keys), so existing clients are unaffected.
 
 Every request now runs through the resilience layer
 (:mod:`repro.oracle.resilience`):
@@ -98,7 +100,6 @@ __all__ = [
     "OracleRouter",
     "OracleService",
     "load_mount",
-    "parse_mount_options",
     "serve",
     "start_async_server",
 ]
@@ -549,55 +550,21 @@ class OracleService:
 # Multi-artifact routing
 # ----------------------------------------------------------------------
 
-#: Mount options (``--artifact NAME=PATH,key=value``) and their parsers.
-_MOUNT_OPTIONS = {"shards": int}
-
-
-def parse_mount_options(options: Dict, where: str) -> Dict[str, object]:
-    """Parse one mount's options (for :func:`load_mount` and the CLI);
-    ``where`` names the mount in the :class:`ArtifactError` raised for an
-    unknown option or an unparsable value."""
-    parsed = {}
-    for key, value in options.items():
-        parse = _MOUNT_OPTIONS.get(key)
-        if parse is None:
-            raise ArtifactError(
-                f"unknown mount option {key!r} {where}; supported: "
-                f"{sorted(_MOUNT_OPTIONS)}"
-            )
-        try:
-            parsed[key] = parse(value)
-        except (TypeError, ValueError):
-            raise ArtifactError(
-                f"mount option {key}={value!r} {where} is not a valid "
-                f"{parse.__name__}"
-            )
-    return parsed
-
-
-def load_mount(item: Tuple, mmap: bool = False) -> Tuple[str, DistanceOracle]:
-    """Open one ``(name, path)`` or ``(name, path, options)`` mount and
-    return ``(mount_name, oracle)`` — the one loader behind
-    :meth:`OracleRouter.load` and :func:`repro.loadgen.load_mounts`.
+def load_mount(item: Tuple) -> Tuple[str, DistanceOracle]:
+    """Open one ``(name, path)`` mount and return ``(mount_name,
+    oracle)`` — the one loader behind :meth:`OracleRouter.load` and
+    :func:`repro.loadgen.load_mounts`.
 
     ``name=None`` defaults to the artifact's manifest ``variant``.  The
-    ``options`` dict overrides serving knobs for this artifact alone —
-    today only ``shards`` (the CLI spells it
-    ``--artifact NAME=PATH,shards=S``); unknown options fail loudly.  A
-    path holding the sharded layout opens as a
-    :class:`~repro.oracle.sharded.ShardedOracle` automatically
-    (``shards=`` is then an optional cross-check); ``shards=S`` on a
-    plain artifact partitions it in memory."""
-    name, path = item[0], item[1]
-    options = parse_mount_options(
-        (item[2] or {}) if len(item) > 2 else {},
-        f"for artifact {name or path!r}",
-    )
-    shards = options.get("shards")
-    if shards is None and not is_sharded_artifact(path):
-        oracle = DistanceOracle.load(path, mmap=mmap)
+    artifact decides how it is opened: a path holding the sharded layout
+    (:func:`~repro.oracle.sharded.is_sharded_artifact`) opens as a
+    :class:`~repro.oracle.sharded.ShardedOracle`, any other as a
+    :class:`DistanceOracle`."""
+    name, path = item
+    if not is_sharded_artifact(path):
+        oracle = DistanceOracle.load(path)
         return name or oracle.artifact.variant, oracle
-    oracle = ShardedOracle.load(path, shards=shards, mmap=mmap)
+    oracle = ShardedOracle.load(path)
     name = name or oracle.artifact.variant
     oracle.set_mount(name)
     return name, oracle
@@ -639,16 +606,14 @@ class OracleRouter:
     def load(
         cls,
         artifacts: Iterable[Tuple],
-        mmap: bool = False,
         limits: Optional[ServingLimits] = None,
     ) -> "OracleRouter":
-        """Build a router from ``(name, path)`` or
-        ``(name, path, options)`` tuples, each opened by
+        """Build a router from ``(name, path)`` tuples, each opened by
         :func:`load_mount` (duplicate names fail loudly — name them
         explicitly).  ``limits`` apply to every mount."""
         router = cls()
         for item in artifacts:
-            name, oracle = load_mount(item, mmap=mmap)
+            name, oracle = load_mount(item)
             router.mount(name, oracle, limits=limits)
         return router
 
@@ -1381,7 +1346,6 @@ def serve(
     artifacts: Union[str, Sequence[Tuple]],
     host: str = "127.0.0.1",
     port: int = 8080,
-    mmap: bool = False,
     limits: Optional[ServingLimits] = None,
     install_signal_handlers: bool = True,
 ) -> None:
@@ -1389,9 +1353,8 @@ def serve(
     :class:`AsyncOracleServer` (the ``repro serve`` body).
 
     ``artifacts`` is a single artifact-directory path, or a sequence of
-    ``(name, path)`` / ``(name, path, options)`` tuples (``name=None``
-    defaults to the manifest variant) for multi-artifact routing with
-    per-mount overrides.
+    ``(name, path)`` tuples (``name=None`` defaults to the manifest
+    variant) for multi-artifact routing.
 
     SIGTERM/SIGINT (when handlers can be installed — main thread only)
     triggers the graceful drain: ``/healthz`` flips to draining, new
@@ -1400,7 +1363,7 @@ def serve(
     """
     if isinstance(artifacts, str):
         artifacts = [(None, artifacts)]
-    router = OracleRouter.load(artifacts, mmap=mmap, limits=limits)
+    router = OracleRouter.load(artifacts, limits=limits)
 
     async def _run() -> None:
         server = AsyncOracleServer(router, host=host, port=port, limits=limits)

@@ -1,7 +1,7 @@
 """Sharded multi-process oracle serving (the scale-out layer).
 
 One :class:`~repro.oracle.engine.DistanceOracle` answers every query
-from one process over one resident artifact — fine at ``n = 10^4``,
+from one process over one artifact — fine at ``n = 10^4``,
 hopeless at ``n = 10^5+`` where even the ``O(k n^{1+1/k})``
 Thorup–Zwick bunch relation is hundreds of megabytes and a matrix
 artifact is out of the question.  This module splits both the *storage*
@@ -48,7 +48,9 @@ load verifies with the ordinary
 save of an artifact round-trips bit-identically through
 :func:`~repro.oracle.artifact.load_artifact` (which detects the layout
 and merges transparently).  ``save_sharded_artifact`` feeds it
-:func:`_partition_arrays` of an in-memory artifact.
+:func:`_partition_arrays` of an in-memory artifact.  The layout is the
+only sharded form: a :class:`ShardedOracle` is always opened from one,
+never partitioned in memory.
 
 **Streaming build** — ``build_sharded_oracle(g, path, shards)`` for the
 ``tz`` variant feeds it :func:`_tz_shard_parts`, which cuts the
@@ -62,16 +64,17 @@ manifest records ``stats.peak_resident_arcs``).  Its front half and its
 manifest summary are the unsharded build's, so ``name``, the stretch,
 ``params`` and ``stats`` (``bunch_edges`` counts stored arcs in both)
 agree with ``build_oracle``.  Other variants build in memory and
-re-partition.
+are partitioned on save.
 
-**ShardedOracle** — routes batched queries by vertex id to a persistent
-pool of forked worker processes, one per shard (the parent never loads
-shard payloads while the pool is healthy).  Every query of every kind
+**ShardedOracle** (``ShardedOracle.load(path)``) — routes batched
+queries by vertex id to a persistent pool of forked worker processes,
+one per shard (the parent never loads shard payloads while the pool is
+healthy).  Every query of every kind
 is owned by the shard of its source ``u`` and answered in **one** pool
 round.  For the ``bunches`` kind the u-owner runs the dense-scatter
 combine with its local ``B(u)`` CSR against ``B(v)`` read straight from
 ``v``'s shard — its own arrays for a same-shard pair, else the peer
-shard's read-only files, which the worker mmaps on first use (shard
+shard's read-only files, which the worker maps on first use (shard
 files are immutable and on the same host, so no slab travels through
 the parent).  Every backend holds the whole shard list and the bounds;
 forked workers inherit them and serial degrade uses the same objects.
@@ -91,7 +94,7 @@ budget (read once, when the oracle starts its pool) tears the pool
 down; the batch is retried on a rebuilt pool **once** (a
 :class:`ParallelFallback` warning), and a second failure degrades
 permanently to in-process serial backends over
-the same mmap'd shard files — same routing code, same kernel, still
+the same mapped shard files — same routing code, same kernel, still
 bit-identical, just slower.  ``repro_shard_up`` drops to 0 on degrade.
 The ``sharded.worker`` fault point fires inside each worker per
 received request, which is how the chaos suite kills one mid-burst.
@@ -126,7 +129,6 @@ from .artifact import (
     MANIFEST_NAME,
     ArtifactCorrupt,
     ArtifactError,
-    ArtifactMismatch,
     OracleArtifact,
     _array_digest,
     _check_dtypes,
@@ -134,12 +136,11 @@ from .artifact import (
     _manifest_base,
     _manifest_finish,
     _narrow,
+    _read_manifest,
     _resolve_build,
     _streamed_digest,
-    _validate_manifest,
     _write_staged,
     build_oracle,
-    graph_fingerprint,
 )
 from .engine import (
     DistanceOracle,
@@ -243,7 +244,7 @@ def _logical_checksums(
     staged: str, kind: str, bounds: np.ndarray
 ) -> Dict[str, str]:
     """The digests of the logical arrays a sharded layout splits,
-    streamed shard by shard over the staged (mmap'd) shard files.
+    streamed shard by shard over the staged (mapped) shard files.
 
     Concatenating the shards in bound order *is* the canonical array
     (``bunch_srcs`` is each shard's clamped CSR expanded over its own
@@ -288,9 +289,7 @@ def _partition_arrays(
     relation (``_directed_csr`` is a stable sort, so canonical input —
     every builder's output — passes through unchanged) and ``matrix``
     each shard's row range; an ``edges`` shard holds nothing of its own.
-    The save writes these dicts and the in-memory
-    :class:`ShardedOracle` attaches them, so both serve the same
-    arrays."""
+    :func:`save_sharded_artifact` writes these dicts."""
     shared = {k: np.asarray(v) for k, v in arrays.items()}
     eff = bounds.size - 1
     parts: List[Dict[str, np.ndarray]] = [{} for _ in range(eff)]
@@ -522,17 +521,7 @@ def build_sharded_oracle(
 
 def _read_sharded_manifest(path: str) -> Tuple[Dict[str, object], np.ndarray]:
     """The validated manifest and shard bounds of a sharded layout."""
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
-        raise ArtifactError(
-            f"{path!r} is not an oracle artifact (no {MANIFEST_NAME})"
-        )
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"unreadable manifest in {path!r}: {exc}")
-    _validate_manifest(manifest, path)
+    manifest = _read_manifest(path)
     smap = manifest.get(SHARD_MAP_KEY)
     if not isinstance(smap, dict):
         raise ArtifactError(f"{path!r} has no shard map; not sharded")
@@ -583,11 +572,9 @@ def _load_shared_arrays(path: str) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _load_shard_files(
-    path: str, kind: str, index: int, mmap: bool = True
-) -> Dict[str, np.ndarray]:
-    """The per-shard arrays of one shard directory (mmap'd by default),
-    in their stored dtypes."""
+def _load_shard_files(path: str, kind: str, index: int) -> Dict[str, np.ndarray]:
+    """The per-shard arrays of one shard directory, mapped read-only, in
+    their stored dtypes."""
     d = os.path.join(path, _shard_dir(index))
     names = {
         "bunches": ("indptr", "cols", "ds"),
@@ -598,9 +585,7 @@ def _load_shard_files(
     for name in names:
         fp = os.path.join(d, f"{name}.npy")
         try:
-            out[name] = np.load(
-                fp, mmap_mode="r" if mmap else None, allow_pickle=False
-            )
+            out[name] = np.load(fp, mmap_mode="r", allow_pickle=False)
         except Exception as exc:
             raise ArtifactCorrupt(
                 f"shard array {fp!r} is missing, truncated, or corrupted "
@@ -613,10 +598,9 @@ def _load_shard_files(
 def load_sharded_artifact(
     path: str,
     expected_graph=None,
-    mmap: bool = False,
     verify: bool = False,
 ) -> OracleArtifact:
-    """Merge a sharded layout back into one logical
+    """Merge a sharded layout back into one logical, resident
     :class:`~repro.oracle.artifact.OracleArtifact`.
 
     Concatenating the shards in bound order *is* the canonical array
@@ -660,12 +644,11 @@ class ShardBackend:
     """One shard's answer engine — the same object runs inside a forked
     pool worker and in the parent's serial-degrade mode.
 
-    Arrays arrive either eagerly (the in-memory partition of a plain
-    artifact) or lazily from a shard directory (``ensure_loaded`` mmaps
-    on first use — inside the forked child in pool mode, so the parent
-    never pages the payload in while the pool is healthy).  A bunches
-    worker also loads, on first use, each peer shard it reads ``B(v)``
-    slabs from."""
+    Its arrays are mapped from the shard directory on first use
+    (``ensure_loaded`` — inside the forked child in pool mode, so the
+    parent never pages the payload in while the pool is healthy).  A
+    bunches worker also loads, on first use, each peer shard it reads
+    ``B(v)`` slabs from."""
 
     def __init__(
         self,
@@ -674,8 +657,7 @@ class ShardBackend:
         lo: int,
         hi: int,
         index: int,
-        arrays: Optional[Dict[str, np.ndarray]] = None,
-        path: Optional[str] = None,
+        path: str,
         csr=None,
     ):
         self.n = int(n)
@@ -687,18 +669,19 @@ class ShardBackend:
         self._requests = 0
         self._queries = 0
         self._loaded = False
-        # The whole shard set, wired by ShardedOracle._finish_init: a
+        # The whole shard set, wired by ShardedOracle.__init__: a
         # bunches gather reads B(v) from ``peers[shard_of(bounds, v)]``.
         self.bounds: Optional[np.ndarray] = None
         self.peers: Sequence["ShardBackend"] = ()
         # An edges shard answers over the whole graph: the one
         # load-time CSR (``edges_csr``), shared by every backend.
         self.csr = csr
-        if arrays is not None:
-            self._attach(arrays)
 
     # -- loading -------------------------------------------------------
-    def _attach(self, arrays: Dict[str, np.ndarray]) -> None:
+    def ensure_loaded(self) -> None:
+        if self._loaded:
+            return
+        arrays = _load_shard_files(self._path, self.kind, self.index)
         # Arrays keep their stored dtype; gather widens what it reads.
         if self.kind == "bunches":
             self.indptr = arrays["indptr"]
@@ -713,16 +696,6 @@ class ShardBackend:
                     f"{(self.hi - self.lo, self.n)}"
                 )
         self._loaded = True
-
-    def ensure_loaded(self) -> None:
-        if self._loaded:
-            return
-        if self._path is None:
-            raise ArtifactError(
-                f"shard backend {self.index} has neither arrays nor a "
-                "path to load them from"
-            )
-        self._attach(_load_shard_files(self._path, self.kind, self.index))
 
     # -- dispatch ------------------------------------------------------
     def handle(self, op: Tuple) -> object:
@@ -751,7 +724,7 @@ class ShardBackend:
         if self.kind == "edges":
             return edges_sssp_batch(self.csr, us, vs)
         # bunches: B(u) is local; B(v) is read from v's shard — this
-        # backend when v is local, else the peer's (lazily mmap'd) files.
+        # backend when v is local, else the peer's (lazily mapped) files.
         values = np.empty(us.size, dtype=np.float64)
         wits = np.empty(us.size, dtype=np.int64)
         for s, qidx in _groups(shard_of(self.bounds, vs)):
@@ -932,46 +905,45 @@ class ShardedOracle(DistanceOracle):
 
     def __init__(
         self,
-        artifact: OracleArtifact,
-        shards: int,
+        path: str,
+        expected_graph=None,
         pool: Optional[bool] = None,
     ):
-        """In-memory mode: partition a loaded artifact into ``shards``
-        vertex ranges (fork-inherited by pool workers, copy-on-write).
-        For the on-disk sharded layout use :meth:`load`."""
-        self._init_common(artifact)
-        if self.kind not in _SHARDABLE_KINDS:
-            raise ArtifactError(
-                f"artifact kind {self.kind!r} cannot be sharded; "
-                f"supported kinds: {list(_SHARDABLE_KINDS)}"
-            )
-        bounds = _shard_bounds(self.n, shards)
-        parts, shared = _partition_arrays(
-            self.kind, self.n, artifact.arrays, bounds
+        """Open a sharded artifact directory (``build-oracle --shards`` /
+        :func:`save_sharded_artifact`); :meth:`load` is the same call.
+
+        The layout is served *as stored*: each worker maps its own
+        shard directory, plus the peer shards it reads ``B(v)`` slabs
+        from (bunches kind), and the parent loads nothing but the
+        manifest — and, for the edges kind, the shared edge list, which
+        it decodes once (:func:`~repro.oracle.engine.edges_csr`) for
+        every worker to inherit.  ``expected_graph`` is checked as
+        :meth:`~repro.oracle.artifact.OracleArtifact.check_graph` checks
+        a plain load.  ``pool=None`` forks one worker per shard when
+        there are several and fork is available; ``pool=False`` serves
+        in-process."""
+        manifest, bounds = _read_sharded_manifest(path)
+        header = OracleArtifact(manifest=manifest, arrays={})
+        if expected_graph is not None:
+            header.check_graph(expected_graph)
+        self._init_common(header)
+        self._sharded_dir = os.path.abspath(path)
+        self._merged: Optional[OracleArtifact] = None
+        csr = (
+            edges_csr(self.n, _load_shared_arrays(path))
+            if self.kind == "edges" else None
         )
-        csr = edges_csr(self.n, shared) if self.kind == "edges" else None
         backends = [
             ShardBackend(
                 self.n, self.kind, int(bounds[i]), int(bounds[i + 1]), i,
-                arrays=part, csr=csr,
+                self._sharded_dir, csr=csr,
             )
-            for i, part in enumerate(parts)
+            for i in range(bounds.size - 1)
         ]
-        self._sharded_dir: Optional[str] = None
-        self._merged: Optional[OracleArtifact] = artifact
-        self._finish_init(bounds, backends, pool)
-
-    # -- construction --------------------------------------------------
-    def _finish_init(
-        self,
-        bounds: np.ndarray,
-        backends: List[ShardBackend],
-        pool: Optional[bool],
-    ) -> None:
-        self._bounds = bounds
-        self._backends = backends
         for b in backends:  # forked workers inherit the wiring
             b.bounds, b.peers = bounds, backends
+        self._bounds = bounds
+        self._backends = backends
         self.shards = bounds.size - 1
         self._mount = "default"
         self._route_lock = threading.Lock()
@@ -1005,73 +977,12 @@ class ShardedOracle(DistanceOracle):
     def load(
         cls,
         path: str,
-        shards: Optional[int] = None,
         expected_graph=None,
-        mmap: bool = True,
         pool: Optional[bool] = None,
     ) -> "ShardedOracle":
-        """Open a sharded artifact directory, or partition a plain one.
-
-        A sharded layout is served *as stored*: each worker mmaps its
-        own shard directory, plus the peer shards it reads ``B(v)``
-        slabs from (bunches kind), and the parent loads nothing but the
-        manifest — and, for the edges kind, the shared edge list, which
-        it decodes once (:func:`~repro.oracle.engine.edges_csr`) for
-        every worker to inherit (``shards=`` must match the layout when
-        given).  A
-        plain artifact directory is loaded and partitioned in memory
-        into ``shards`` ranges (pool workers inherit the partition over
-        fork, copy-on-write)."""
-        if is_sharded_artifact(path):
-            manifest, bounds = _read_sharded_manifest(path)
-            stored = bounds.size - 1
-            if shards is not None and int(shards) != stored:
-                raise ArtifactError(
-                    f"artifact {path!r} is stored with {stored} shards; "
-                    f"shards={shards} does not match (re-save to "
-                    "re-partition)"
-                )
-            if expected_graph is not None:
-                got = graph_fingerprint(expected_graph)
-                if got != str(manifest["graph_hash"]):
-                    raise ArtifactMismatch(
-                        f"artifact was built for graph "
-                        f"{str(manifest['graph_hash'])[:12]}…, queried "
-                        f"graph hashes to {got[:12]}… — rebuild the "
-                        "artifact before serving this graph"
-                    )
-            self = cls.__new__(cls)
-            self._init_common(OracleArtifact(manifest=manifest, arrays={}))
-            if self.kind not in _SHARDABLE_KINDS:
-                raise ArtifactError(
-                    f"artifact kind {self.kind!r} cannot be sharded"
-                )
-            self._sharded_dir = os.path.abspath(path)
-            self._merged = None
-            csr = (
-                edges_csr(self.n, _load_shared_arrays(path))
-                if self.kind == "edges" else None
-            )
-            backends = [
-                ShardBackend(
-                    self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, path=self._sharded_dir, csr=csr,
-                )
-                for i in range(stored)
-            ]
-            self._finish_init(bounds, backends, pool)
-            return self
-        if shards is None:
-            raise ArtifactError(
-                f"{path!r} is not a sharded artifact; pass shards=N to "
-                "partition a plain artifact in memory"
-            )
-        from .artifact import load_artifact
-
-        artifact = load_artifact(
-            path, expected_graph=expected_graph, mmap=mmap
-        )
-        return cls(artifact, shards=int(shards), pool=pool)
+        """Open a sharded artifact directory: the constructor, under the
+        name :meth:`DistanceOracle.load` gives the plain opener."""
+        return cls(path, expected_graph=expected_graph, pool=pool)
 
     # -- lifecycle -----------------------------------------------------
     def _start_pool(self) -> None:

@@ -105,17 +105,22 @@ class TestMain:
     def test_serve_rejects_backend_mount_option(
         self, capsys, monkeypatch, tmp_path
     ):
-        # The kernel backend is no mount option: `serve` fails at mount
-        # time with exit 2 and never starts a server.
-        from repro import oracle, telemetry
+        # A mount takes no options: `,backend=csr` is read as part of a
+        # path that holds no artifact, so `serve` fails at mount time
+        # with exit 2 and never starts a server.
+        from repro import telemetry
+        from repro.oracle import service
 
         started = []
-        monkeypatch.setattr(oracle, "serve", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(
+            service, "AsyncOracleServer", lambda *a, **k: started.append(a)
+        )
         # Keep the process-wide `repro` logger as the other tests see it.
         monkeypatch.setattr(telemetry, "configure_logging", lambda *a: None)
         mount = f"es={tmp_path},backend=csr"
         assert main(["serve", "--artifact", mount, "--port", "0"]) == 2
-        assert "unknown mount option" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not an oracle artifact" in err
         assert started == []
 
 

@@ -440,7 +440,16 @@ class TestLoadgenCLI:
         assert rc == 2
         assert "profile 'zipf_hotspot'" in capsys.readouterr().err
 
-    def test_unknown_mount_option_rejected(self):
-        # The router's loader: the same error type as `repro serve`.
-        with pytest.raises(oracle.ArtifactError, match="unknown mount option"):
-            loadgen.load_mounts([("x", "/nope", {"bogus": 1})])
+    def test_unknown_mount_option_rejected(self, artifact_dir, tmp_path,
+                                           capsys):
+        # A mount takes no options: `,shards=2` is read as part of a
+        # path that holds no artifact — exit 2, as `repro serve` does.
+        rc = main([
+            "loadgen", "--profile", "uniform_random", "--quick",
+            "--artifact", f"small={artifact_dir},shards=2",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not an oracle artifact" in err
+        assert not (tmp_path / "r.json").exists()

@@ -15,7 +15,8 @@ dtype and widen to float64 only where values are combined, so:
   float64 and answer as before;
 * old int64/float64 artifacts re-saved sharded narrow, verify and
   answer unchanged;
-* a payload array of any other dtype is an ``ArtifactError`` naming it.
+* a payload array of any other dtype is an ``ArtifactCorrupt`` naming
+  it, and a served query that reads such a shard file answers 500.
 """
 
 import json
@@ -28,9 +29,11 @@ import pytest
 import repro.graph.generators as gen
 from repro.graph import WeightedGraph
 from repro.oracle import (
+    ArtifactCorrupt,
     ArtifactError,
     DistanceOracle,
     OracleArtifact,
+    OracleService,
     ShardedOracle,
     build_oracle,
     build_sharded_oracle,
@@ -177,7 +180,9 @@ class TestCombineAcrossDtypes:
             _same(got, want)
 
     @pytest.mark.parametrize("shards", [None, 2, 4])
-    def test_narrow_and_wide_inputs_answer_identically(self, tz_art, shards):
+    def test_narrow_and_wide_inputs_answer_identically(
+        self, tz_art, shards, tmp_path
+    ):
         narrow = _narrowed(tz_art)
         assert {narrow.arrays[k].dtype for k in
                 ("bunch_srcs", "bunch_dsts", "bunch_ds")} == NARROW
@@ -187,9 +192,24 @@ class TestCombineAcrossDtypes:
             if shards is None:
                 eng = DistanceOracle(art)
             else:
-                eng = ShardedOracle(art, shards=shards, pool=False)
+                path = str(tmp_path / f"layout-{len(out)}")
+                save_sharded_artifact(art, path, shards=shards)
+                if art is tz_art:
+                    # The writer narrows; widen the files back, as a
+                    # layout written before the dtype rule stores them.
+                    for i in range(shards):
+                        d = os.path.join(path, f"shard-{i:04d}")
+                        for name, dtype in (("indptr", np.int64),
+                                            ("cols", np.int64),
+                                            ("ds", np.float64)):
+                            _rewrite_npy(os.path.join(d, f"{name}.npy"),
+                                         dtype)
+                eng = ShardedOracle.load(path, pool=False)
             out.append(eng._answer_batch(us, vs, want_witness=True))
             out.append((eng.query_batch(us, vs),))
+            if shards is not None:
+                wide = art is tz_art
+                assert (eng._backends[0].cols.dtype == np.int64) == wide
         _same(out[0], out[2])
         _same(out[1], out[3])
         assert out[0][0].dtype == np.float64
@@ -416,9 +436,8 @@ class TestBadDtypes:
         path = str(tmp_path / "a")
         shutil.copytree(plain_dirs["near-additive"], path)
         _rewrite_npy(os.path.join(path, "estimates.npy"), np.complex128)
-        for mmap in (False, True):
-            with pytest.raises(ArtifactError, match="'estimates'"):
-                DistanceOracle.load(path, mmap=mmap)
+        with pytest.raises(ArtifactCorrupt, match="'estimates'"):
+            DistanceOracle.load(path)
 
     @pytest.mark.parametrize("name,dtype", [
         ("cols", np.float64), ("ds", np.int8), ("indptr", np.float32),
@@ -433,5 +452,25 @@ class TestBadDtypes:
         with pytest.raises(ArtifactError, match=repr(name)):
             load_sharded_artifact(path)
         eng = ShardedOracle.load(path, pool=False)
-        with pytest.raises(ArtifactError, match=repr(name)):
+        with pytest.raises(ArtifactCorrupt, match=repr(name)):
             eng.query_batch([graph.n - 1], [0])
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_served_shard_file_is_a_server_error(self, graph, pool, tmp_path):
+        """A shard file damaged on disk fails only the queries that read
+        it, with a 500 (the server's fault), not a 400."""
+        path = str(tmp_path / "tz2")
+        build_sharded_oracle(
+            graph, path, shards=2, variant="tz", r=2,
+            rng=np.random.default_rng(0),
+        )
+        _rewrite_npy(os.path.join(path, "shard-0001", "cols.npy"), np.float64)
+        eng = ShardedOracle.load(path, pool=pool)
+        try:
+            svc = OracleService(eng)
+            status, body = svc.handle({"u": graph.n - 1, "v": 0})
+            assert status == 500 and "'cols'" in body["error"]
+            status, body = svc.handle({"u": 0, "v": 1})
+            assert status == 200 and body["distance"] is not None
+        finally:
+            eng.close()

@@ -285,6 +285,14 @@ class TestPersistence:
             fh.write("{not json")
         with pytest.raises(ArtifactError, match="unreadable manifest"):
             load_artifact(path)
+        # Valid JSON that is no object fails in the one manifest reader
+        # of plain and sharded loads.
+        with open(os.path.join(path, oracle.artifact.MANIFEST_NAME), "w") as fh:
+            fh.write("5")
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            load_artifact(path)
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            oracle.ShardedOracle.load(path)
 
     @pytest.mark.parametrize(
         "key, value, match",

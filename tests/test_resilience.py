@@ -68,7 +68,7 @@ def served_graph():
 
 @pytest.fixture(scope="module")
 def matrix_artifact(served_graph):
-    """A matrix-kind artifact (has the mmap-able estimates.npy)."""
+    """A matrix-kind artifact (has the mapped estimates.npy)."""
     return build_oracle(
         served_graph, variant="near-additive",
         rng=np.random.default_rng(2),
@@ -1004,11 +1004,19 @@ class TestSigtermDrain:
 # Pool supervision budget (the sharded oracle's worker pool)
 # ----------------------------------------------------------------------
 
-def _two_shard_pool(artifact):
-    """A 2-shard in-memory ShardedOracle on its forked worker pool."""
+@pytest.fixture(scope="module")
+def bunches_layout(bunches_artifact, tmp_path_factory):
+    """``bunches_artifact`` saved as a 2-shard layout."""
+    path = str(tmp_path_factory.mktemp("layout") / "tz2")
+    oracle.save_sharded_artifact(bunches_artifact, path, shards=2)
+    return path
+
+
+def _two_shard_pool(path):
+    """A 2-shard ShardedOracle on its forked worker pool."""
     if not par.fork_available():
         pytest.skip("fork start method unavailable")
-    return oracle.ShardedOracle(artifact, shards=2, pool=True)
+    return oracle.ShardedOracle.load(path, pool=True)
 
 
 class TestPoolSupervision:
@@ -1025,17 +1033,17 @@ class TestPoolSupervision:
             par.pool_timeout()
 
     def test_sharded_load_rejects_nan_timeout(
-        self, monkeypatch, bunches_artifact
+        self, monkeypatch, bunches_layout
     ):
         monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "nan")
         with pytest.raises(ValueError, match="REPRO_POOL_TIMEOUT"):
-            _two_shard_pool(bunches_artifact)
+            _two_shard_pool(bunches_layout)
 
     def test_timeout_read_once_at_pool_start(
-        self, monkeypatch, bunches_artifact
+        self, monkeypatch, bunches_artifact, bunches_layout
     ):
         monkeypatch.delenv(par.ENV_POOL_TIMEOUT_VAR, raising=False)
-        so = _two_shard_pool(bunches_artifact)
+        so = _two_shard_pool(bunches_layout)
         try:
             # Changed after the pool started: later batches ignore it.
             monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "abc")
@@ -1048,7 +1056,7 @@ class TestPoolSupervision:
             so.close()
 
     def test_hung_shard_worker_times_out_and_rebuilds(
-        self, monkeypatch, bunches_artifact, tmp_path
+        self, monkeypatch, bunches_artifact, bunches_layout, tmp_path
     ):
         monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "0.5")
         budget = tmp_path / "hangs"
@@ -1056,7 +1064,7 @@ class TestPoolSupervision:
         FAULTS.arm(
             "sharded.worker", "delay", seconds=60, times_file=str(budget)
         )
-        so = _two_shard_pool(bunches_artifact)
+        so = _two_shard_pool(bunches_layout)
         try:
             us = np.arange(so.n)
             vs = us[::-1].copy()
@@ -1076,83 +1084,57 @@ class TestPoolSupervision:
 
 
 # ----------------------------------------------------------------------
-# Per-mount overrides (the ROADMAP carried-over satellite)
+# Mounts take no options: removed options and flags exit 2
 # ----------------------------------------------------------------------
 
 class TestMountOverrides:
-    def test_removed_cache_size_option_rejected(
-        self, matrix_artifact, tmp_path
-    ):
-        remaining = "['shards']"
-        pa = str(tmp_path / "a")
-        save_artifact(matrix_artifact, pa)
-        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
-            OracleRouter.load([("na", pa, {"cache_size": 17})])
-        assert remaining in str(exc.value)
-        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
-            cli._parse_artifact_mounts(["na=/tmp/a,cache_size=1"])
-        assert remaining in str(exc.value)
-        # `repro serve` maps it to exit 2 with the same message, and
-        # argparse rejects the removed serve-wide flag the same way.
+    @staticmethod
+    def _serve_exits_2(args, message):
+        """``repro serve`` with ``args`` exits 2 with ``message`` and no
+        traceback, before it binds a port (no ``serving`` line)."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(
             os.path.dirname(__file__), "..", "src"
         )
-        for args, message in (
-            (["--artifact", f"na={pa},cache_size=1"], remaining),
-            (["--artifact", pa, "--cache-size", "5"], "--cache-size"),
-        ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", "serve", "--port", "0"]
-                + args,
-                env=env, capture_output=True, text=True, timeout=60,
-            )
-            assert proc.returncode == 2, proc.stderr
-            assert message in proc.stderr
-            assert "Traceback" not in proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"] + args,
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "serving" not in proc.stdout
 
-    def test_unknown_backend_override_fails_loudly(
+    def test_removed_cache_size_option_rejected(
         self, matrix_artifact, tmp_path
     ):
-        # The kernel backend is no mount option: both loaders reject it
-        # as an unknown option at mount time, whatever its value.
+        # A mount takes no options: `,cache_size=1` is read as part of a
+        # path that holds no artifact, and argparse rejects the removed
+        # serve-wide flag.
         pa = str(tmp_path / "a")
         save_artifact(matrix_artifact, pa)
-        for value in ("csr", "reference", "bogus"):
-            with pytest.raises(ArtifactError, match="unknown mount option"):
-                OracleRouter.load([("na", pa, {"backend": value})])
-            with pytest.raises(ArtifactError, match="unknown mount option"):
-                cli._parse_artifact_mounts([f"na={pa},backend={value}"])
+        self._serve_exits_2(
+            ["--artifact", f"na={pa},cache_size=1"],
+            f"{pa + ',cache_size=1'!r} is not an oracle artifact",
+        )
+        self._serve_exits_2(
+            ["--artifact", pa, "--cache-size", "5"], "--cache-size"
+        )
 
-    def test_removed_parallel_backend_rejected(
+    def test_removed_shards_option_and_mmap_flag_rejected(
         self, matrix_artifact, tmp_path
     ):
-        # The engine takes no backend argument, and neither loader
-        # lists a backend among the supported mount options.
-        remaining = "['shards']"
+        # A plain artifact is never partitioned in memory, and the
+        # load mode is the artifact's, never a flag's.
+        pa = str(tmp_path / "a")
+        save_artifact(matrix_artifact, pa)
+        self._serve_exits_2(
+            ["--artifact", f"na={pa},shards=4"],
+            f"{pa + ',shards=4'!r} is not an oracle artifact",
+        )
+        self._serve_exits_2(["--artifact", pa, "--mmap"], "--mmap")
+
+    def test_removed_parallel_backend_rejected(self, matrix_artifact):
+        # The engine takes no backend argument.
         with pytest.raises(TypeError, match="backend"):
             DistanceOracle(matrix_artifact, backend="parallel")
-        pa = str(tmp_path / "a")
-        save_artifact(matrix_artifact, pa)
-        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
-            OracleRouter.load([("na", pa, {"backend": "parallel"})])
-        assert remaining in str(exc.value)
-        with pytest.raises(ArtifactError, match="unknown mount option") as exc:
-            cli._parse_artifact_mounts(["na=/tmp/a,backend=parallel"])
-        assert remaining in str(exc.value)
-
-    def test_unknown_mount_option_fails_loudly(self, matrix_artifact, tmp_path):
-        pa = str(tmp_path / "a")
-        save_artifact(matrix_artifact, pa)
-        with pytest.raises(ArtifactError, match="unknown mount option"):
-            OracleRouter.load([("na", pa, {"cache_sizd": 17})])
-
-    def test_cli_mount_parsing(self):
-        mounts = cli._parse_artifact_mounts(
-            ["na=/tmp/a,shards=4", "/tmp/b"]
-        )
-        assert mounts == [("na", "/tmp/a", {"shards": 4}), (None, "/tmp/b")]
-        with pytest.raises(ArtifactError, match="unknown mount option"):
-            cli._parse_artifact_mounts(["na=/tmp/a,shardz=1"])
-        with pytest.raises(ArtifactError, match="not a valid int"):
-            cli._parse_artifact_mounts(["na=/tmp/a,shards=lots"])

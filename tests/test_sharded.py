@@ -96,6 +96,14 @@ def sharded_dir(graph_u, tmp_path_factory):
     return path
 
 
+def _layout(art, tmp_path, shards, pool):
+    """``art`` saved as a ``shards``-shard layout under ``tmp_path`` and
+    opened from it."""
+    path = str(tmp_path / f"layout-{shards}")
+    save_sharded_artifact(art, path, shards=shards)
+    return ShardedOracle.load(path, pool=pool)
+
+
 def _pairs(n, count, seed, with_self=True):
     rng = np.random.default_rng(seed)
     us = rng.integers(0, n, count)
@@ -286,10 +294,6 @@ class TestShardedLayout:
         with pytest.raises((ArtifactCorrupt, ArtifactError)):
             load_sharded_artifact(hurt, verify=True)
 
-    def test_shards_mismatch_on_load(self, sharded_dir):
-        with pytest.raises(ArtifactError, match="does not match"):
-            ShardedOracle.load(sharded_dir, shards=2)
-
     def test_shard_of_routing(self):
         bounds = shard_edges(100, 4)
         ids = np.arange(100)
@@ -361,11 +365,14 @@ class TestShardedBitIdentity:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("pool", [False, True])
     def test_in_memory_partition(
-        self, request, shards, weighted, pool,
+        self, request, tmp_path, shards, weighted, pool,
     ):
+        """An in-memory artifact partitioned by ``save_sharded_artifact``
+        and served from the written layout answers as the unsharded
+        engine over the same artifact."""
         art = request.getfixturevalue("art_w" if weighted else "art_u")
         ref = request.getfixturevalue("ref_w" if weighted else "ref_u")
-        so = ShardedOracle(art, shards=shards, pool=pool)
+        so = _layout(art, tmp_path, shards, pool=pool)
         try:
             us, vs = _pairs(art.n, 1500, seed=shards * 10 + weighted)
             want_d, want_w = ref._answer_batch(us, vs)
@@ -460,8 +467,8 @@ class TestShardedBitIdentity:
         assert so.path(3, 40) == ref_u.path(3, 40)
 
     def test_edges_kind_routing(self, graph_u, tmp_path):
-        # An emulator-sssp (edges kind) artifact, partitioned in memory
-        # and saved as a layout, each served by the pool and serially.
+        # An emulator-sssp (edges kind) artifact saved as a layout,
+        # served by the pool and serially.
         art = build_oracle(
             graph_u, variant="emulator-sssp", rng=np.random.default_rng(2)
         )
@@ -472,18 +479,15 @@ class TestShardedBitIdentity:
         us, vs = _pairs(graph_u.n, 300, seed=9)
         want = ref.query_batch(us, vs)
         for pool in (False, True):
-            for so in (
-                ShardedOracle(art, shards=3, pool=pool),
-                ShardedOracle.load(path, pool=pool),
-            ):
-                try:
-                    assert so.shards == 3
-                    assert np.array_equal(so.query_batch(us, vs), want)
-                    assert so.query(1, graph_u.n - 1) == ref.query(
-                        1, graph_u.n - 1
-                    )
-                finally:
-                    so.close()
+            so = ShardedOracle.load(path, pool=pool)
+            try:
+                assert so.shards == 3
+                assert np.array_equal(so.query_batch(us, vs), want)
+                assert so.query(1, graph_u.n - 1) == ref.query(
+                    1, graph_u.n - 1
+                )
+            finally:
+                so.close()
 
     @pytest.mark.parametrize("pool", [False, True])
     def test_edges_bad_vertex_id_fails_at_load(self, tmp_path, pool):
@@ -500,11 +504,8 @@ class TestShardedBitIdentity:
         np.savez(npz, **arrays)
         with pytest.raises(ArtifactError, match="out of range"):
             ShardedOracle.load(path, pool=pool)
-        bad = load_artifact(path)
         with pytest.raises(ArtifactError, match="out of range"):
-            ShardedOracle(bad, shards=2, pool=pool)
-        with pytest.raises(ArtifactError, match="out of range"):
-            DistanceOracle(bad)
+            DistanceOracle(load_artifact(path))
 
     def test_worker_stats_report_per_shard_processes(self, sharded_dir):
         so = ShardedOracle.load(sharded_dir)
@@ -550,9 +551,9 @@ class TestShardTelemetry:
     DELAY = 0.4
 
     def test_serial_shards_time_their_own_share(
-        self, art_u, shard_metrics, monkeypatch
+        self, art_u, shard_metrics, monkeypatch, tmp_path
     ):
-        so = ShardedOracle(art_u, shards=2, pool=False)
+        so = _layout(art_u, tmp_path, 2, pool=False)
         slow = so._backends[1]
         handle = slow.handle
 
@@ -583,7 +584,7 @@ class TestShardTelemetry:
             "sharded.worker", "delay", seconds=self.DELAY,
             times_file=str(budget),
         )
-        so = ShardedOracle(art_u, shards=2, pool=True)
+        so = _layout(art_u, tmp_path, 2, pool=True)
         try:
             us, vs = _split_pairs(so)
             before = [shard_metrics(s) for s in (0, 1)]
@@ -644,21 +645,6 @@ class TestFrontends:
                 )
         finally:
             handle.drain_and_shutdown()
-
-    def test_mount_option_shards_partitions_plain(self, router_pair):
-        _, plain = router_pair[1]
-        router = OracleRouter.load([("x", plain, {"shards": 2})])
-        try:
-            svc = router.service("x")
-            assert isinstance(svc.oracle, ShardedOracle)
-            assert svc.oracle.shards == 2
-        finally:
-            router.close()
-
-    def test_unknown_mount_option_still_fails(self, router_pair):
-        _, plain = router_pair[1]
-        with pytest.raises(ArtifactError, match="unknown mount option"):
-            OracleRouter.load([("x", plain, {"bogus": 1})])
 
 
 # ----------------------------------------------------------------------

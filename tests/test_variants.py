@@ -5,7 +5,7 @@ loads, and answers a query batch bit-identically after the round-trip),
 duplicate-name registration failing loudly, the parameter schema
 (defaults, range validation, unknown parameters), the multi-artifact
 router (per-name routing, 404 on unknown names, merged ``/info``),
-mmap-backed matrix artifacts answering identically, and the pinned
+memory-mapped matrix artifacts answering identically, and the pinned
 pre-refactor artifact fixtures (format-1 bytes built before the
 registry existed) loading and replaying bit-identically.
 """
@@ -175,10 +175,9 @@ class TestSpecCompleteness:
 
         path = str(tmp_path / name)
         save_artifact(artifact, path)
-        for mmap in (False, True):
-            loaded = DistanceOracle.load(path, mmap=mmap)
-            got = loaded.query_batch(us, vs)
-            assert got.dtype == np.float64 and np.array_equal(fresh, got)
+        loaded = DistanceOracle.load(path)
+        got = loaded.query_batch(us, vs)
+        assert got.dtype == np.float64 and np.array_equal(fresh, got)
         # Unweighted distances are small integers: every array is stored
         # narrow (int32 ids, float32 distances) and still answers the same.
         assert {a.dtype.str for a in loaded.artifact.arrays.values()} <= {
@@ -433,19 +432,44 @@ class TestMmap:
         rng = np.random.default_rng(2)
         us = rng.integers(0, small_graph.n, 500)
         vs = rng.integers(0, small_graph.n, 500)
-        full = DistanceOracle.load(path)
-        mapped = DistanceOracle.load(path, mmap=True)
+        mapped = DistanceOracle.load(path)
         assert isinstance(
             mapped.artifact.arrays["estimates"], np.memmap
         )
         assert np.array_equal(
-            full.query_batch(us, vs), mapped.query_batch(us, vs)
+            DistanceOracle(artifact).query_batch(us, vs),
+            mapped.query_batch(us, vs),
         )
 
-    def test_v1_artifact_mmap_falls_back_to_full_load(self):
+    def test_v1_artifact_loads_resident(self):
         path = os.path.join(FIXTURES, "near-additive")
-        art = load_artifact(path, mmap=True)  # estimates inside the npz
+        art = load_artifact(path)  # estimates inside the npz
         assert not isinstance(art.arrays["estimates"], np.memmap)
+
+    def test_resave_under_live_mapped_oracle(self, small_graph, tmp_path):
+        """A save stages a new directory and renames it into place, so a
+        mapped file is never rewritten: the live oracle keeps answering
+        the old values bit for bit, a fresh load answers the new ones."""
+        old_art = build_oracle(
+            small_graph, variant="near-additive",
+            rng=np.random.default_rng(7),
+        )
+        new_art = build_oracle(small_graph, variant="exact")
+        old_est = np.asarray(old_art.arrays["estimates"], dtype=np.float64)
+        new_est = np.asarray(new_art.arrays["estimates"], dtype=np.float64)
+        assert not np.array_equal(old_est, new_est)
+        path = str(tmp_path / "live")
+        save_artifact(old_art, path)
+        live = DistanceOracle.load(path)
+        assert isinstance(live.artifact.arrays["estimates"], np.memmap)
+        us, vs = (a.ravel() for a in np.indices((small_graph.n,) * 2))
+        before = live.query_batch(us, vs)
+        assert np.array_equal(before, old_est[us, vs])
+        save_artifact(new_art, path)
+        after = live.query_batch(us, vs)
+        assert np.array_equal(after.view(np.uint64), before.view(np.uint64))
+        fresh = DistanceOracle.load(path)
+        assert np.array_equal(fresh.query_batch(us, vs), new_est[us, vs])
 
     def test_bad_params_echo_rejected_on_load(self, small_graph, tmp_path):
         artifact = build_oracle(
@@ -520,7 +544,7 @@ class TestPreRefactorBitIdentity:
                 assert json.load(fh)["format_version"] == oracle.FORMAT_VERSION
             # Re-saving narrows the int64/float64 arrays and records
             # checksums of the narrowed bytes.
-            again = load_artifact(out, mmap=True, verify=True)
+            again = load_artifact(out, verify=True)
             assert {a.dtype.str for a in again.arrays.values()} == {
                 "<i4", "<f4"
             }
