@@ -4,7 +4,7 @@ Each test times only the pair of runs its floor compares and asserts
 the ratio; nothing is printed to a table or written to a file (the
 repo's performance record is ``perfbench``, see ``BENCHMARK.json``).
 Answers are bit-identical across the compared paths; the tier-1 suite
-asserts that (``tests/test_kernels.py``,
+asserts that (``tests/test_kernels.py``, ``tests/test_distances.py``,
 ``tests/test_batched_construction.py``, ``tests/test_variants.py``).
 
 Wall clock is load-sensitive, so a run that misses its floor is
@@ -29,9 +29,10 @@ from repro import kernels, oracle  # noqa: E402
 from repro.emulator import build_emulator  # noqa: E402
 from repro.emulator.sampling import sample_hierarchy  # noqa: E402
 from repro.graph import generators as gen  # noqa: E402
+from repro.graph.distances import hop_limited_bellman_ford  # noqa: E402
 from repro.kernels import reference as ref  # noqa: E402
 from repro.telemetry import metrics  # noqa: E402
-from repro.toolkit import kd_nearest_bfs  # noqa: E402
+from repro.toolkit import hopsets, kd_nearest_bfs  # noqa: E402
 
 
 def wall(fn):
@@ -104,6 +105,47 @@ def test_kd_nearest_at_least_3x_reference():
 
     ratio = with_retry(measure, 3.0)
     assert ratio >= 3.0, f"(k, d)-nearest speedup {ratio:.1f}x < 3x"
+
+
+def test_source_detection_at_least_5x_relax():
+    """``hop_limited_bellman_ford`` >= 5x the relax kernel from the same
+    seeds on the first hopset-level union of a near-additive build at
+    n = 1500, where no row's distances reach the hop bound."""
+    calls = []
+    detect = hopsets.source_detection
+
+    def capture(union, sources, d, **kwargs):
+        calls.append((union, list(sources), d))
+        return detect(union, sources, d, **kwargs)
+
+    hopsets.source_detection = capture
+    try:
+        oracle.build_oracle(
+            _graph(1500), variant="near-additive",
+            rng=np.random.default_rng(7), include_graph=False,
+        )
+    finally:
+        hopsets.source_detection = detect
+    union, sources, d = calls[0]
+    us, vs, ws = union.edge_arrays()
+    seeds = np.full((len(sources), union.n), np.inf)
+    seeds[np.arange(len(sources)), sources] = 0.0
+    arcs = (np.concatenate([us, vs]), np.concatenate([vs, us]),
+            np.concatenate([ws, ws]))
+
+    def relax():
+        return kernels.hop_limited_relax(seeds, *arcs, d)
+
+    def detection():
+        return hop_limited_bellman_ford(union, sources, d)
+
+    assert np.array_equal(detection(), relax())
+
+    def measure(retry):
+        return speedup(relax, detection, 7 if retry else 3)
+
+    ratio = with_retry(measure, 5.0)
+    assert ratio >= 5.0, f"source detection speedup {ratio:.1f}x < 5x"
 
 
 # -- build -----------------------------------------------------------------

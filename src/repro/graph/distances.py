@@ -22,6 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .. import kernels
+from ..kernels.config import reference_forced
 from .graph import Graph, WeightedGraph
 
 __all__ = [
@@ -119,28 +120,55 @@ def hop_limited_bellman_ford(
     ``d^{max_hops}(sources[i], v)`` in ``wg`` — exactly the quantity the
     ``(S, d)``-source detection task of Theorem 11 computes.
 
-    Unit-weight graphs take the batched multi-wave BFS kernel (hop bound
-    and distance bound coincide, so the results are identical); general
-    weights run the :func:`repro.kernels.hop_limited_relax` kernel.
+    The route depends on the weights alone:
+
+    * unit weights take the batched multi-wave BFS kernel (hop bound and
+      distance bound coincide, so the results are identical);
+    * integral weights ``>= 1`` run scipy's C Dijkstra from every source
+      and keep each row whose largest finite distance is at most
+      ``max_hops``: a path of length ``L`` then has at most ``L`` hops, so
+      ``d^h(s, v) = d(s, v)`` whenever ``d(s, v) <= h``, and integral sums
+      below ``2**53`` are exact, so the row is bit-identical to the relax
+      fixpoint.  Only the other rows (where the hop bound may bind) run
+      :func:`repro.kernels.hop_limited_relax`, from their own seeds;
+    * any other weights run :func:`repro.kernels.hop_limited_relax` on
+      every row.
+
+    Under ``force_backend("reference")`` every weighted row runs the
+    relax kernel.
     """
-    sources = list(sources)
     n = wg.n
-    dist = np.full((len(sources), n), np.inf)
-    src = np.asarray(sources, dtype=np.int64)
-    if src.size:
-        dist[np.arange(src.size), src] = 0.0
+    src = np.asarray(list(sources), dtype=np.int64)
     us, vs, ws = wg.edge_arrays()
-    if us.size == 0 or not sources or max_hops <= 0:
-        return dist
+    if us.size == 0 or src.size == 0 or max_hops <= 0:
+        return _seeds(n, src)
     if np.all(ws == 1.0):
         indptr, indices = kernels.edges_to_csr(n, us, vs)
         return kernels.batched_bfs(indptr, indices, n, src, max_dist=max_hops)
-    # Directed relaxation arcs (both orientations); the kernel groups them
-    # by target so one reduceat performs the scatter-min per hop.
-    targets = np.concatenate([vs, us])
-    origins = np.concatenate([us, vs])
-    weights = np.concatenate([ws, ws])
-    return kernels.hop_limited_relax(dist, origins, targets, weights, max_hops)
+
+    def relax(rows: np.ndarray) -> np.ndarray:
+        # Directed relaxation arcs (both orientations); the kernel groups
+        # them by target so one reduceat performs the scatter-min per hop.
+        return kernels.hop_limited_relax(
+            _seeds(n, rows), np.concatenate([us, vs]), np.concatenate([vs, us]),
+            np.concatenate([ws, ws]), max_hops,
+        )
+
+    if reference_forced() or not np.all((ws >= 1.0) & (ws % 1.0 == 0.0)):
+        return relax(src)
+    exact = csgraph.dijkstra(weighted_to_scipy_csr(wg), directed=False, indices=src)
+    reach = exact.max(axis=1, initial=0.0, where=np.isfinite(exact))
+    far = np.flatnonzero(reach > min(max_hops, 2.0**53))
+    if far.size:
+        exact[far] = relax(src[far])
+    return exact
+
+
+def _seeds(n: int, src: np.ndarray) -> np.ndarray:
+    """The 0-hop distances: 0 at each row's source, ``inf`` elsewhere."""
+    dist = np.full((src.size, n), np.inf)
+    dist[np.arange(src.size), src] = 0.0
+    return dist
 
 
 def dijkstra(wg: WeightedGraph, source: int, max_dist: float = np.inf) -> np.ndarray:

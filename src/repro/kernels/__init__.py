@@ -12,8 +12,8 @@ dispatcher (see DESIGN.md for the layer's contract and fidelity policy):
   construction substrate), and the ``(k, d)``-nearest
   substrate whose waves stop at their ``k``-th vertex and answer CSR rows
   (:class:`NearestRows`);
-* :func:`hop_limited_relax` — the Bellman–Ford relaxation core
-  (``(S, d)``-source detection).
+* :func:`hop_limited_relax` — the Bellman–Ford relaxation core of
+  ``(S, d)``-source detection, for the rows where the hop bound may bind.
 
 Every kernel runs in-process and picks its implementation from its
 operands: :func:`minplus` runs the dense kernel when more than a quarter

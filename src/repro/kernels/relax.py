@@ -2,10 +2,12 @@
 
 One call performs ``max_hops`` rounds of simultaneous (Jacobi)
 multi-source edge relaxation: per hop, arcs contribute candidates which
-a single ``np.minimum.reduceat`` over arcs grouped by target reduces —
-the vectorized core that
-:func:`repro.graph.distances.hop_limited_bellman_ford`, ``(S, d)``-source
-detection (Theorem 11) and the hopset builds run on.
+a single ``np.minimum.reduceat`` over arcs grouped by target reduces.
+:func:`repro.graph.distances.hop_limited_bellman_ford` (``(S, d)``-source
+detection, Theorem 11) runs it on the rows where the hop bound may bind
+and on every row of fractional weights; at integral weights ``>= 1`` the
+other rows are exact Dijkstra rows, tested bit for bit against this
+kernel.
 
 Only the first hop relaxes every arc.  Every later hop relaxes just the
 arcs whose origin column changed on the previous hop: an unchanged

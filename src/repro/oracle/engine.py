@@ -384,7 +384,8 @@ class DistanceOracle:
 
     def _payload_artifact(self) -> OracleArtifact:
         """The artifact with its payload arrays (path queries read it); a
-        sharded oracle merges its shard files on first use."""
+        sharded oracle loads them on first use: the merged bunches, or
+        only the shared arrays (the embedded graph) of any other kind."""
         return self.artifact
 
     def _embedded_graph(self):

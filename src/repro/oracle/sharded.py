@@ -928,7 +928,7 @@ class ShardedOracle(DistanceOracle):
             header.check_graph(expected_graph)
         self._init_common(header)
         self._sharded_dir = os.path.abspath(path)
-        self._merged: Optional[OracleArtifact] = None
+        self._payload: Optional[OracleArtifact] = None
         csr = (
             edges_csr(self.n, _load_shared_arrays(path))
             if self.kind == "edges" else None
@@ -1155,9 +1155,19 @@ class ShardedOracle(DistanceOracle):
 
     # -- path queries ------------------------------------------------
     def _payload_artifact(self) -> OracleArtifact:
-        if self._merged is None:
-            self._merged = load_sharded_artifact(self._sharded_dir)
-        return self._merged
+        # Only a bunches path reads the bunch arrays; every other kind's
+        # path needs just the embedded graph in the shared arrays, so the
+        # parent never merges a matrix's estimates.
+        if self._payload is None:
+            self._payload = (
+                load_sharded_artifact(self._sharded_dir)
+                if self.kind == "bunches"
+                else OracleArtifact(
+                    manifest=self.artifact.manifest,
+                    arrays=_load_shared_arrays(self._sharded_dir),
+                )
+            )
+        return self._payload
 
 
 def _groups(sid: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:

@@ -7,10 +7,12 @@ hopset).  The congested-clique algorithm of [3] costs
 ``O((m^{1/3} |S|^{2/3} / n + 1) · d)`` rounds.
 
 Semantically the output is exactly ``d`` rounds of Bellman–Ford from ``S``,
-computed by :func:`repro.graph.distances.hop_limited_bellman_ford` (which
-itself runs on the kernel layer: one batched multi-source BFS at unit
-weights, the relaxation kernel otherwise).  The rounds are charged by the
-theorem's formula either way.
+computed by :func:`repro.graph.distances.hop_limited_bellman_ford`: one
+batched multi-source BFS at unit weights; at integral weights ``>= 1``
+exact Dijkstra rows wherever a row's distances stay within ``d`` (the
+hop bound cannot bind there), and the relaxation kernel for the other
+rows; the relaxation kernel for any other weights.  The rounds are
+charged by the theorem's formula on every route.
 """
 
 from __future__ import annotations

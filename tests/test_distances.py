@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.graph import Graph, WeightedGraph, generators as gen
 from repro.graph.distances import (
     all_pairs_distances,
@@ -180,6 +181,38 @@ class TestHopLimitedBellmanFord:
         b4 = hop_limited_bellman_ford(wg, [0], 4)
         assert (b4 <= b2 + 1e-12).all()
 
+    def test_rows_at_and_past_the_bound(self):
+        # Unit path 0-1-2-3 with a chord 0-3 of weight 9, and an edge 4-5
+        # of weight 2.  At h = 2 the rows of 1 and 4 (a duplicate source)
+        # reach exactly h and stay exact; the row of 0 reaches 3 = h + 1,
+        # where the bound binds: d(0, 3) = 3 takes three hops.
+        wg = WeightedGraph(6)
+        wg.add_edges_from([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 9.0),
+                           (4, 5, 2.0)])
+        sources = [0, 1, 4, 4]
+        assert largest_distance(wg, sources).tolist() == [3.0, 2.0, 2.0, 2.0]
+        got = hop_limited_bellman_ford(wg, sources, 2)
+        assert np.array_equal(got, relax_rows(wg, sources, 2))
+        assert got[0].tolist() == [0.0, 1.0, 2.0, 9.0, np.inf, np.inf]
+        assert got[2].tolist() == [np.inf] * 4 + [0.0, 2.0]
+
+    def test_reference_backend_runs_every_row_on_the_relax(self, monkeypatch):
+        wg = WeightedGraph(3)
+        wg.add_edges_from([(0, 1, 2.0), (1, 2, 3.0)])
+        calls = []
+
+        def counted(seeds, *rest):
+            calls.append(seeds.shape[0])
+            return kernels.relax.hop_limited_relax(seeds, *rest)
+
+        monkeypatch.setattr(kernels, "hop_limited_relax", counted)
+        fast = hop_limited_bellman_ford(wg, [0, 2], 10)
+        assert calls == []
+        with kernels.force_backend("reference"):
+            slow = hop_limited_bellman_ford(wg, [0, 2], 10)
+        assert calls == [2]
+        assert np.array_equal(fast, slow)
+
 
 class TestDijkstraAndWeightedAllPairs:
     def test_dijkstra_truncation(self):
@@ -264,3 +297,55 @@ def test_property_hop_limited_bf_equals_truncated_bfs(n, hops, data):
     assert np.array_equal(
         np.nan_to_num(bf[0], posinf=-1), np.nan_to_num(bfs, posinf=-1)
     )
+
+
+def relax_rows(wg: WeightedGraph, sources, max_hops: int) -> np.ndarray:
+    """The relax kernel from the 0-hop seeds of ``sources`` over both
+    orientations of every edge: the reference for the hop-bounded rows."""
+    us, vs, ws = wg.edge_arrays()
+    seeds = np.full((len(sources), wg.n), np.inf)
+    seeds[np.arange(len(sources)), sources] = 0.0
+    return kernels.hop_limited_relax(
+        seeds, np.concatenate([us, vs]), np.concatenate([vs, us]),
+        np.concatenate([ws, ws]), max_hops,
+    )
+
+
+def largest_distance(wg: WeightedGraph, sources) -> np.ndarray:
+    """Each source's largest finite exact distance."""
+    exact = weighted_all_pairs(wg, sources)
+    return np.where(np.isfinite(exact), exact, 0.0).max(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_hop_limited_bf_equals_relax(data):
+    """Every route of ``hop_limited_bellman_ford`` equals the relax
+    kernel from the same seeds bit for bit: integral weights 1-10 with
+    hop bounds at, just below and far from the rows' largest distances,
+    fractional weights, no edges, ``max_hops = 0`` and duplicate
+    sources."""
+    n = data.draw(st.integers(1, 10), label="n")
+    weight = data.draw(st.sampled_from([
+        st.integers(1, 10).map(float),              # integral
+        st.integers(1, 40).map(lambda k: k / 4),    # fractional
+        st.floats(0.01, 10.0),                      # fractional
+    ]), label="weights")
+    wg = WeightedGraph(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                wg.add_edge(i, j, data.draw(weight))
+    sources = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6), label="sources"
+    )
+    reach = largest_distance(wg, sources)
+    # A bound equal to one row's largest distance keeps that row on the
+    # Dijkstra route; one below it sends the row to the relax.
+    near = sorted({int(r) for r in reach} | {max(int(r) - 1, 0) for r in reach})
+    max_hops = data.draw(
+        st.one_of(st.sampled_from(near), st.integers(0, 12)), label="max_hops"
+    )
+    got = hop_limited_bellman_ford(wg, sources, max_hops)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, relax_rows(wg, sources, max_hops))

@@ -466,6 +466,22 @@ class TestShardedBitIdentity:
         so = ShardedOracle.load(sharded_dir, pool=False)
         assert so.path(3, 40) == ref_u.path(3, 40)
 
+    def test_matrix_path_reads_no_estimates(self, tmp_path):
+        # A matrix path is a BFS of the embedded graph: the parent reads
+        # the shared arrays, never the (n, n) estimates of the shards.
+        g = gen.make_family("grid", 400, seed=0)
+        art = build_oracle(
+            g, variant="near-additive", rng=np.random.default_rng(0)
+        )
+        path = str(tmp_path / "mx2")
+        save_sharded_artifact(art, path, shards=2)
+        so = ShardedOracle.load(path, pool=False)
+        try:
+            assert so.path(0, 399) == DistanceOracle(art).path(0, 399)
+            assert "estimates" not in so._payload_artifact().arrays
+        finally:
+            so.close()
+
     def test_edges_kind_routing(self, graph_u, tmp_path):
         # An emulator-sssp (edges kind) artifact saved as a layout,
         # served by the pool and serially.

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import oracle, variants
+from repro import kernels, oracle, variants
 from repro.kernels import hop_limited_relax
 from repro.graph import generators as gen
 from repro.oracle import (
@@ -552,6 +552,29 @@ class TestPreRefactorBitIdentity:
             expected = np.load(
                 os.path.join(FIXTURES, f"{variant}-answers.npy"))
             assert np.array_equal(got, expected)
+
+
+class TestReferenceBuildIdentity:
+    @pytest.mark.parametrize("variant", ["mssp", "emulator-sssp"])
+    def test_path_family_build_matches_reference(self, variant, tmp_path):
+        """On a path graph the source detections of these builds have
+        rows whose distances pass their hop bound (up to 399 against
+        149/187), so the default build mixes Dijkstra and relax rows;
+        under ``force_backend("reference")`` every row is relaxed.  The
+        saved artifacts are checksum-equal."""
+        g = gen.make_family("path", 400, seed=0)
+        checksums = []
+        for reference in (False, True):
+            rng = np.random.default_rng(0)
+            if reference:
+                with kernels.force_backend("reference"):
+                    art = build_oracle(g, variant=variant, rng=rng)
+            else:
+                art = build_oracle(g, variant=variant, rng=rng)
+            out = str(tmp_path / f"{variant}-{reference}")
+            save_artifact(art, out)
+            checksums.append(load_artifact(out).manifest["checksums"])
+        assert checksums[0] == checksums[1]
 
 
 class TestRouter:
