@@ -14,11 +14,9 @@ floors stay out of tier-1 for the same reason; run them with::
     python -m pytest benchmarks/floors.py -q
 """
 
-import dataclasses
 import math
 import os
 import sys
-import threading
 import time
 
 import numpy as np
@@ -31,7 +29,6 @@ from repro.emulator.sampling import sample_hierarchy  # noqa: E402
 from repro.graph import generators as gen  # noqa: E402
 from repro.graph.distances import hop_limited_bellman_ford  # noqa: E402
 from repro.kernels import reference as ref  # noqa: E402
-from repro.telemetry import metrics  # noqa: E402
 from repro.toolkit import hopsets, kd_nearest_bfs  # noqa: E402
 
 
@@ -209,81 +206,3 @@ def test_batched_queries_at_least_10x_single_queries():
 
     ratio = with_retry(measure, 10.0)
     assert ratio >= 10.0, f"batched vs single q/s {ratio:.1f}x < 10x"
-
-
-def _served_qps(engine, telemetry, concurrency, per_worker):
-    """q/s of one round of ``concurrency`` closed-loop keep-alive clients
-    on the async front end, with metric collection forced on or off (the
-    registry flag is process-global, so it is set per round).  Admission
-    gets headroom: this measures throughput, not the 503 path."""
-    limits = dataclasses.replace(
-        oracle.DEFAULT_LIMITS, max_inflight=4096, telemetry=telemetry
-    )
-    handle = oracle.start_async_server(engine, limits=limits)
-    if telemetry:
-        metrics.enable()
-    else:
-        metrics.disable()
-    base = "http://%s:%s" % handle.server_address[:2]
-    barrier = threading.Barrier(concurrency + 1)
-    errors = []
-
-    def work(w):
-        rng = np.random.default_rng(7000 + w)
-        pairs = rng.integers(0, engine.n, (per_worker, 2)).tolist()
-        with oracle.OracleClient(base, timeout_s=60.0) as client:
-            barrier.wait()
-            for u, v in pairs:
-                status, body = client.query({"u": u, "v": v})
-                if status != 200:
-                    errors.append((status, body))
-                    return
-
-    threads = [
-        threading.Thread(target=work, args=(w,)) for w in range(concurrency)
-    ]
-    try:
-        for t in threads:
-            t.start()
-        barrier.wait()
-        t0 = time.perf_counter()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - t0
-    finally:
-        handle.drain_and_shutdown()
-    assert not errors, f"non-200 under load: {errors[:3]}"
-    return concurrency * per_worker / elapsed
-
-
-def test_telemetry_costs_at_most_5_percent_qps():
-    """Served q/s with full metric collection >= 0.95x the q/s without
-    it.  Both modes pay the request-trace cost (``X-Request-Id`` is a
-    feature, not telemetry), so the ratio isolates what the histogram
-    and counter updates cost."""
-    engine = oracle.DistanceOracle(
-        oracle.build_oracle(_graph(128), variant="exact")
-    )
-    was_enabled = metrics.enabled()
-
-    def measure(retry):
-        # Off and on rounds alternate one by one and each side keeps its
-        # best, so a load spike cannot land on one side only (as in
-        # ``speedup``).
-        per_worker, rounds = (60, 4) if retry else (30, 3)
-        best_off = best_on = 0.0
-        for _ in range(rounds):
-            best_off = max(best_off, _served_qps(engine, False, 16, per_worker))
-            best_on = max(best_on, _served_qps(engine, True, 16, per_worker))
-        return best_on / best_off
-
-    try:
-        ratio = with_retry(measure, 0.95)
-    finally:
-        if was_enabled:
-            metrics.enable()
-        else:
-            metrics.disable()
-    assert ratio >= 0.95, (
-        f"metric collection cost {100 * (1 - ratio):.1f}% q/s (bound: 5%)"
-    )

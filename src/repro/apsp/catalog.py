@@ -139,7 +139,6 @@ register_variant(VariantSpec(
     weighted=True,
     cli_algo=True,
     headline=True,
-    phases=("emulator", "apsp:learn-emulator"),
 ))
 
 register_variant(VariantSpec(
@@ -155,8 +154,6 @@ register_variant(VariantSpec(
     params=(_EPS, _R),
     cli_algo=True,
     headline=True,
-    phases=("emulator", "apsp2:learn-emulator", "hopset",
-            "hitting-set", "source-detection"),
 ))
 
 register_variant(VariantSpec(
@@ -171,7 +168,6 @@ register_variant(VariantSpec(
     stretch=lambda n, eps=0.5, **_: (3.0 + eps, 0.0),
     params=(_EPS, _R),
     cli_algo=True,
-    phases=("emulator", "apsp3:learn-emulator", "kd-nearest"),
 ))
 
 register_variant(VariantSpec(
@@ -184,7 +180,6 @@ register_variant(VariantSpec(
     stretch=lambda n, **_: (1.0, 0.0),
     weighted=True,
     cli_algo=True,
-    phases=("baseline:exact-apsp",),
 ))
 
 register_variant(VariantSpec(
@@ -196,7 +191,6 @@ register_variant(VariantSpec(
     run=lambda g, rng=None, **_: apsp_squaring(g),
     stretch=lambda n, **_: (1.0, 0.0),
     cli_algo=True,
-    phases=("baseline:squaring",),
 ))
 
 register_variant(VariantSpec(
@@ -214,7 +208,6 @@ register_variant(VariantSpec(
         doc="spanner parameter (default: log2 n)",
     ),),
     cli_algo=True,
-    phases=("baseline:spanner-construction", "baseline:learn-spanner"),
 ))
 
 def _emulator_sssp_build(g, rng=None, eps=0.5, r=None, **_):
@@ -264,7 +257,6 @@ register_variant(VariantSpec(
     build=_emulator_sssp_build,
     stretch=_near_additive_stretch,
     params=(_EPS, _R),
-    phases=("emulator",),
 ))
 
 register_variant(VariantSpec(
@@ -280,6 +272,4 @@ register_variant(VariantSpec(
     params=(_EPS, _R),
     weighted=True,
     headline=True,
-    phases=("emulator", "mssp:learn-emulator", "hopset",
-            "mssp:source-detection"),
 ))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from ..emulator.builder import EmulatorResult
-from ..graph.distances import weighted_to_scipy_csr
+from ..graph.distances import bfs_path, weighted_to_scipy_csr
 from ..graph.graph import Graph, WeightedGraph
 
 __all__ = ["EmulatorPathOracle"]
@@ -81,7 +81,7 @@ class EmulatorPathOracle:
             return None
         full: List[int] = [u]
         for a, b in zip(hops, hops[1:]):
-            segment = self._expand_edge(int(a), int(b))
+            segment = bfs_path(self.g, int(a), int(b))
             if segment is None:
                 return None
             full.extend(segment[1:])
@@ -96,38 +96,6 @@ class EmulatorPathOracle:
         """Length (edge count) of the reconstructed ``G``-path, or ``inf``."""
         path = self.graph_path(u, v)
         return float(len(path) - 1) if path is not None else np.inf
-
-    # ------------------------------------------------------------------
-    def _expand_edge(self, a: int, b: int) -> Optional[List[int]]:
-        """Exact shortest a-b path of G via bidirectional-ish BFS with
-        parents."""
-        if a == b:
-            return [a]
-        parent = np.full(self.g.n, -1, dtype=np.int64)
-        parent[a] = a
-        frontier = [a]
-        found = False
-        while frontier and not found:
-            nxt: List[int] = []
-            for x in frontier:
-                for y in self.g.neighbors(x):
-                    y = int(y)
-                    if parent[y] < 0:
-                        parent[y] = x
-                        if y == b:
-                            found = True
-                            break
-                        nxt.append(y)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            return None
-        path = [b]
-        while path[-1] != a:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
-        return path
 
 
 def validate_path(g: Graph, path: List[int]) -> bool:

@@ -284,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-log threshold; 2xx logs at debug, 4xx at info, "
              "5xx at warning (default %(default)s)",
     )
-    p_serve.add_argument(
-        "--no-telemetry", action="store_true",
-        help="do not enable the metrics registry (GET /metrics scrapes "
-             "as zeros; for overhead comparisons)",
-    )
 
     profile_lines = [
         f"  {p.name:<18} [{p.driver}-loop] {p.summary}"
@@ -689,7 +684,6 @@ def _main_serving(args) -> int:
             drain_timeout_s=args.drain_timeout,
             coalesce_window_ms=args.coalesce_window_ms,
             coalesce_max=args.coalesce_max,
-            telemetry=not args.no_telemetry,
         )
         telemetry.configure_logging(args.log_format, args.log_level)
         oracle.serve(

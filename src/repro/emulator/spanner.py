@@ -17,10 +17,9 @@ alludes to for the ``O(n^rho)``-round CONGEST constructions [10, 12].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
-import numpy as np
-
+from ..graph.distances import bfs_parents
 from ..graph.graph import Graph, WeightedGraph
 
 __all__ = ["SpannerResult", "emulator_to_spanner"]
@@ -53,7 +52,7 @@ def emulator_to_spanner(g: Graph, emulator: WeightedGraph) -> SpannerResult:
     for u, v, _w in emulator.edges():
         by_source.setdefault(u, []).append(v)
     for u, targets in by_source.items():
-        parent = _bfs_parents(g, u)
+        parent = bfs_parents(g, u)
         for v in targets:
             if g.has_edge(u, v):
                 edges.add((min(u, v), max(u, v)))
@@ -67,22 +66,3 @@ def emulator_to_spanner(g: Graph, emulator: WeightedGraph) -> SpannerResult:
     return SpannerResult(
         spanner=Graph(g.n, sorted(edges)), expanded_edges=expanded
     )
-
-
-def _bfs_parents(g: Graph, source: int) -> np.ndarray:
-    """BFS parent array (``-1`` for unreached; ``source`` is its own
-    parent-root sentinel ``-2`` replaced by -1 handling above)."""
-    parent = np.full(g.n, -1, dtype=np.int64)
-    parent[source] = source
-    frontier = [source]
-    while frontier:
-        nxt: List[int] = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                y = int(y)
-                if parent[y] < 0:
-                    parent[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    parent[source] = -1  # root has no parent; loop above stops at u anyway
-    return parent

@@ -678,7 +678,6 @@ def _register() -> None:
             doc="hierarchy levels; k = r + 1 bunch levels",
         ),),
         weighted=True,
-        phases=(),
     ))
 
 

@@ -15,7 +15,7 @@ Conventions
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,8 @@ from .graph import Graph, WeightedGraph
 
 __all__ = [
     "bfs_distances",
+    "bfs_parents",
+    "bfs_path",
     "multi_source_bfs",
     "ball",
     "k_nearest_within",
@@ -49,6 +51,46 @@ def bfs_distances(g: Graph, source: int, max_dist: float = np.inf) -> np.ndarray
     """Distances from ``source`` in the unweighted graph, truncated at
     ``max_dist`` (vertices farther away report ``inf``)."""
     return multi_source_bfs(g, [source], max_dist=max_dist)
+
+
+def bfs_parents(
+    g: Graph, source: int, target: Optional[int] = None
+) -> np.ndarray:
+    """BFS parent tree from ``source``: ``parent[y]`` is the vertex whose
+    neighbour scan first reached ``y`` (frontier by frontier, neighbours
+    in ``g.neighbors`` order), ``source`` is its own parent and
+    unreached vertices read ``-1``.  With ``target`` the search stops as
+    soon as it is reached, so only vertices reached by then are set."""
+    parent = np.full(g.n, -1, dtype=np.int64)
+    parent[source] = source
+    frontier = [source]
+    while frontier:
+        nxt: List[int] = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                y = int(y)
+                if parent[y] < 0:
+                    parent[y] = x
+                    if y == target:
+                        return parent
+                    nxt.append(y)
+        frontier = nxt
+    return parent
+
+
+def bfs_path(g: Graph, u: int, v: int) -> Optional[List[int]]:
+    """An exact shortest ``u``–``v`` path (the parent chain of
+    :func:`bfs_parents`), or ``None`` when ``v`` is unreachable."""
+    if u == v:
+        return [u]
+    parent = bfs_parents(g, u, v)
+    if parent[v] < 0:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    return path
 
 
 def multi_source_bfs(

@@ -46,7 +46,6 @@ from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry import instruments as _instr
-from ..telemetry import metrics as _metrics
 from .faults import FAULTS
 from .resilience import Deadline
 
@@ -215,14 +214,9 @@ class QueryCoalescer:
         stage histogram; batch sizes feed
         ``repro_coalesce_batch_size``."""
         flush_start = time.perf_counter()
-        enabled = _metrics.ENABLED
-        if enabled:
-            _instr.COALESCE_BATCH_SIZE.observe(len(batch))
+        _instr.COALESCE_BATCH_SIZE.observe(len(batch))
         for w in batch:
-            if enabled or w.trace is not None:
-                _instr.observe_stage(
-                    w.trace, "park", flush_start - w.parked_at
-                )
+            _instr.observe_stage(w.trace, "park", flush_start - w.parked_at)
         try:
             try:
                 FAULTS.fire("service.handle")
@@ -253,15 +247,13 @@ class QueryCoalescer:
                 return
             finally:
                 gather_s = time.perf_counter() - gather_start
-                if enabled:
-                    _instr.observe_stage(None, "gather", gather_s)
+                _instr.observe_stage(None, "gather", gather_s)
                 for w in live:
                     if w.trace is not None:
                         w.trace.record("gather", gather_s)
             for w, value in zip(live, values):
                 _settle(w.future, result=float(value))
         finally:
-            if enabled:
-                _instr.observe_stage(
-                    None, "flush", time.perf_counter() - flush_start
-                )
+            _instr.observe_stage(
+                None, "flush", time.perf_counter() - flush_start
+            )

@@ -58,10 +58,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..analysis.stretch import StretchReport, evaluate_stretch
-from ..graph.distances import weighted_to_scipy_csr
+from ..graph.distances import bfs_path, weighted_to_scipy_csr
 from ..graph.graph import Graph, WeightedGraph
 from ..telemetry import instruments as _instr
-from ..telemetry import metrics as _metrics
 from .artifact import ArtifactError, OracleArtifact, load_artifact
 from .faults import FAULTS
 
@@ -219,16 +218,13 @@ class DistanceOracle:
         with self._lock:
             self._queries += us.size
             self._batched += us.size
-        if _metrics.ENABLED:
-            gather_start = time.perf_counter()
-            try:
-                values, _ = self._answer_batch(us, vs, want_witness=False)
-            finally:
-                _instr.ENGINE_GATHER_SECONDS.observe(
-                    time.perf_counter() - gather_start
-                )
-            return values
-        values, _ = self._answer_batch(us, vs, want_witness=False)
+        gather_start = time.perf_counter()
+        try:
+            values, _ = self._answer_batch(us, vs, want_witness=False)
+        finally:
+            _instr.ENGINE_GATHER_SECONDS.observe(
+                time.perf_counter() - gather_start
+            )
         return values
 
     def certificate(self, u: int, v: int) -> QueryCertificate:
@@ -282,7 +278,7 @@ class DistanceOracle:
         if self.kind == "bunches":
             oracle = self._bunch_path_oracle(g)
             return oracle.graph_path(u, v)
-        return _bfs_path(g, u, v)
+        return bfs_path(g, u, v)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -643,26 +639,3 @@ def _flat_ranges(
     positions = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
     owners = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
     return positions, owners
-
-
-def _bfs_path(g: Graph, u: int, v: int) -> Optional[List[int]]:
-    """Exact shortest ``u``–``v`` path by parent-array BFS."""
-    parent = np.full(g.n, -1, dtype=np.int64)
-    parent[u] = u
-    frontier = [u]
-    while frontier:
-        nxt: List[int] = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                y = int(y)
-                if parent[y] < 0:
-                    parent[y] = x
-                    if y == v:
-                        path = [v]
-                        while path[-1] != u:
-                            path.append(int(parent[path[-1]]))
-                        path.reverse()
-                        return path
-                    nxt.append(y)
-        frontier = nxt
-    return None

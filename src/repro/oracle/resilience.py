@@ -202,12 +202,6 @@ class ServingLimits:
     single queries park for at most the window (or until the size
     trigger fills a batch), then one vectorized gather answers all of
     them.
-
-    ``telemetry`` controls whether starting a server with these limits
-    turns on the process-global metrics registry
-    (:mod:`repro.telemetry.metrics`); ``GET /metrics`` is served either
-    way (a disabled registry scrapes as zeros), and ``repro serve
-    --no-telemetry`` is the off switch for overhead comparisons.
     """
 
     max_inflight: int = 64
@@ -220,7 +214,6 @@ class ServingLimits:
     drain_timeout_s: float = 10.0
     coalesce_window_ms: float = 0.5
     coalesce_max: int = 512
-    telemetry: bool = True
 
 
 DEFAULT_LIMITS = ServingLimits()

@@ -76,7 +76,6 @@ import numpy as np
 
 from .. import __version__
 from ..telemetry import instruments as _instr
-from ..telemetry import metrics as _metrics
 from ..telemetry.metrics import REGISTRY as _REGISTRY
 from ..telemetry.logs import SERVING_LOGGER, level_for_status
 from ..telemetry.trace import RequestTrace, clean_trace_id, new_trace_id
@@ -154,8 +153,7 @@ def _log_request(
 
 def _count_http_error(status: int) -> None:
     """Count a request rejected before it reached a mounted service."""
-    if _metrics.ENABLED:
-        _instr.HTTP_ERRORS.labels(_FRONTEND, str(status)).inc()
+    _instr.HTTP_ERRORS.labels(_FRONTEND, str(status)).inc()
 
 
 def _healthz(server) -> Tuple[int, Dict[str, object]]:
@@ -249,8 +247,6 @@ class OracleService:
         spans; a request with ``"debug": true`` gets it back in the
         response body.
         """
-        if trace is None and not _metrics.ENABLED:
-            return self._handle_inner(request, None)
         start = time.perf_counter()
         status, body = self._handle_inner(request, trace)
         return self._finalize(status, body, trace, start)
@@ -261,14 +257,11 @@ class OracleService:
         if not isinstance(request, dict):
             return 400, {"error": "request body must be a JSON object"}
         try:
-            timed = trace is not None or _metrics.ENABLED
-            if timed:
-                admit_start = time.perf_counter()
+            admit_start = time.perf_counter()
             with self.admission.admit():
-                if timed:
-                    _instr.observe_stage(
-                        trace, "admission", time.perf_counter() - admit_start
-                    )
+                _instr.observe_stage(
+                    trace, "admission", time.perf_counter() - admit_start
+                )
                 FAULTS.fire("service.handle")
                 deadline = Deadline.resolve(
                     request.get("timeout_ms"),
@@ -288,14 +281,13 @@ class OracleService:
     ) -> Tuple[int, Dict[str, object]]:
         """Count one finished request (the series the accounting
         identity reconciles) and attach the debug trace."""
-        if _metrics.ENABLED:
-            counter = self._m_requests.get(status)
-            if counter is None:
-                counter = self._m_requests[status] = _instr.REQUESTS.labels(
-                    self.name, str(status)
-                )
-            counter.inc()
-            self._m_latency.observe(time.perf_counter() - start)
+        counter = self._m_requests.get(status)
+        if counter is None:
+            counter = self._m_requests[status] = _instr.REQUESTS.labels(
+                self.name, str(status)
+            )
+        counter.inc()
+        self._m_latency.observe(time.perf_counter() - start)
         if trace is not None and trace.debug and isinstance(body, dict):
             body["trace"] = trace.as_dict()
         return status, body
@@ -304,8 +296,7 @@ class OracleService:
         """The one failure→(status, body) mapping both request paths
         share (``handle`` and the coalesced path); DESIGN.md §7."""
         if isinstance(exc, AdmissionRejected):
-            if _metrics.ENABLED:
-                self._m_rejected.inc()
+            self._m_rejected.inc()
             return 503, {
                 "error": str(exc),
                 "retry_after": exc.retry_after,
@@ -320,8 +311,7 @@ class OracleService:
         if isinstance(exc, DeadlineExceeded):
             with self._stats_lock:
                 self._deadline_exceeded += 1
-            if _metrics.ENABLED:
-                self._m_deadline.inc()
+            self._m_deadline.inc()
             body: Dict[str, object] = {
                 "error": str(exc),
                 "timeout_ms": exc.timeout_ms,
@@ -355,14 +345,11 @@ class OracleService:
         ``park`` and ``gather`` spans, and :meth:`_finalize` attaches
         the trace to a ``"debug": true`` response.
         """
-        timed = trace is not None or _metrics.ENABLED
-        start = time.perf_counter() if timed else 0.0
+        start = time.perf_counter()
         out: "Future[Tuple[int, Dict[str, object]]]" = Future()
 
         def _done(status: int, body: Dict[str, object]) -> None:
-            if timed:
-                status, body = self._finalize(status, body, trace, start)
-            out.set_result((status, body))
+            out.set_result(self._finalize(status, body, trace, start))
 
         if not isinstance(request, dict):
             _done(400, {"error": "request body must be a JSON object"})
@@ -373,10 +360,7 @@ class OracleService:
         except AdmissionRejected as exc:
             _done(*self._error_response(exc))
             return out
-        if timed:
-            _instr.observe_stage(
-                trace, "admission", time.perf_counter() - start
-            )
+        _instr.observe_stage(trace, "admission", time.perf_counter() - start)
         try:
             deadline = Deadline.resolve(
                 request.get("timeout_ms"),
@@ -472,7 +456,6 @@ class OracleService:
         return int(request["u"]), int(request["v"])
 
     def _distance(self, request, deadline=None, trace=None):
-        timed = trace is not None or _metrics.ENABLED
         batch = self._batch_indices(request)
         if batch is not None:
             us, vs = batch
@@ -488,7 +471,7 @@ class OracleService:
             values = np.empty(us.size, dtype=np.float64)
             chunk = max(1, int(self.limits.batch_chunk))
             completed = 0
-            gather_start = time.perf_counter() if timed else 0.0
+            gather_start = time.perf_counter()
             try:
                 for start in range(0, int(us.size), chunk):
                     if deadline is not None:
@@ -501,10 +484,9 @@ class OracleService:
                     )
                     completed = end
             finally:
-                if timed:
-                    _instr.observe_stage(
-                        trace, "gather", time.perf_counter() - gather_start
-                    )
+                _instr.observe_stage(
+                    trace, "gather", time.perf_counter() - gather_start
+                )
             return 200, {
                 "distances": [_clean(x) for x in values],
                 "count": int(values.size),
@@ -513,12 +495,11 @@ class OracleService:
         u, v = self._single_indices(request)
         if deadline is not None:
             deadline.check()
-        gather_start = time.perf_counter() if timed else 0.0
+        gather_start = time.perf_counter()
         value = self.oracle.query(u, v)
-        if timed:
-            _instr.observe_stage(
-                trace, "gather", time.perf_counter() - gather_start
-            )
+        _instr.observe_stage(
+            trace, "gather", time.perf_counter() - gather_start
+        )
         return 200, {"u": u, "v": v, "distance": _clean(value)}
 
     def _certificate(self, request):
@@ -561,13 +542,9 @@ def load_mount(item: Tuple) -> Tuple[str, DistanceOracle]:
     :class:`~repro.oracle.sharded.ShardedOracle`, any other as a
     :class:`DistanceOracle`."""
     name, path = item
-    if not is_sharded_artifact(path):
-        oracle = DistanceOracle.load(path)
-        return name or oracle.artifact.variant, oracle
-    oracle = ShardedOracle.load(path)
-    name = name or oracle.artifact.variant
-    oracle.set_mount(name)
-    return name, oracle
+    opener = ShardedOracle if is_sharded_artifact(path) else DistanceOracle
+    oracle = opener.load(path)
+    return name or oracle.artifact.variant, oracle
 
 
 class OracleRouter:
@@ -590,7 +567,9 @@ class OracleRouter:
         oracle: DistanceOracle,
         limits: Optional[ServingLimits] = None,
     ) -> None:
-        """Mount one oracle under ``name`` (a URL path segment)."""
+        """Mount one oracle under ``name`` (a URL path segment); an
+        oracle with per-mount metric series (a sharded one) is labeled
+        with that name."""
         if not name or "/" in name:
             raise ArtifactError(
                 f"artifact name {name!r} is not a valid route segment"
@@ -600,6 +579,9 @@ class OracleRouter:
                 f"artifact name {name!r} is already mounted; names must "
                 "be unique (use --artifact NAME=PATH to disambiguate)"
             )
+        set_mount = getattr(oracle, "set_mount", None)
+        if set_mount is not None:
+            set_mount(name)
         self._services[name] = OracleService(oracle, limits=limits, name=name)
 
     @classmethod
@@ -834,8 +816,7 @@ class AsyncOracleServer:
         """Record a client that vanished mid-response."""
         with self._lock:
             self._disconnects += 1
-        if _metrics.ENABLED:
-            _instr.CLIENT_DISCONNECTS.labels(_FRONTEND).inc()
+        _instr.CLIENT_DISCONNECTS.labels(_FRONTEND).inc()
 
     def http_stats(self) -> Dict[str, object]:
         """Transport-level counters (merged into ``GET /info``)."""
@@ -852,8 +833,6 @@ class AsyncOracleServer:
         pre-warm) the worker pool."""
         self._loop = asyncio.get_running_loop()
         self.started_at = time.monotonic()
-        if self.limits.telemetry:
-            _metrics.enable()
         _register_server_metrics(self.started_at)
         workers = 4
         self._executor = ThreadPoolExecutor(
@@ -1227,15 +1206,12 @@ class AsyncOracleServer:
             # A preformatted text body (the /metrics exposition).
             payload = body.encode()
             content_type = _METRICS_CONTENT_TYPE
-        elif _metrics.ENABLED:
+        else:
             serialize_start = time.perf_counter()
             payload = json.dumps(body).encode()
             _instr.observe_stage(
                 None, "serialize", time.perf_counter() - serialize_start
             )
-            content_type = "application/json"
-        else:
-            payload = json.dumps(body).encode()
             content_type = "application/json"
         head = [
             f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'Unknown')}",

@@ -107,6 +107,7 @@ import os
 import threading
 import time
 import warnings
+import weakref
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -122,7 +123,6 @@ from ..kernels.parallel import (
     shard_edges,
 )
 from ..telemetry import instruments as _instr
-from ..telemetry import metrics as _metrics
 from .artifact import (
     ARRAYS_NAME,
     FORMAT_VERSION,
@@ -945,7 +945,8 @@ class ShardedOracle(DistanceOracle):
         self._bounds = bounds
         self._backends = backends
         self.shards = bounds.size - 1
-        self._mount = "default"
+        # Until mounted, shard series carry the name a default mount gets.
+        self._mount = self.artifact.variant
         self._route_lock = threading.Lock()
         self._pool: Optional[_ShardPool] = None
         self._pool_finalizer = None
@@ -971,7 +972,6 @@ class ShardedOracle(DistanceOracle):
             self._start_pool()
         else:
             self._degraded = self.shards > 1 and pool is not False
-        self._sync_up_gauge()
 
     @classmethod
     def load(
@@ -986,8 +986,6 @@ class ShardedOracle(DistanceOracle):
 
     # -- lifecycle -----------------------------------------------------
     def _start_pool(self) -> None:
-        import weakref
-
         pool = _ShardPool(self._backends, self._pool_timeout)
         self._pool = pool
         # Finalize the *pool*, not the oracle: workers die with the
@@ -1008,7 +1006,6 @@ class ShardedOracle(DistanceOracle):
         with self._route_lock:
             self._drop_pool()
             self._closed = True
-            self._sync_up_gauge()
 
     # -- routing -------------------------------------------------------
     def _answer_batch(
@@ -1042,7 +1039,6 @@ class ShardedOracle(DistanceOracle):
                 stacklevel=4,
             )
             self._degraded = True
-        self._sync_up_gauge()
 
     def _route(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool
@@ -1084,25 +1080,33 @@ class ShardedOracle(DistanceOracle):
                 start = time.perf_counter()
                 results[s] = [self._backends[s].handle(op) for op in ops]
                 seconds[s] = time.perf_counter() - start
-        enabled = _metrics.ENABLED
         for s, ops in requests.items():
             routed = sum(int(op[1].size) for op in ops if op[0] == "gather")
             if not routed:  # a stats round: nothing was gathered
                 continue
             self._shard_query_counts[s] += routed
-            if enabled:
-                counter, histogram = self._shard_children(s)
-                counter.inc(routed)
-                histogram.observe(seconds[s])
+            counter, histogram = self._shard_children(s)
+            counter.inc(routed)
+            histogram.observe(seconds[s])
         return results
 
     # -- telemetry -----------------------------------------------------
     def set_mount(self, name: str) -> None:
         """Label this oracle's per-shard metric series with its mount
-        name (the service layer calls this when mounting)."""
+        name (:meth:`~repro.oracle.OracleRouter.mount` calls this) and
+        expose ``repro_shard_up`` for it.  The gauge reads the pool at
+        scrape time: 1 while a pool serves, 0 after a degrade or
+        :meth:`close` (or once the oracle is gone)."""
         self._mount = str(name)
         self._metric_children.clear()
-        self._sync_up_gauge()
+        ref = weakref.ref(self)
+
+        def up() -> float:
+            oracle = ref()
+            return float(oracle is not None and oracle._pool is not None)
+
+        for s in range(self.shards):
+            _instr.SHARD_UP.labels(self._mount, str(s)).set_function(up)
 
     def _shard_children(self, s: int):
         child = self._metric_children.get(s)
@@ -1114,17 +1118,9 @@ class ShardedOracle(DistanceOracle):
             self._metric_children[s] = child
         return child
 
-    def _sync_up_gauge(self) -> None:
-        if not _metrics.ENABLED:
-            return
-        up = 1.0 if self._pool is not None else 0.0
-        for s in range(self.shards):
-            _instr.SHARD_UP.labels(self._mount, str(s)).set(up)
-
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
         base = super().stats()
-        self._sync_up_gauge()
         base.update({
             "shards": int(self.shards),
             "shard_bounds": [int(b) for b in self._bounds],

@@ -4,8 +4,7 @@ Four small, stdlib-only layers (DESIGN.md §9):
 
 * :mod:`repro.telemetry.metrics` — counters, gauges and fixed-bucket
   histograms with a Prometheus text ``render()`` and a strict
-  ``parse_exposition()``; disabled collection is one module-global
-  branch on the hot path;
+  ``parse_exposition()``; collection is always on;
 * :mod:`repro.telemetry.instruments` — the serving stack's fixed metric
   table (every name/label/bucket contract in one place);
 * :mod:`repro.telemetry.trace` — per-request ``X-Request-Id`` traces

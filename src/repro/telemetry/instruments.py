@@ -27,8 +27,9 @@ metric                                         labels
 ``repro_client_disconnects_total``             ``frontend``
 =============================================  =======================
 
-The three ``repro_shard_*`` series exist only when a sharded oracle is
-mounted: ``repro_shard_queries_total`` counts queries *routed* to each
+The three ``repro_shard_*`` series come from sharded oracles, labeled
+with the mount name :meth:`~repro.oracle.OracleRouter.mount` gives
+them: ``repro_shard_queries_total`` counts queries *routed* to each
 shard (every query counts once, on the shard that owns its source
 ``u`` — a cross-shard bunch pair too, since that shard reads ``B(v)``
 itself — so the series sums to the queries answered and shows the
@@ -38,8 +39,9 @@ times each shard's own share of a batched answer (pool: from the
 round's send to that shard's reply; serial: that shard's backend loop;
 a round without a gather, such as ``worker_stats()``, observes
 nothing), and
-``repro_shard_up`` is 1 while the shard is served by a live pool worker
-and 0 after the supervision ladder degrades it to in-process serial.
+``repro_shard_up`` reads the oracle at scrape time: 1 while the shard
+is served by a live pool worker, 0 after the supervision ladder
+degrades it to in-process serial or the oracle is closed.
 
 ``repro_requests_total`` counts every request that *reached a mounted
 service* (one increment per finished request, coalesced or not) —
@@ -54,7 +56,6 @@ Stage names observed into ``repro_stage_duration_seconds``: ``parse``,
 
 from __future__ import annotations
 
-from . import metrics as _metrics
 from .metrics import DEFAULT_LATENCY_BUCKETS, REGISTRY
 
 __all__ = [
@@ -148,7 +149,8 @@ SHARD_GATHER_SECONDS = REGISTRY.histogram(
 SHARD_UP = REGISTRY.gauge(
     "repro_shard_up",
     "1 while the shard is served by a live pool worker, 0 once "
-    "supervision degraded it to in-process serial.",
+    "supervision degraded it to in-process serial or the oracle was "
+    "closed.",
     ("mount", "shard"),
 )
 HTTP_ERRORS = REGISTRY.counter(
@@ -174,13 +176,11 @@ _STAGE_CHILDREN: dict = {}
 
 
 def observe_stage(trace, stage: str, seconds: float) -> None:
-    """Record one stage span: onto the request's trace (when the front
-    end attached one) and into the stage histogram (when enabled).
-    Callers guard the clock reads; this just fans the number out."""
+    """Record one stage span into the stage histogram and, when the
+    front end attached one, onto the request's trace."""
     if trace is not None:
         trace.record(stage, seconds)
-    if _metrics.ENABLED:
-        child = _STAGE_CHILDREN.get(stage)
-        if child is None:
-            child = _STAGE_CHILDREN[stage] = STAGE_SECONDS.labels(stage)
-        child.observe(seconds)
+    child = _STAGE_CHILDREN.get(stage)
+    if child is None:
+        child = _STAGE_CHILDREN[stage] = STAGE_SECONDS.labels(stage)
+    child.observe(seconds)

@@ -6,19 +6,13 @@ histograms, stage timings — through process-global instruments that a
 format (version 0.0.4), so any standard scraper (or ``curl``) can watch
 a live server.
 
-The design constraint is the same one :mod:`repro.oracle.faults` set
-for fault points: **disabled telemetry must cost nothing on the hot
-path**.  The switch is a single module-global (:data:`ENABLED`), and
-the instrumented call sites guard on it before building label tuples::
-
-    from repro.telemetry import metrics
-    if metrics.ENABLED:
-        REQUESTS.labels(mount, str(status)).inc()
-
-Disabled, that is one module-attribute read and a branch — no method
-call, no allocation (``tests/test_telemetry.py`` asserts this with
-``tracemalloc``).  The instruments themselves also check the flag, so a
-stray unguarded call is a no-op, not a skewed counter.
+Collection is always on: every instrumented call site records
+unconditionally, so a scrape reflects the process from its first
+request, whether or not a server was ever started in it.  The hot-path
+discipline is to resolve label children once (``labels()`` takes a
+lock and a dict lookup) and keep the handle; ``inc``/``observe`` on a
+child is one lock and an add (``tests/test_telemetry.py`` guards the
+registry against per-request growth with ``tracemalloc``).
 
 Three instrument kinds, all label-aware and thread-safe:
 
@@ -53,38 +47,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "ENABLED",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
     "REGISTRY",
-    "disable",
-    "enable",
-    "enabled",
     "parse_exposition",
 ]
-
-#: The one hot-path switch: call sites read this module attribute and
-#: branch; everything else in this module is off the hot path.
-ENABLED = False
-
-
-def enable() -> None:
-    """Turn metric collection on (the serving front ends call this)."""
-    global ENABLED
-    ENABLED = True
-
-
-def disable() -> None:
-    """Turn metric collection off; instruments keep their values."""
-    global ENABLED
-    ENABLED = False
-
-
-def enabled() -> bool:
-    return ENABLED
-
 
 #: Latency buckets (seconds) shared by the request/stage histograms:
 #: 0.5 ms resolution at the fast end (coalesced singles land ~1 ms),
@@ -151,8 +120,6 @@ class _CounterChild:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not ENABLED:
-            return
         if amount < 0:
             raise ValueError(f"counters only go up, got inc({amount})")
         with self._lock:
@@ -177,14 +144,10 @@ class _GaugeChild:
         self._function = None
 
     def set(self, value: float) -> None:
-        if not ENABLED:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not ENABLED:
-            return
         with self._lock:
             self._value += amount
 
@@ -192,8 +155,7 @@ class _GaugeChild:
         self.inc(-amount)
 
     def set_function(self, fn) -> None:
-        """Back this gauge by a callable evaluated at render time
-        (ignores :data:`ENABLED` — rendering is never the hot path)."""
+        """Back this gauge by a callable evaluated at render time."""
         with self._lock:
             self._function = fn
 
@@ -225,8 +187,6 @@ class _HistogramChild:
         self._sum = 0.0
 
     def observe(self, value: float) -> None:
-        if not ENABLED:
-            return
         value = float(value)
         idx = bisect.bisect_left(self._buckets, value)
         with self._lock:
@@ -465,8 +425,7 @@ class MetricsRegistry:
     # -- output -------------------------------------------------------
     def render(self) -> str:
         """The Prometheus text exposition (version 0.0.4) of every
-        registered instrument — rendered whether or not collection is
-        enabled (a disabled registry scrapes as all-zeros)."""
+        registered instrument."""
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: List[str] = []

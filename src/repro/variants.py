@@ -181,8 +181,7 @@ class VariantSpec:
     the one-shot execution the CLI and benchmarks use (``None`` for
     variants with no full-APSP run, e.g. ``tz``).  ``stretch(n,
     **params)`` is the proven ``(multiplicative, additive)`` formula;
-    ``guarantee`` is its human-readable form for ``--help``.  ``phases``
-    names the round-ledger phases the variant charges.
+    ``guarantee`` is its human-readable form for ``--help``.
     """
 
     name: str
@@ -194,18 +193,13 @@ class VariantSpec:
     stretch: Optional[Callable[..., Tuple[float, float]]] = None
     params: Tuple[ParamSpec, ...] = ()
     weighted: bool = False
-    unweighted: bool = True
     cli_algo: bool = False
     headline: bool = False
-    phases: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     @property
     def param_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.params)
-
-    def has_param(self, name: str) -> bool:
-        return any(p.name == name for p in self.params)
 
     def resolve_params(self, given: Optional[Dict[str, object]] = None,
                        n: int = 0) -> Dict[str, object]:
@@ -240,10 +234,6 @@ class VariantSpec:
             raise VariantError(
                 f"variant {self.name!r} is unweighted-only; weighted-"
                 f"capable variants: {', '.join(weighted_variant_names())}"
-            )
-        if not weighted and not self.unweighted:
-            raise VariantError(
-                f"variant {self.name!r} requires a weighted graph"
             )
 
     def describe_params(self) -> str:

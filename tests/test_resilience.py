@@ -1134,6 +1134,17 @@ class TestMountOverrides:
         )
         self._serve_exits_2(["--artifact", pa, "--mmap"], "--mmap")
 
+    def test_removed_telemetry_switch_rejected(self, matrix_artifact, tmp_path):
+        # Metric collection is always on: there is no off flag and no
+        # limits field for one.
+        pa = str(tmp_path / "a")
+        save_artifact(matrix_artifact, pa)
+        self._serve_exits_2(
+            ["--artifact", pa, "--no-telemetry"], "--no-telemetry"
+        )
+        with pytest.raises(TypeError, match="telemetry"):
+            oracle.ServingLimits(telemetry=False)
+
     def test_removed_parallel_backend_rejected(self, matrix_artifact):
         # The engine takes no backend argument.
         with pytest.raises(TypeError, match="backend"):

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import urllib.request
 import warnings
 
 import numpy as np
@@ -20,7 +21,11 @@ import pytest
 
 import repro.graph.generators as gen
 from repro.graph import WeightedGraph
-from repro.kernels.parallel import ParallelFallback, shard_edges
+from repro.kernels.parallel import (
+    ParallelFallback,
+    fork_available,
+    shard_edges,
+)
 from repro.oracle import (
     ArtifactError,
     DistanceOracle,
@@ -541,20 +546,15 @@ class TestShardedBitIdentity:
 
 @pytest.fixture
 def shard_metrics():
-    """Metrics on for the test, restored afterwards; yields a reader of
-    one shard's ``(sum, count)`` in ``repro_shard_gather_seconds``."""
-    from repro.telemetry import instruments, metrics
-
-    was_enabled = metrics.enabled()
-    metrics.enable()
+    """A reader of one shard's ``(sum, count)`` in
+    ``repro_shard_gather_seconds``."""
+    from repro.telemetry import instruments
 
     def read(shard):
         snap = instruments.SHARD_GATHER_SECONDS.labels(str(shard)).snapshot()
         return snap["sum"], snap["count"]
 
-    yield read
-    if not was_enabled:
-        metrics.disable()
+    return read
 
 
 def _split_pairs(so, count=200):
@@ -615,6 +615,133 @@ class TestShardTelemetry:
             ]
         finally:
             so.close()
+
+
+def _shard_series(mount=None):
+    """``{name: [(labels, value)]}`` of the scraped ``repro_shard_*``
+    samples, optionally only those labeled with ``mount``."""
+    from repro.telemetry import REGISTRY, parse_exposition
+
+    snap = parse_exposition(REGISTRY.render())
+    return {
+        name: [
+            (labels, value) for labels, value in samples
+            if mount is None or labels.get("mount") == mount
+        ]
+        for name, samples in snap.samples.items()
+        if name.startswith("repro_shard_")
+    }
+
+
+class TestShardGauge:
+    """``repro_shard_up`` and the shard series' ``mount`` label are
+    right from the first scrape, with no ``/info`` and no server
+    needed to switch anything on."""
+
+    def test_fresh_serve_process_scrapes_shard_up(self, sharded_dir):
+        if not fork_available():
+            pytest.skip("no fork pool on this platform")
+        from repro.telemetry import parse_exposition
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--artifact", f"tzs={sharded_dir}", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            base = None
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if "healthz" in line:
+                    base = line.split("GET ")[1].split("/info")[0]
+                    break
+            assert base, "server never printed its URL"
+            with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
+                snap = parse_exposition(resp.read().decode())
+            for s in range(4):
+                assert snap.value(
+                    "repro_shard_up", mount="tzs", shard=str(s)
+                ) == 1.0, s
+            mounts = {
+                labels.get("mount")
+                for name, samples in snap.samples.items()
+                for labels, _ in samples
+                if name.startswith("repro_shard_")
+            }
+            assert mounts == {"tzs"}
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+
+    def test_start_async_server_labels_shards_with_the_mount(
+        self, sharded_dir
+    ):
+        from repro.telemetry import REGISTRY, parse_exposition
+
+        so = ShardedOracle.load(sharded_dir, pool=False)
+        name = so.artifact.variant
+        before = parse_exposition(REGISTRY.render())
+        handle = start_async_server(so)
+        base = "http://%s:%s" % handle.server_address[:2]
+        try:
+            with OracleClient(base) as client:
+                status, _ = client.query({"pairs": [[0, 1], [239, 3]]})
+            assert status == 200
+        finally:
+            handle.drain_and_shutdown()
+        delta = parse_exposition(REGISTRY.render()).delta(before)
+        assert delta.total("repro_shard_queries_total", mount=name) == 2
+        series = _shard_series()
+        assert len(_shard_series(name)["repro_shard_up"]) == 4
+        assert all(
+            labels.get("mount") != "default"
+            for samples in series.values() for labels, _ in samples
+        )
+
+    def test_router_mount_names_the_series(self, sharded_dir):
+        so = ShardedOracle.load(sharded_dir, pool=False)
+        router = OracleRouter()
+        router.mount("renamed", so)
+        try:
+            so.query_batch(np.array([0, 239]), np.array([5, 6]))
+            series = _shard_series("renamed")
+            assert sum(v for _, v in series["repro_shard_queries_total"]) == 2
+            assert len(series["repro_shard_up"]) == 4
+        finally:
+            router.close()
+
+    def test_up_reads_zero_after_degrade_and_close(self, sharded_dir):
+        if not fork_available():
+            pytest.skip("no fork pool on this platform")
+        from repro.oracle.sharded import _PoolBroken
+
+        def up(mount):
+            return [v for _, v in _shard_series(mount)["repro_shard_up"]]
+
+        pooled = ShardedOracle.load(sharded_dir, pool=True)
+        degraded = ShardedOracle.load(sharded_dir, pool=True)
+        router = OracleRouter()
+        router.mount("pooled", pooled)
+        router.mount("degraded", degraded)
+        try:
+            assert up("pooled") == up("degraded") == [1.0] * 4
+            degraded._rebuilds_left = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                degraded._handle_pool_failure(_PoolBroken("test"))
+            assert up("degraded") == [0.0] * 4
+            assert up("pooled") == [1.0] * 4
+            pooled.close()
+            assert up("pooled") == [0.0] * 4
+        finally:
+            router.close()
 
 
 # ----------------------------------------------------------------------
