@@ -231,16 +231,129 @@ def dijkstra(wg: WeightedGraph, source: int, max_dist: float = np.inf) -> np.nda
     return dist
 
 
+#: Source rows per scipy call when re-solving the deep branches.
+_BRANCH_ROWS = 128
+
+
 def weighted_all_pairs(wg: WeightedGraph, sources: Sequence[int] | None = None) -> np.ndarray:
     """Exact weighted distances from ``sources`` (default: all vertices) in
-    ``wg``, via the C Dijkstra in scipy.  Shape ``(len(sources), n)``."""
-    mat = weighted_to_scipy_csr(wg)
+    ``wg``.  Shape ``(len(sources), n)``; duplicate sources repeat rows.
+
+    The route depends on the weights alone:
+
+    * integral weights ``>= 1`` (summing below ``2**53``) peel the trees
+      hanging off the 2-core (:func:`_hanging_trees`): every vertex ``x``
+      gets the core vertex ``root(x)`` its tree hangs from, its depth
+      ``delta(x)`` below it, and its *branch* (the child of the root whose
+      subtree holds ``x``).  A hanging tree meets the rest of the graph
+      only at its root, so ``d(x, y) = Dc(root(x), root(y)) + delta(x) +
+      delta(y)`` with ``Dc`` scipy's Dijkstra on the core alone, for every
+      pair except two vertices of one branch, whose path may turn below
+      the root; those pairs take scipy's Dijkstra inside their branch.
+      Integral sums below ``2**53`` are exact in any order, so every entry
+      is bit-identical to a Dijkstra on the whole graph.  The fill
+      allocates only the result and the core matrix;
+    * other weights, graphs with no degree-1 vertex and
+      ``force_backend("reference")`` run scipy's C Dijkstra on the whole
+      graph.
+    """
+    n = wg.n
     if sources is None:
-        return csgraph.dijkstra(mat, directed=False)
-    sources = list(sources)
-    if not sources:
-        return np.zeros((0, wg.n))
-    return csgraph.dijkstra(mat, directed=False, indices=sources)
+        rows = np.arange(n)
+    else:
+        rows = np.asarray(list(sources), dtype=np.int64)
+        if rows.size == 0:
+            return np.zeros((0, n))
+    mat = weighted_to_scipy_csr(wg)
+    us, vs, ws = wg.edge_arrays()
+    trees = None
+    if (
+        not reference_forced()
+        and np.all((ws >= 1.0) & (ws % 1.0 == 0.0))
+        and ws.sum() < 2.0**53
+    ):
+        trees = _hanging_trees(n, us, vs, ws)
+    if trees is None:
+        return csgraph.dijkstra(
+            mat, directed=False, indices=None if sources is None else rows
+        )
+    root, depth, branch = trees
+
+    core = np.flatnonzero(branch < 0)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[core] = np.arange(core.size)
+    heads, head_row = np.unique(pos[root[rows]], return_inverse=True)
+    dc = csgraph.dijkstra(mat[core][:, core], directed=False, indices=heads)
+    out = dc[np.ix_(head_row, pos[root])]
+    out += depth[rows][:, None]
+    out += depth
+    out[np.arange(rows.size), rows] = 0.0
+
+    # Branches of two or more vertices, contiguous in ``verts``; every
+    # edge between two of their vertices is a tree edge of one branch.
+    size = np.bincount(branch[branch >= 0], minlength=n)
+    deep = np.flatnonzero((branch >= 0) & (size[branch] >= 2))
+    verts = deep[np.argsort(branch[deep], kind="stable")]
+    vbranch = branch[verts]
+    local = np.full(n, -1, dtype=np.int64)
+    local[verts] = np.arange(verts.size)
+    sel = np.flatnonzero(local[rows] >= 0)
+    sel = sel[np.argsort(local[rows[sel]], kind="stable")]
+    for i in range(0, sel.size, _BRANCH_ROWS):
+        part = sel[i:i + _BRANCH_ROWS]
+        at = local[rows[part]]
+        lo = np.searchsorted(vbranch, vbranch[at[0]], "left")
+        hi = np.searchsorted(vbranch, vbranch[at[-1]], "right")
+        span = verts[lo:hi]
+        d = csgraph.dijkstra(mat[span][:, span], directed=False, indices=at - lo)
+        r, c = np.nonzero(vbranch[at][:, None] == vbranch[lo:hi])
+        out[part[r], span[c]] = d[r, c]
+    return out
+
+
+def _hanging_trees(
+    n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Peel degree-1 vertices, round by round, down to the 2-core.
+
+    Returns ``(root, depth, branch)``: the core vertex each vertex's tree
+    hangs from (itself in the core), the weighted depth below it (0 in
+    the core) and the peeled child of the root whose subtree holds the
+    vertex (``-1`` in the core); ``None`` when no vertex has degree 1.
+    Isolated vertices stay in the core; of the two ends of an isolated
+    edge only the larger peels, so a tree component keeps one root.
+    """
+    deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    # The XOR of a vertex's unpeeled neighbours and the sum of their edge
+    # weights: at degree 1 they are its last neighbour and edge weight.
+    other = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(other, us, vs)
+    np.bitwise_xor.at(other, vs, us)
+    wsum = np.bincount(us, ws, minlength=n) + np.bincount(vs, ws, minlength=n)
+    rounds = []
+    leaves = np.flatnonzero(deg == 1)
+    while leaves.size:
+        up = other[leaves]
+        keep = (deg[up] != 1) | (leaves > up)
+        leaves, up = leaves[keep], up[keep]
+        w = wsum[leaves]
+        rounds.append((leaves, up, w))
+        deg[leaves] = 0
+        np.subtract.at(deg, up, 1)
+        np.bitwise_xor.at(other, up, leaves)
+        np.subtract.at(wsum, up, w)
+        up = np.unique(up)
+        leaves = up[deg[up] == 1]
+    if not rounds:
+        return None
+    root = np.arange(n)
+    depth = np.zeros(n)
+    branch = np.full(n, -1, dtype=np.int64)
+    for leaves, up, w in reversed(rounds):
+        root[leaves] = root[up]
+        depth[leaves] = depth[up] + w
+        branch[leaves] = np.where(branch[up] < 0, leaves, branch[up])
+    return root, depth, branch
 
 
 # ----------------------------------------------------------------------

@@ -1113,7 +1113,7 @@ class ShardedOracle(DistanceOracle):
         if child is None:
             child = (
                 _instr.SHARD_QUERIES.labels(self._mount, str(s)),
-                _instr.SHARD_GATHER_SECONDS.labels(str(s)),
+                _instr.SHARD_GATHER_SECONDS.labels(self._mount, str(s)),
             )
             self._metric_children[s] = child
         return child

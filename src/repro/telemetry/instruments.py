@@ -21,7 +21,7 @@ metric                                         labels
 ``repro_coalesce_batch_size``                  —
 ``repro_engine_gather_seconds``                —
 ``repro_shard_queries_total``                  ``mount``, ``shard``
-``repro_shard_gather_seconds``                 ``shard``
+``repro_shard_gather_seconds``                 ``mount``, ``shard``
 ``repro_shard_up``                             ``mount``, ``shard``
 ``repro_http_errors_total``                    ``frontend``, ``status``
 ``repro_client_disconnects_total``             ``frontend``
@@ -144,7 +144,7 @@ SHARD_GATHER_SECONDS = REGISTRY.histogram(
     "backend loop in serial mode; rounds with no gather (worker_stats) "
     "are not observed.",
     DEFAULT_LATENCY_BUCKETS,
-    ("shard",),
+    ("mount", "shard"),
 )
 SHARD_UP = REGISTRY.gauge(
     "repro_shard_up",

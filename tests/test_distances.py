@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.graph import Graph, WeightedGraph, generators as gen
+from repro.graph import Graph, WeightedGraph, distances as distances_mod, generators as gen
 from repro.graph.distances import (
     all_pairs_distances,
     ball,
@@ -349,3 +349,148 @@ def test_property_hop_limited_bf_equals_relax(data):
     got = hop_limited_bellman_ford(wg, sources, max_hops)
     assert got.dtype == np.float64
     assert np.array_equal(got, relax_rows(wg, sources, max_hops))
+
+
+def hanging_forest(data, weight) -> WeightedGraph:
+    """A random core with random trees hung on its vertices, plus pure
+    tree components, isolated vertices and single-edge components, under
+    a random relabeling: every shape the peel of ``weighted_all_pairs``
+    meets."""
+    edges = []
+    core = data.draw(st.integers(0, 7), label="core")
+    for i in range(core):
+        for j in range(i + 1, core):
+            if data.draw(st.booleans()):
+                edges.append((i, j))
+    n = core
+    for _ in range(data.draw(st.integers(0, 12), label="hung") if core else 0):
+        edges.append((data.draw(st.integers(0, n - 1)), n))
+        n += 1
+    for _ in range(data.draw(st.integers(0, 2), label="trees")):
+        first = n
+        n += 1
+        for _ in range(data.draw(st.integers(1, 6))):
+            edges.append((data.draw(st.integers(first, n - 1)), n))
+            n += 1
+    n += data.draw(st.integers(0, 2), label="isolated")
+    for _ in range(data.draw(st.integers(0, 2), label="single edges")):
+        edges.append((n, n + 1))
+        n += 2
+    label = data.draw(st.permutations(range(n)), label="relabel") if n else []
+    wg = WeightedGraph(n)
+    for u, v in edges:
+        wg.add_edge(label[u], label[v], data.draw(weight))
+    return wg
+
+
+def reference_all_pairs(wg: WeightedGraph, sources=None) -> np.ndarray:
+    with kernels.force_backend("reference"):
+        return weighted_all_pairs(wg, sources)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_weighted_all_pairs_peel_equals_dijkstra(data):
+    """The hanging-tree route of ``weighted_all_pairs`` equals scipy's
+    Dijkstra on the whole graph bit for bit, for all sources and for
+    source lists with duplicates; fractional weights (which keep the
+    whole-graph route) match too."""
+    weight = data.draw(st.sampled_from([
+        st.integers(1, 40).map(float),              # integral
+        st.integers(1, 40).map(lambda k: k / 4),    # fractional
+        st.floats(0.01, 10.0),                      # fractional
+    ]), label="weights")
+    wg = hanging_forest(data, weight)
+    got = weighted_all_pairs(wg)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, reference_all_pairs(wg))
+    if wg.n:
+        sources = data.draw(
+            st.lists(st.integers(0, wg.n - 1), min_size=1, max_size=8),
+            label="sources",
+        )
+        assert np.array_equal(
+            weighted_all_pairs(wg, sources), reference_all_pairs(wg, sources)
+        )
+
+
+class TestWeightedAllPairsPeel:
+    @staticmethod
+    def weighted(n, edges, seed=3):
+        rng = np.random.default_rng(seed)
+        wg = WeightedGraph(n)
+        for u, v in edges:
+            wg.add_edge(u, v, float(rng.integers(1, 41)))
+        return wg
+
+    def check(self, wg):
+        full = weighted_all_pairs(wg)
+        assert np.array_equal(full, reference_all_pairs(wg))
+        sources = [wg.n - 1, 0, wg.n - 1, wg.n // 2]
+        assert np.array_equal(weighted_all_pairs(wg, sources), full[sources])
+        return full
+
+    def test_path(self):
+        # Two branches of ~150 vertices: row chunks straddle them.
+        self.check(self.weighted(300, [(i, i + 1) for i in range(299)]))
+
+    def test_star(self):
+        self.check(self.weighted(30, [(0, i) for i in range(1, 30)]))
+
+    def test_tree(self):
+        rng = np.random.default_rng(8)
+        self.check(self.weighted(
+            400, [(int(rng.integers(0, v)), v) for v in range(1, 400)]
+        ))
+
+    def test_cycle_with_a_pendant_tree_on_each_vertex(self, monkeypatch):
+        k = 8
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        edges += [(i, k + 2 * i) for i in range(k)]
+        edges += [(k + 2 * i, k + 2 * i + 1) for i in range(k)]
+        wg = self.weighted(3 * k, edges)
+        shapes = []
+        dijkstra_c = distances_mod.csgraph.dijkstra
+
+        def counted(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return dijkstra_c(mat, *args, **kwargs)
+
+        monkeypatch.setattr(distances_mod.csgraph, "dijkstra", counted)
+        weighted_all_pairs(wg)
+        # The cycle is the core; the pendant paths are its deep branches.
+        assert shapes == [(k, k), (2 * k, 2 * k)]
+        self.check(wg)
+
+    def test_sums_past_2_53_keep_the_whole_graph_route(self):
+        # Float sums round differently by direction past 2**53
+        # (d(0, 3) = 2**53 but d(3, 0) = 2**53 + 2); the answer is still
+        # scipy's on the whole graph.
+        wg = WeightedGraph(4)
+        wg.add_edges_from([(0, 1, 2.0**53), (1, 2, 1.0), (2, 3, 1.0)])
+        full = self.check(wg)
+        assert full[0, 3] != full[3, 0]
+
+    def test_no_edges(self):
+        wg = WeightedGraph(5)
+        full = self.check(wg)
+        assert np.array_equal(np.isinf(full), ~np.eye(5, dtype=bool))
+
+    def test_near_additive_emulator_n400(self, monkeypatch):
+        """The cc emulator of a near-additive build: a small 2-core with
+        trees hanging off it."""
+        from repro.apsp import near_additive
+
+        caught = []
+
+        def capture(wg, *args, **kwargs):
+            caught.append(wg)
+            return weighted_all_pairs(wg, *args, **kwargs)
+
+        monkeypatch.setattr(near_additive, "weighted_all_pairs", capture)
+        near_additive.apsp_near_additive(
+            gen.make_family("er_sparse", 400, seed=0), eps=0.5,
+            rng=np.random.default_rng(0),
+        )
+        (emulator,) = caught
+        self.check(emulator)

@@ -547,11 +547,13 @@ class TestShardedBitIdentity:
 @pytest.fixture
 def shard_metrics():
     """A reader of one shard's ``(sum, count)`` in
-    ``repro_shard_gather_seconds``."""
+    ``repro_shard_gather_seconds`` under the oracle's mount label."""
     from repro.telemetry import instruments
 
-    def read(shard):
-        snap = instruments.SHARD_GATHER_SECONDS.labels(str(shard)).snapshot()
+    def read(so, shard):
+        snap = instruments.SHARD_GATHER_SECONDS.labels(
+            so._mount, str(shard)
+        ).snapshot()
         return snap["sum"], snap["count"]
 
     return read
@@ -579,15 +581,15 @@ class TestShardTelemetry:
 
         monkeypatch.setattr(slow, "handle", slowed)
         us, vs = _split_pairs(so)
-        before = [shard_metrics(s) for s in (0, 1)]
+        before = [shard_metrics(so, s) for s in (0, 1)]
         so.query_batch(us, vs)
-        after = [shard_metrics(s) for s in (0, 1)]
+        after = [shard_metrics(so, s) for s in (0, 1)]
         assert [a[1] - b[1] for a, b in zip(after, before)] == [1, 1]
         assert after[1][0] - before[1][0] >= self.DELAY
         assert after[0][0] - before[0][0] < self.DELAY / 2
         # A stats round carries no gather: nothing is observed.
         so.worker_stats()
-        assert [shard_metrics(s)[1] for s in (0, 1)] == [
+        assert [shard_metrics(so, s)[1] for s in (0, 1)] == [
             a[1] for a in after
         ]
 
@@ -603,14 +605,14 @@ class TestShardTelemetry:
         so = _layout(art_u, tmp_path, 2, pool=True)
         try:
             us, vs = _split_pairs(so)
-            before = [shard_metrics(s) for s in (0, 1)]
+            before = [shard_metrics(so, s) for s in (0, 1)]
             so.query_batch(us, vs)
-            after = [shard_metrics(s) for s in (0, 1)]
+            after = [shard_metrics(so, s) for s in (0, 1)]
             spent = sorted(a[0] - b[0] for a, b in zip(after, before))
             assert spent[1] >= self.DELAY
             assert spent[0] < self.DELAY / 2
             so.worker_stats()
-            assert [shard_metrics(s)[1] for s in (0, 1)] == [
+            assert [shard_metrics(so, s)[1] for s in (0, 1)] == [
                 a[1] for a in after
             ]
         finally:
@@ -716,6 +718,27 @@ class TestShardGauge:
             assert len(series["repro_shard_up"]) == 4
         finally:
             router.close()
+
+    def test_gather_latency_is_split_by_mount(self, sharded_dir):
+        from repro.telemetry import REGISTRY, parse_exposition
+
+        router = OracleRouter()
+        a = ShardedOracle.load(sharded_dir, pool=False)
+        b = ShardedOracle.load(sharded_dir, pool=False)
+        router.mount("a", a)
+        router.mount("b", b)
+        before = parse_exposition(REGISTRY.render())
+        try:
+            a.query_batch(np.array([0]), np.array([5]))
+            a.query_batch(np.array([1]), np.array([6]))
+            b.query_batch(np.array([2]), np.array([7]))
+        finally:
+            router.close()
+        delta = parse_exposition(REGISTRY.render()).delta(before)
+        count = "repro_shard_gather_seconds_count"
+        assert delta.value(count, mount="a", shard="0") == 2
+        assert delta.value(count, mount="b", shard="0") == 1
+        assert delta.total(count) == 3
 
     def test_up_reads_zero_after_degrade_and_close(self, sharded_dir):
         if not fork_available():
