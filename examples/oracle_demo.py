@@ -1,7 +1,8 @@
 """Serving-layer demo: preprocess once, answer queries forever.
 
 Builds two oracle artifacts over the same social-network-style workload
-— a near-additive APSP estimate matrix (Thm 32) and a classic
+— near-additive APSP in label form (Thm 32: the emulator's 2-core
+distances plus hanging-tree labels) and a classic
 Thorup–Zwick bunch store (Appendix A) — saves them to disk, loads them
 back, and serves single, batched, certified, and path queries from the
 loaded snapshots.  The point: the expensive Dory–Parter preprocessing is

@@ -37,11 +37,15 @@ from ..variants import (
 )
 from .baselines import apsp_squaring, exact_apsp, spanner_apsp
 from .mssp import mssp
-from .near_additive import apsp_near_additive
+from .near_additive import apsp_near_additive, near_additive_labels
 from .result import DistanceResult
 from .three_plus_eps import apsp_three_plus_eps
 from .two_plus_eps import apsp_two_plus_eps
-from .weighted import apsp_weighted, mssp_weighted
+from .weighted import (
+    apsp_weighted,
+    mssp_weighted,
+    near_additive_labels_weighted,
+)
 
 __all__ = ["default_mssp_sources"]
 
@@ -76,6 +80,37 @@ def _near_additive_run(g, rng=None, eps=0.5, r=None, **_):
     if isinstance(g, WeightedGraph):
         return apsp_weighted(g, eps=eps, r=r, rng=rng)
     return apsp_near_additive(g, eps=eps, r=r, rng=rng)
+
+
+def _near_additive_build(g, rng=None, eps=0.5, r=None, **_):
+    """The ``core``-kind payload: the emulator's all-pairs in label form
+    (``apsp/near_additive.py``), never the ``(n, n)`` matrix.  Its arrays
+    are the core distances ``core_dist``, the per-vertex tree labels
+    ``root`` / ``depth`` / ``parent`` / ``hops`` (over the subdivided
+    graph's vertices for a weighted ``g``) and ``edge_keys``, the
+    ``G``-edges the weight-1 fold-in lowers (``oracle/engine.py`` answers
+    from them)."""
+    if isinstance(g, WeightedGraph):
+        res = near_additive_labels_weighted(g, eps=eps, r=r, rng=rng)
+    else:
+        res = near_additive_labels(g, eps=eps, r=r, rng=rng)
+    labels = res.labels
+    return VariantBuild(
+        arrays={
+            "core_dist": res.core_dist,
+            "root": labels.root,
+            "depth": labels.depth,
+            "parent": labels.parent,
+            "hops": labels.hops,
+            "edge_keys": res.edge_keys(g.n),
+        },
+        name=res.name,
+        multiplicative=float(res.multiplicative),
+        additive=float(res.additive),
+        rounds_total=float(res.ledger.total),
+        rounds_breakdown=res.ledger.breakdown(),
+        stats=dict(res.stats, core_vertices=int(res.core_dist.shape[0])),
+    )
 
 
 def _near_additive_stretch(n, eps=0.5, r=None):
@@ -128,11 +163,11 @@ def _sources_build(result: DistanceResult) -> VariantBuild:
 
 register_variant(VariantSpec(
     name="near-additive",
-    kind="matrix",
+    kind="core",
     summary="(1+eps, beta)-APSP via the sparse emulator (Thm 32; "
             "weighted graphs via subdivision)",
     guarantee="d <= est <= (1 + 4*eps) * d + 2*beta",
-    build=lambda g, rng=None, **p: _matrix_build(_near_additive_run(g, rng, **p)),
+    build=_near_additive_build,
     run=_near_additive_run,
     stretch=_near_additive_stretch,
     params=(_EPS, _R),
@@ -211,17 +246,15 @@ register_variant(VariantSpec(
 ))
 
 def _emulator_sssp_build(g, rng=None, eps=0.5, r=None, **_):
-    """The emulator-SSSP payload: store only the union of the
-    near-additive emulator's edges and ``G``'s own unit edges (mirroring
-    the pipeline's fold-in), min-merged so each edge is stored once —
-    O(emulator) storage instead of the O(n^2) matrix.  Queries run
-    Dijkstra over it, on a CSR decoded once at load
-    (``oracle/engine.py``, ``edges`` kind, at most 64 sources per
-    call).  Exact APSP over this edge set is sound (every stored weight
-    dominates the true distance) and within the cc construction's
-    ``(1 + eps', 2 beta)`` guarantee (it only tightens the pipeline's
-    one-pass fold-in), so the build shares ``near-additive``'s stretch
-    formula."""
+    """The emulator-SSSP payload: the union ``H ∪ G`` of the
+    near-additive emulator's edges and ``G``'s own unit edges,
+    min-merged so each edge is stored once — O(m + |H|) storage instead
+    of the O(n^2) matrix.  Queries run Dijkstra over it, on a CSR
+    decoded once at load (``oracle/engine.py``, ``edges`` kind, at most
+    64 sources per call).  ``G`` is a subgraph of the union and every
+    emulator weight dominates the true distance, so every answer is
+    exactly ``d_G``; the manifest records ``near-additive``'s stretch
+    formula, which the answers meet trivially."""
     if r is None:
         r = EmulatorParams.default_r(g.n)
     ledger = RoundLedger()
@@ -251,8 +284,9 @@ def _emulator_sssp_build(g, rng=None, eps=0.5, r=None, **_):
 register_variant(VariantSpec(
     name="emulator-sssp",
     kind="edges",
-    summary="(1+eps, beta) oracle storing only emulator edges; SSSP at "
-            "query time (O(emulator) space vs the O(n^2) matrix)",
+    summary="oracle storing the emulator's edges together with G's own "
+            "(O(m + |H|) space); SSSP at query time answers exact "
+            "distances",
     guarantee="d <= est <= (1 + 4*eps) * d + 2*beta",
     build=_emulator_sssp_build,
     stretch=_near_additive_stretch,

@@ -5,11 +5,19 @@ has ``O(n log log n)`` edges, so Lenzen-routing it to one vertex, splitting
 into ``n`` chunks and rebroadcasting costs ``O(log log n)`` rounds), then
 each vertex locally computes shortest paths in the emulator — free in the
 Congested Clique's unbounded-local-computation convention.
+
+The local all-pairs is kept in label form (:class:`NearAdditiveLabels`):
+the exact distances of the emulator's 2-core plus per-vertex labels of
+the trees hanging off it (:class:`~repro.graph.distances.TreeLabels`),
+``O(c^2 + n)`` numbers for a core of ``c`` vertices.  The oracle build
+stores that form; :func:`apsp_near_additive` expands it into the
+``(n, n)`` matrix.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -21,12 +29,18 @@ from ..emulator.builder import build_emulator
 from ..emulator.clique import build_emulator_cc
 from ..emulator.params import EmulatorParams
 from ..emulator.whp import build_emulator_whp
-from ..graph.distances import weighted_all_pairs
+from ..graph.distances import TreeLabels, core_distances, hanging_tree_labels
 from ..graph.graph import Graph
 from ..variants import EmulatorConstruction, emulator_construction, register_emulator_construction
 from .result import DistanceResult
 
-__all__ = ["apsp_near_additive", "build_emulator_variant", "emulator_guarantee"]
+__all__ = [
+    "NearAdditiveLabels",
+    "apsp_near_additive",
+    "build_emulator_variant",
+    "emulator_guarantee",
+    "near_additive_labels",
+]
 
 
 def _ideal_guarantee(params) -> tuple[float, float]:
@@ -89,6 +103,84 @@ def build_emulator_variant(
     return emulator_construction(variant).build(g, eps, r, rng, ledger)
 
 
+@dataclass(frozen=True)
+class NearAdditiveLabels:
+    """Theorem 32's output before expansion: the emulator ``H``'s
+    all-pairs as :class:`~repro.graph.distances.TreeLabels` plus the
+    ``(c, c)`` core distances ``core_dist``, and ``G``'s own edges, which
+    each vertex folds in at weight 1."""
+
+    labels: TreeLabels
+    core_dist: np.ndarray
+    graph_edges: np.ndarray
+    name: str
+    multiplicative: float
+    additive: float
+    ledger: RoundLedger
+    stats: Dict[str, object] = field(default_factory=dict)
+
+    def estimates(self) -> np.ndarray:
+        """The ``(n, n)`` estimate matrix: ``H``'s distances with ``G``'s
+        edges folded in and the diagonal zeroed."""
+        n = self.labels.root.size
+        out = self.labels.rows(self.core_dist, self.labels.root, np.arange(n))
+        e = self.graph_edges
+        kernels.fold_in_edges(out, e[:, 0], e[:, 1])
+        return out
+
+    def edge_keys(self, n: int) -> np.ndarray:
+        """The pairs the fold-in lowers, among vertices below ``n``: the
+        sorted :meth:`~repro.graph.distances.TreeLabels.pair_keys` of
+        ``G``'s edges whose distance in ``H`` exceeds 1."""
+        e = self.graph_edges[self.graph_edges[:, 1] < n]
+        us, vs = e[:, 0], e[:, 1]
+        far = self.labels.distances(self.core_dist, us, vs) > 1.0
+        return np.sort(self.labels.pair_keys(us[far], vs[far]))
+
+
+def near_additive_labels(
+    g: Graph,
+    eps: float,
+    r: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    variant: str = "cc",
+    ledger: Optional[RoundLedger] = None,
+) -> NearAdditiveLabels:
+    """Theorem 32 in label form: build the emulator, charge the rounds for
+    every vertex to learn it, and label its all-pairs (the local step, no
+    rounds).  ``variant`` selects the emulator construction, as in
+    :func:`apsp_near_additive`."""
+    if ledger is None:
+        ledger = RoundLedger()
+    if r is None:
+        r = EmulatorParams.default_r(g.n)
+    result = build_emulator_variant(g, eps, r, variant, rng, ledger)
+
+    # Everybody learns the emulator (Theorem 32's collective).
+    ledger.charge(
+        learn_subgraph_rounds(result.emulator.m, g.n), "apsp:learn-emulator"
+    )
+
+    labels = hanging_tree_labels(result.emulator)
+    mult, add = emulator_guarantee(result, variant)
+    return NearAdditiveLabels(
+        labels=labels,
+        core_dist=core_distances(result.emulator, labels),
+        graph_edges=g.edges(),
+        name=f"(1+eps,beta)-APSP[{variant}]",
+        multiplicative=mult,
+        additive=add,
+        ledger=ledger,
+        stats={
+            "emulator_edges": result.emulator.m,
+            "beta": result.params.beta,
+            "eps": eps,
+            "r": r,
+            "variant": variant,
+        },
+    )
+
+
 def apsp_near_additive(
     g: Graph,
     eps: float,
@@ -102,37 +194,15 @@ def apsp_near_additive(
 
     ``variant`` selects the emulator construction: ``"cc"`` (Section 3.5,
     default), ``"ideal"`` (Section 3.2 exact balls), ``"whp"``
-    (Theorem 31) or ``"deterministic"`` (Theorem 50).
+    (Theorem 31) or ``"deterministic"`` (Theorem 50).  The estimates are
+    :meth:`NearAdditiveLabels.estimates` of :func:`near_additive_labels`.
     """
-    if ledger is None:
-        ledger = RoundLedger()
-    if r is None:
-        r = EmulatorParams.default_r(g.n)
-    result = build_emulator_variant(g, eps, r, variant, rng, ledger)
-
-    # Everybody learns the emulator (Theorem 32's collective).
-    ledger.charge(
-        learn_subgraph_rounds(result.emulator.m, g.n), "apsp:learn-emulator"
-    )
-
-    estimates = weighted_all_pairs(result.emulator)
-    # Each vertex knows its own incident edges; fold them in (weight 1)
-    # and fix the diagonal — the per-source post-processing kernel.
-    e = g.edges()
-    kernels.fold_in_edges(estimates, e[:, 0], e[:, 1])
-
-    mult, add = emulator_guarantee(result, variant)
+    res = near_additive_labels(g, eps, r, rng, variant, ledger)
     return DistanceResult(
-        name=f"(1+eps,beta)-APSP[{variant}]",
-        estimates=estimates,
-        multiplicative=mult,
-        additive=add,
-        ledger=ledger,
-        stats={
-            "emulator_edges": result.emulator.m,
-            "beta": result.params.beta,
-            "eps": eps,
-            "r": r,
-            "variant": variant,
-        },
+        name=res.name,
+        estimates=res.estimates(),
+        multiplicative=res.multiplicative,
+        additive=res.additive,
+        ledger=res.ledger,
+        stats=res.stats,
     )

@@ -16,7 +16,7 @@ delimit precisely what the open problem would remove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -24,10 +24,16 @@ import numpy as np
 from ..cliquesim.ledger import RoundLedger
 from ..graph.graph import Graph, WeightedGraph
 from .mssp import mssp
-from .near_additive import apsp_near_additive
+from .near_additive import NearAdditiveLabels, near_additive_labels
 from .result import DistanceResult
 
-__all__ = ["SubdividedGraph", "subdivide", "mssp_weighted", "apsp_weighted"]
+__all__ = [
+    "SubdividedGraph",
+    "apsp_weighted",
+    "mssp_weighted",
+    "near_additive_labels_weighted",
+    "subdivide",
+]
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,24 @@ def mssp_weighted(
     return out
 
 
+def near_additive_labels_weighted(
+    wg: WeightedGraph,
+    eps: float,
+    r: int | None = None,
+    rng: np.random.Generator | None = None,
+    ledger: RoundLedger | None = None,
+) -> NearAdditiveLabels:
+    """Theorem 32's label form on the subdivided graph: the labels cover
+    all ``n'`` subdivided vertices, the original ones first."""
+    sub = subdivide(wg)
+    res = near_additive_labels(sub.graph, eps=eps, r=r, rng=rng, ledger=ledger)
+    return replace(
+        res,
+        name=f"(1+eps,beta)-APSP[weighted, blowup={sub.blowup}]",
+        stats=dict(res.stats, blowup=sub.blowup, subdivided_n=sub.graph.n),
+    )
+
+
 def apsp_weighted(
     wg: WeightedGraph,
     eps: float,
@@ -100,13 +124,12 @@ def apsp_weighted(
     """``(1 + eps, beta)``-APSP on an integer-weighted graph via
     subdivision (the additive ``beta`` is in *weight units*, matching the
     unweighted guarantee on the subdivided graph)."""
-    sub = subdivide(wg)
-    res = apsp_near_additive(sub.graph, eps=eps, r=r, rng=rng, ledger=ledger)
+    res = near_additive_labels_weighted(wg, eps, r=r, rng=rng, ledger=ledger)
     return DistanceResult(
-        name=f"(1+eps,beta)-APSP[weighted, blowup={sub.blowup}]",
-        estimates=res.estimates[: sub.original_n, : sub.original_n],
+        name=res.name,
+        estimates=res.estimates()[: wg.n, : wg.n],
         multiplicative=res.multiplicative,
         additive=res.additive,
         ledger=res.ledger,
-        stats=dict(res.stats, blowup=sub.blowup, subdivided_n=sub.graph.n),
+        stats=res.stats,
     )

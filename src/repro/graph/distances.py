@@ -15,6 +15,7 @@ Conventions
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
     "hop_limited_bellman_ford",
     "dijkstra",
     "weighted_all_pairs",
+    "TreeLabels",
+    "hanging_tree_labels",
+    "core_distances",
     "to_scipy_csr",
     "weighted_to_scipy_csr",
     "eccentricity",
@@ -231,10 +235,6 @@ def dijkstra(wg: WeightedGraph, source: int, max_dist: float = np.inf) -> np.nda
     return dist
 
 
-#: Source rows per scipy call when re-solving the deep branches.
-_BRANCH_ROWS = 128
-
-
 def weighted_all_pairs(wg: WeightedGraph, sources: Sequence[int] | None = None) -> np.ndarray:
     """Exact weighted distances from ``sources`` (default: all vertices) in
     ``wg``.  Shape ``(len(sources), n)``; duplicate sources repeat rows.
@@ -242,17 +242,13 @@ def weighted_all_pairs(wg: WeightedGraph, sources: Sequence[int] | None = None) 
     The route depends on the weights alone:
 
     * integral weights ``>= 1`` (summing below ``2**53``) peel the trees
-      hanging off the 2-core (:func:`_hanging_trees`): every vertex ``x``
-      gets the core vertex ``root(x)`` its tree hangs from, its depth
-      ``delta(x)`` below it, and its *branch* (the child of the root whose
-      subtree holds ``x``).  A hanging tree meets the rest of the graph
-      only at its root, so ``d(x, y) = Dc(root(x), root(y)) + delta(x) +
-      delta(y)`` with ``Dc`` scipy's Dijkstra on the core alone, for every
-      pair except two vertices of one branch, whose path may turn below
-      the root; those pairs take scipy's Dijkstra inside their branch.
-      Integral sums below ``2**53`` are exact in any order, so every entry
-      is bit-identical to a Dijkstra on the whole graph.  The fill
-      allocates only the result and the core matrix;
+      hanging off the 2-core (:func:`hanging_tree_labels`) and run scipy's
+      Dijkstra on the core alone, from the roots of the requested rows;
+      :meth:`TreeLabels.rows` fills the result from the labels.  Integral
+      sums below ``2**53`` are exact in any order, so every entry is
+      bit-identical to a Dijkstra on the whole graph.  The fill allocates
+      the result, the core rows and one entry per pair of vertices
+      inside one hanging tree;
     * other weights, graphs with no degree-1 vertex and
       ``force_backend("reference")`` run scipy's C Dijkstra on the whole
       graph.
@@ -264,62 +260,151 @@ def weighted_all_pairs(wg: WeightedGraph, sources: Sequence[int] | None = None) 
         rows = np.asarray(list(sources), dtype=np.int64)
         if rows.size == 0:
             return np.zeros((0, n))
-    mat = weighted_to_scipy_csr(wg)
-    us, vs, ws = wg.edge_arrays()
-    trees = None
-    if (
-        not reference_forced()
-        and np.all((ws >= 1.0) & (ws % 1.0 == 0.0))
-        and ws.sum() < 2.0**53
-    ):
-        trees = _hanging_trees(n, us, vs, ws)
-    if trees is None:
+    labels = hanging_tree_labels(wg)
+    if labels.core.size == n:
         return csgraph.dijkstra(
-            mat, directed=False, indices=None if sources is None else rows
+            weighted_to_scipy_csr(wg), directed=False,
+            indices=None if sources is None else rows,
         )
-    root, depth, branch = trees
+    heads, at = np.unique(labels.root[rows], return_inverse=True)
+    return labels.rows(core_distances(wg, labels, heads), at, rows)
 
-    core = np.flatnonzero(branch < 0)
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[core] = np.arange(core.size)
-    heads, head_row = np.unique(pos[root[rows]], return_inverse=True)
-    dc = csgraph.dijkstra(mat[core][:, core], directed=False, indices=heads)
-    out = dc[np.ix_(head_row, pos[root])]
-    out += depth[rows][:, None]
-    out += depth
-    out[np.arange(rows.size), rows] = 0.0
 
-    # Branches of two or more vertices, contiguous in ``verts``; every
-    # edge between two of their vertices is a tree edge of one branch.
-    size = np.bincount(branch[branch >= 0], minlength=n)
-    deep = np.flatnonzero((branch >= 0) & (size[branch] >= 2))
-    verts = deep[np.argsort(branch[deep], kind="stable")]
-    vbranch = branch[verts]
-    local = np.full(n, -1, dtype=np.int64)
-    local[verts] = np.arange(verts.size)
-    sel = np.flatnonzero(local[rows] >= 0)
-    sel = sel[np.argsort(local[rows[sel]], kind="stable")]
-    for i in range(0, sel.size, _BRANCH_ROWS):
-        part = sel[i:i + _BRANCH_ROWS]
-        at = local[rows[part]]
-        lo = np.searchsorted(vbranch, vbranch[at[0]], "left")
-        hi = np.searchsorted(vbranch, vbranch[at[-1]], "right")
-        span = verts[lo:hi]
-        d = csgraph.dijkstra(mat[span][:, span], directed=False, indices=at - lo)
-        r, c = np.nonzero(vbranch[at][:, None] == vbranch[lo:hi])
-        out[part[r], span[c]] = d[r, c]
-    return out
+@dataclass(frozen=True)
+class TreeLabels:
+    """A weighted graph as its 2-core plus the trees hanging off it.
+
+    A hanging tree meets the rest of the graph only at its root, a core
+    vertex, so with ``Dc`` the exact distances of the core alone,
+
+    * ``d(x, y) = Dc[root x, root y] + depth x + depth y`` when the roots
+      differ, and
+    * ``d(x, y) = (depth x - depth l) + (depth y - depth l)`` inside one
+      tree, with ``l`` the lowest common ancestor of ``x`` and ``y``.
+
+    Per vertex: ``root`` is the row of its tree's root in the core order
+    (core vertices ascending, so a core vertex is its own root), ``depth``
+    its weighted depth below the root, ``parent`` its tree parent and
+    ``hops`` its hop depth; core vertices have depth 0, parent ``-1`` and
+    hop depth 0.  Arrays read from an artifact may be int32 and float32;
+    :meth:`widened` gives the int64/float64 form the query methods
+    expect, so every sum is a float64 sum."""
+
+    root: np.ndarray
+    depth: np.ndarray
+    parent: np.ndarray
+    hops: np.ndarray
+
+    @property
+    def core(self) -> np.ndarray:
+        """The core vertices, ascending: row ``i`` of ``Dc`` is
+        ``core[i]``."""
+        return np.flatnonzero(self.parent < 0)
+
+    def widened(self) -> "TreeLabels":
+        """The labels as int64 ids and float64 depths."""
+        return TreeLabels(
+            root=np.asarray(self.root, dtype=np.int64),
+            depth=np.asarray(self.depth, dtype=np.float64),
+            parent=np.asarray(self.parent, dtype=np.int64),
+            hops=np.asarray(self.hops, dtype=np.int64),
+        )
+
+    def pair_keys(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """One int64 key per unordered pair: ``min * N + max`` over the
+        ``N`` labelled vertices."""
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        return lo.astype(np.int64) * self.root.size + hi
+
+    def tree_distances(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Distances between pairs that share a root: a batched walk up
+        ``parent`` to the lowest common ancestor.  Each step lifts the end
+        with more hops (both when equal), so it takes at most the largest
+        hop depth in the batch."""
+        a, b = us.copy(), vs.copy()
+        ha, hb = self.hops[us], self.hops[vs]
+        live = np.flatnonzero(a != b)
+        while live.size:
+            x, y, hx, hy = a[live], b[live], ha[live], hb[live]
+            lift_x, lift_y = hx >= hy, hy >= hx
+            a[live] = np.where(lift_x, self.parent[x], x)
+            b[live] = np.where(lift_y, self.parent[y], y)
+            ha[live] = hx - lift_x
+            hb[live] = hy - lift_y
+            live = live[a[live] != b[live]]
+        lca = self.depth[a]
+        return (self.depth[us] - lca) + (self.depth[vs] - lca)
+
+    def distances(
+        self, core_dist: np.ndarray, us: np.ndarray, vs: np.ndarray
+    ) -> np.ndarray:
+        """Exact distances of the pairs ``(us[i], vs[i])``; ``core_dist`` is
+        the ``(c, c)`` ``Dc`` in any float dtype, widened as it is
+        gathered."""
+        ru, rv = self.root[us], self.root[vs]
+        out = np.asarray(core_dist[ru, rv], dtype=np.float64)
+        out += self.depth[us]
+        out += self.depth[vs]
+        same = np.flatnonzero(ru == rv)
+        if same.size:
+            out[same] = self.tree_distances(us[same], vs[same])
+        return out
+
+    def rows(
+        self, core_dist: np.ndarray, at: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """The ``(len(rows), n)`` exact distances from ``rows``, where row
+        ``at[i]`` of ``core_dist`` holds the core distances of
+        ``rows[i]``'s root."""
+        out = core_dist[np.ix_(at, self.root)]
+        out += self.depth[rows][:, None]
+        out += self.depth
+        # Pairs inside one hanging tree: every row against the vertices
+        # sharing its root, as one slab gather over a root -> vertices CSR.
+        c = int(core_dist.shape[1])
+        size = np.bincount(self.root, minlength=c)
+        indptr = np.concatenate([[0], np.cumsum(size)])
+        members = np.argsort(self.root, kind="stable")
+        r = self.root[rows]
+        deep = np.flatnonzero(size[r] >= 2)
+        i, cols = kernels.slab_gather_owners(indptr, members, r[deep], deep)
+        out[i, cols] = self.tree_distances(rows[i], cols)
+        return out
+
+
+def hanging_tree_labels(wg: WeightedGraph) -> TreeLabels:
+    """The :class:`TreeLabels` of ``wg``.  Trees are peeled only where
+    the label sums are exact in any order: integral weights ``>= 1``
+    summing below ``2**53``, and not under
+    ``force_backend("reference")``; otherwise, as in a graph with no
+    degree-1 vertex, every vertex is core."""
+    us, vs, ws = wg.edge_arrays()
+    if (
+        reference_forced()
+        or not np.all((ws >= 1.0) & (ws % 1.0 == 0.0))
+        or ws.sum() >= 2.0**53
+    ):
+        # Peel nothing: every vertex is its own root.
+        us = vs = np.empty(0, dtype=np.int64)
+        ws = np.empty(0)
+    return _hanging_trees(wg.n, us, vs, ws)
+
+
+def core_distances(
+    wg: WeightedGraph, labels: TreeLabels, heads: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """scipy's Dijkstra on the 2-core of ``wg`` alone: the rows ``heads``
+    (positions in ``labels.core``; all of them by default) of ``Dc``."""
+    core = labels.core
+    mat = weighted_to_scipy_csr(wg)
+    return csgraph.dijkstra(mat[core][:, core], directed=False, indices=heads)
 
 
 def _hanging_trees(
     n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> TreeLabels:
     """Peel degree-1 vertices, round by round, down to the 2-core.
 
-    Returns ``(root, depth, branch)``: the core vertex each vertex's tree
-    hangs from (itself in the core), the weighted depth below it (0 in
-    the core) and the peeled child of the root whose subtree holds the
-    vertex (``-1`` in the core); ``None`` when no vertex has degree 1.
     Isolated vertices stay in the core; of the two ends of an isolated
     edge only the larger peels, so a tree component keeps one root.
     """
@@ -344,16 +429,17 @@ def _hanging_trees(
         np.subtract.at(wsum, up, w)
         up = np.unique(up)
         leaves = up[deg[up] == 1]
-    if not rounds:
-        return None
     root = np.arange(n)
     depth = np.zeros(n)
-    branch = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    hops = np.zeros(n, dtype=np.int64)
     for leaves, up, w in reversed(rounds):
         root[leaves] = root[up]
         depth[leaves] = depth[up] + w
-        branch[leaves] = np.where(branch[up] < 0, leaves, branch[up])
-    return root, depth, branch
+        parent[leaves] = up
+        hops[leaves] = hops[up] + 1
+    row = np.cumsum(parent < 0) - 1
+    return TreeLabels(root=row[root], depth=depth, parent=parent, hops=hops)
 
 
 # ----------------------------------------------------------------------

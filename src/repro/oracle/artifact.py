@@ -14,7 +14,8 @@ An artifact is a directory with up to three files:
   memory-mapped: :func:`load_artifact` always opens it with
   ``mmap_mode="r"``, so an ``n = 10^4`` matrix serves from the page
   cache without a 400 MB resident load (800 MB when its values need
-  float64, see below).  A mapped file is never rewritten in place: a
+  float64, see below).  ``core_dist.npy`` (core kind) is stored and
+  mapped the same way.  A mapped file is never rewritten in place: a
   save stages a new directory and renames it over the old one, so a
   live oracle keeps reading the bytes it opened.
 
@@ -30,7 +31,7 @@ Which variants exist, what arrays they store, and which parameters they
 accept is **not** decided here: everything dispatches through the
 declarative registry (:mod:`repro.variants`) — ``build_oracle`` looks
 the variant up, validates parameters against its schema, and snapshots
-whatever payload the spec's builder returns.  Four kinds exist today:
+whatever payload the spec's builder returns.  Five kinds exist today:
 
 * ``"matrix"`` — a full ``(n, n)`` estimate matrix; queries gather.
 * ``"bunches"`` — the classic Thorup–Zwick pivot/bunch relation stored
@@ -38,9 +39,15 @@ whatever payload the spec's builder returns.  Four kinds exist today:
   min-plus combine.
 * ``"sources"`` — an MSSP snapshot: ``(len(sources), n)`` estimates
   plus the source array; queries must touch a source endpoint.
-* ``"edges"`` — an emulator edge list (``emu_us``/``emu_vs``/
-  ``emu_ws``); queries run SSSP over it at query time (O(emulator)
-  storage instead of O(n^2)).
+* ``"edges"`` — an edge list (``emu_us``/``emu_vs``/``emu_ws``: the
+  emulator's edges with the graph's own); queries run SSSP over it at
+  query time (O(m + |H|) storage instead of O(n^2)).
+* ``"core"`` — the near-additive all-pairs in label form: the exact
+  distances ``core_dist`` of the emulator's ``c``-vertex 2-core, the
+  per-vertex tree labels ``root``/``depth``/``parent``/``hops`` and the
+  sorted ``edge_keys`` of the ``G``-edges the weight-1 fold-in lowers;
+  queries gather, walk up at most a tree's depth and search the keys
+  (O(c^2 + n) storage instead of O(n^2)).
 
 The manifest's ``graph_hash`` makes staleness detectable: loading with
 ``expected_graph=`` fails loudly with :class:`ArtifactMismatch` instead
@@ -92,8 +99,10 @@ MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 ESTIMATES_NAME = "estimates.npy"
 
-#: The array key that is split out to ``estimates.npy`` on save.
-_NPY_KEY = "estimates"
+#: The array keys split out to uncompressed, mappable ``<key>.npy``
+#: files on save: the large dense payloads.  Every other array goes in
+#: the compressed ``arrays.npz``.
+_NPY_KEYS = ("estimates", "core_dist")
 
 AnyGraph = Union[Graph, WeightedGraph]
 
@@ -149,7 +158,7 @@ class OracleArtifact:
 
     @property
     def kind(self) -> str:
-        """``"matrix"``, ``"bunches"``, ``"sources"``, or ``"edges"``."""
+        """One of :data:`repro.variants.ARTIFACT_KINDS`."""
         return str(self.manifest["kind"])
 
     @property
@@ -442,6 +451,7 @@ _KIND_ARRAYS = {
     "bunches": ("bunch_srcs", "bunch_dsts", "bunch_ds"),
     "sources": ("estimates", "sources"),
     "edges": ("emu_us", "emu_vs", "emu_ws"),
+    "core": ("core_dist", "root", "depth", "parent", "hops", "edge_keys"),
 }
 
 
@@ -525,11 +535,12 @@ _PAYLOAD_DTYPES = {
     **dict.fromkeys(
         ("bunch_srcs", "bunch_dsts", "sources", "emu_us", "emu_vs",
          "tz_levels", "graph_edges", "graph_us", "graph_vs",
-         "indptr", "cols"),
+         "indptr", "cols", "root", "parent", "hops", "edge_keys"),
         _ID_DTYPES,
     ),
     **dict.fromkeys(
-        ("estimates", "bunch_ds", "emu_ws", "graph_ws", "ds"),
+        ("estimates", "bunch_ds", "emu_ws", "graph_ws", "ds",
+         "core_dist", "depth"),
         _DIST_DTYPES,
     ),
 }
@@ -550,6 +561,25 @@ def _check_dtypes(arrays: Dict[str, np.ndarray], where: str) -> None:
                 f"expected one of {[str(d) for d in allowed]} — rebuild "
                 "the artifact"
             )
+
+
+def _map_npy_files(path: str) -> Dict[str, np.ndarray]:
+    """The :data:`_NPY_KEYS` arrays stored in directory ``path``, each
+    mapped read-only; a file that does not map is
+    :class:`ArtifactCorrupt`."""
+    arrays: Dict[str, np.ndarray] = {}
+    for key in _NPY_KEYS:
+        fp = os.path.join(path, f"{key}.npy")
+        if not os.path.isfile(fp):
+            continue
+        try:
+            arrays[key] = np.load(fp, mmap_mode="r", allow_pickle=False)
+        except Exception as exc:
+            raise ArtifactCorrupt(
+                f"array {key!r} ({fp!r}) is truncated or corrupted "
+                f"({exc}); rebuild the artifact"
+            )
+    return arrays
 
 
 def _fsync_fh(fh) -> None:
@@ -669,13 +699,14 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     """Write an artifact directory crash-safely in the current format
     (through :func:`_write_staged`).
 
-    The payload is ``manifest.json`` + ``arrays.npz``, with
-    matrix/sources estimates split out to an uncompressed, mappable
-    ``estimates.npy``.  Every array is stored as :func:`_narrow` gives
-    it.  The written manifest is normalized to :data:`FORMAT_VERSION`
-    and gains per-array SHA-256 ``checksums`` of the stored arrays (what
-    ``repro verify-artifact`` / :meth:`OracleArtifact.verify` check);
-    the in-memory ``artifact`` is not mutated.
+    The payload is ``manifest.json`` + ``arrays.npz``, with the arrays of
+    :data:`_NPY_KEYS` (matrix/sources estimates, core distances) split
+    out to uncompressed, mappable ``<key>.npy`` files.  Every array is
+    stored as :func:`_narrow` gives it.  The written manifest is
+    normalized to :data:`FORMAT_VERSION` and gains per-array SHA-256
+    ``checksums`` of the stored arrays (what ``repro verify-artifact`` /
+    :meth:`OracleArtifact.verify` check); the in-memory ``artifact`` is
+    not mutated.
     """
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
@@ -683,8 +714,7 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     manifest["checksums"] = {
         name: _array_digest(a) for name, a in arrays.items()
     }
-    estimates = arrays.pop(_NPY_KEY, None)
-    npy_files = [] if estimates is None else [(ESTIMATES_NAME, estimates)]
+    npy_files = [(f"{k}.npy", arrays.pop(k)) for k in _NPY_KEYS if k in arrays]
     _write_staged(path, npy_files, {ARRAYS_NAME: arrays}, lambda _: manifest)
 
 
@@ -790,10 +820,10 @@ def load_artifact(
     """Read an artifact directory back, validating version, completeness,
     the parameter echo, and (optionally) the graph fingerprint.
 
-    A format-2 ``estimates.npy`` is always opened with
-    ``mmap_mode="r"``: queries gather straight from the page cache and
-    a large matrix artifact serves without loading the full payload
-    resident.  Version-1 artifacts (estimates inside the compressed
+    A format-2 ``estimates.npy`` (or ``core_dist.npy``) is always
+    opened with ``mmap_mode="r"``: queries gather straight from the page
+    cache and a large matrix artifact serves without loading the full
+    payload resident.  Version-1 artifacts (estimates inside the compressed
     npz) load resident.  A sharded layout is merged into one resident
     artifact (:func:`~repro.oracle.sharded.load_sharded_artifact`).
 
@@ -854,17 +884,7 @@ def load_artifact(
             f"unreadable array payload {arrays_path!r} ({exc}); "
             "rebuild the artifact"
         )
-    estimates_path = os.path.join(path, ESTIMATES_NAME)
-    if os.path.isfile(estimates_path):
-        try:
-            arrays[_NPY_KEY] = np.load(
-                estimates_path, mmap_mode="r", allow_pickle=False
-            )
-        except Exception as exc:
-            raise ArtifactCorrupt(
-                f"array 'estimates' ({estimates_path!r}) is truncated "
-                f"or corrupted ({exc}); rebuild the artifact"
-            )
+    arrays.update(_map_npy_files(path))
     for key in _KIND_ARRAYS[kind]:
         if key not in arrays:
             raise ArtifactError(

@@ -13,15 +13,27 @@ Answers point-to-point distance and path queries from an
   uncovered pairs fail loudly instead of answering without
   information;
 * **edges artifacts** — the emulator-SSSP representation: the artifact
-  stores only the near-additive emulator's edge list (merged with the
-  source graph's own unit edges, mirroring the construction's
-  fold-in).  :func:`edges_csr` decodes it once, at load, into a
-  symmetric weighted CSR (duplicate edges min-merged), and a query runs
-  exact SSSP *at query time* — ``scipy.sparse.csgraph.dijkstra`` from
-  each distinct source in the batch, 64 sources per call so the dense
-  ``(64, n)`` result stays bounded whatever the batch size, then a
-  gather.  O(emulator) storage instead of O(n^2), the build's
-  guarantee, query cost paid per distinct source;
+  stores the near-additive emulator's edge list merged with the source
+  graph's own unit edges (``H ∪ G``).  :func:`edges_csr` decodes it
+  once, at load, into a symmetric weighted CSR (duplicate edges
+  min-merged), and a query runs exact SSSP *at query time* —
+  ``scipy.sparse.csgraph.dijkstra`` from each distinct source in the
+  batch, 64 sources per call so the dense ``(64, n)`` result stays
+  bounded whatever the batch size, then a gather.  O(m + |H|) storage
+  instead of O(n^2); since ``G``'s edges are stored, every answer is
+  exactly ``d_G``; query cost paid per distinct source;
+* **core artifacts** — the near-additive all-pairs in label form:
+  :func:`core_labels` widens the per-vertex tree labels and the sorted
+  ``edge_keys`` once, at load (the emulator's 2-core distances
+  ``core_dist`` stay mapped in their stored dtype), and
+  :func:`core_label_batch` answers a batch exactly as the ``(n, n)``
+  matrix it replaces would: ``core_dist[root u, root v] + depth u +
+  depth v``, the tree distance through the lowest common ancestor for
+  pairs that share a root (a batched walk up ``parent``, as many steps
+  as the deepest queried tree; 0 when ``u == v``), then 1 on a
+  ``G``-edge found in ``edge_keys``.  Every term is an integer below
+  ``2**53`` added in float64, so answers are bit-identical to the
+  matrix;
 * **bunches artifacts** — the classic 2-hop Thorup–Zwick combine
   ``min_w d(u, w) + d(v, w)`` over the common members
   ``w ∈ B(u) ∩ B(v)`` of the two *directed* bunch out-stars (the pivot
@@ -51,14 +63,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..analysis.stretch import StretchReport, evaluate_stretch
-from ..graph.distances import bfs_path, weighted_to_scipy_csr
+from ..graph.distances import TreeLabels, bfs_path, weighted_to_scipy_csr
 from ..graph.graph import Graph, WeightedGraph
 from ..telemetry import instruments as _instr
 from .artifact import ArtifactError, OracleArtifact, load_artifact
@@ -67,7 +79,10 @@ from .faults import FAULTS
 __all__ = [
     "DistanceOracle",
     "QueryCertificate",
+    "CoreLabels",
     "combine_bunch_slabs",
+    "core_label_batch",
+    "core_labels",
     "edges_csr",
     "edges_sssp_batch",
 ]
@@ -154,6 +169,8 @@ class DistanceOracle:
             )
         elif self.kind == "edges":
             self._csr = edges_csr(self.n, artifact.arrays)
+        elif self.kind == "core":
+            self._core = core_labels(self.n, artifact.arrays)
         else:
             raise ArtifactError(f"unknown artifact kind {self.kind!r}")
 
@@ -321,6 +338,8 @@ class DistanceOracle:
             return self._sources_batch(us, vs)
         if self.kind == "edges":
             return edges_sssp_batch(self._csr, us, vs)
+        if self.kind == "core":
+            return core_label_batch(self._core, us, vs)
         return self._combine_batch(us, vs, want_witness)
 
     def _sources_batch(
@@ -599,6 +618,73 @@ def edges_sssp_batch(
         dist = dijkstra(csr, indices=shard)
         in_shard = (inverse >= start) & (inverse < start + shard.size)
         values[in_shard] = dist[inverse[in_shard] - start, vs[in_shard]]
+    return values, np.full(us.size, -1, dtype=np.int64)
+
+
+class CoreLabels(NamedTuple):
+    """A decoded ``core`` artifact (:func:`core_labels`)."""
+
+    labels: TreeLabels
+    core_dist: np.ndarray
+    edge_keys: np.ndarray
+
+
+def core_labels(n: int, arrays: Dict[str, np.ndarray]) -> CoreLabels:
+    """Decode a ``core`` artifact — the one decoder of the plain and the
+    sharded engines.  The ``O(n)`` labels and the ``O(m)`` keys are
+    widened to int64/float64 here; ``core_dist`` keeps its stored dtype
+    and is widened as it is gathered.
+
+    Raises :class:`ArtifactError` on a missing array, label arrays of
+    unequal length or covering fewer than ``n`` vertices, and a
+    ``core_dist`` that is not square over the core."""
+    try:
+        labels = TreeLabels(
+            root=arrays["root"], depth=arrays["depth"],
+            parent=arrays["parent"], hops=arrays["hops"],
+        ).widened()
+        core_dist = np.asarray(arrays["core_dist"])
+        edge_keys = np.asarray(arrays["edge_keys"], dtype=np.int64)
+    except KeyError as exc:
+        raise ArtifactError(f"core artifact has no {exc} array")
+    size = labels.root.shape
+    if not (
+        len(size) == 1 and size[0] >= n
+        and labels.depth.shape == labels.parent.shape == labels.hops.shape
+        == size
+    ):
+        raise ArtifactError(
+            f"core artifact needs equal-length 1-D label arrays over at "
+            f"least n={n} vertices"
+        )
+    c = int(np.count_nonzero(labels.parent < 0))
+    if core_dist.shape != (c, c):
+        raise ArtifactError(
+            f"core artifact has core_dist of shape {core_dist.shape}, "
+            f"expected {(c, c)}"
+        )
+    return CoreLabels(labels, core_dist, edge_keys)
+
+
+def core_label_batch(
+    core: CoreLabels, us: np.ndarray, vs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Answer a batch from a :func:`core_labels` decode (``core`` kind).
+
+    The emulator distance comes from the labels
+    (:meth:`~repro.graph.distances.TreeLabels.distances`); a pair whose
+    :meth:`~repro.graph.distances.TreeLabels.pair_keys` key is in
+    ``edge_keys`` is a ``G``-edge the fold-in lowers to 1.  A pair
+    ``u == v`` shares its root and walks no step, so it answers 0, as
+    the matrix's zeroed diagonal does.  Every pair is answered on its
+    own, so any split of a batch (the sharded route-by-``u``) answers
+    the same."""
+    values = core.labels.distances(core.core_dist, us, vs)
+    keys = core.edge_keys
+    if keys.size:
+        pair = core.labels.pair_keys(us, vs)
+        at = np.minimum(np.searchsorted(keys, pair), keys.size - 1)
+        values[keys[at] == pair] = 1.0
     return values, np.full(us.size, -1, dtype=np.int64)
 
 

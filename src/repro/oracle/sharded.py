@@ -13,6 +13,7 @@ and the *serving* across vertex ranges:
     <path>/
       manifest.json          # ordinary manifest + "shard_map"
       shared/arrays.npz      # non-sharded arrays (tz_levels, graph_*)
+      shared/core_dist.npy   # core kind: the mapped core distances
       shard-0000/            # vertex range [bounds[0], bounds[1])
         indptr.npy           # bunches: full (n+1) *clamped local* CSR
         cols.npy ds.npy      #   — rows outside the range read empty
@@ -28,9 +29,10 @@ lives in the manifest; ``bounds`` comes from
 split — the writer, the router, and every worker derive their ranges
 from the same array, so they always agree.  ``matrix`` artifacts shard
 the estimate matrix by row range (``shard-XXXX/estimates.npy``);
-``edges`` artifacts keep their whole (small) edge list in ``shared/``
-and shard only the query routing (every shard answers over the same
-load-time CSR); ``sources`` artifacts cannot be
+``edges`` and ``core`` artifacts keep their whole (small) payload in
+``shared/`` and shard only the query routing (every shard answers over
+the same load-time decode: the edge list's CSR, or the widened labels);
+``sources`` artifacts cannot be
 sharded (either endpoint may answer, so no id-range owns a query).
 
 Every layout is written by :func:`_write_sharded`, which takes the
@@ -130,11 +132,13 @@ from .artifact import (
     ArtifactCorrupt,
     ArtifactError,
     OracleArtifact,
+    _NPY_KEYS,
     _array_digest,
     _check_dtypes,
     _embed_graph,
     _manifest_base,
     _manifest_finish,
+    _map_npy_files,
     _narrow,
     _read_manifest,
     _resolve_build,
@@ -146,6 +150,8 @@ from .engine import (
     DistanceOracle,
     _directed_csr,
     combine_bunch_slabs,
+    core_label_batch,
+    core_labels,
     edges_csr,
     edges_sssp_batch,
 )
@@ -169,7 +175,7 @@ SHARED_DIR = "shared"
 
 #: Kinds that can be sharded (``sources`` cannot: either endpoint may
 #: answer a query, so no vertex range owns it).
-_SHARDABLE_KINDS = ("bunches", "matrix", "edges")
+_SHARDABLE_KINDS = ("bunches", "matrix", "edges", "core")
 
 #: Worker liveness poll while waiting on a shard reply.
 _POLL = 0.05
@@ -288,7 +294,8 @@ def _partition_arrays(
     ``bunches`` becomes each shard's clamped local CSR of the canonical
     relation (``_directed_csr`` is a stable sort, so canonical input —
     every builder's output — passes through unchanged) and ``matrix``
-    each shard's row range; an ``edges`` shard holds nothing of its own.
+    each shard's row range; an ``edges`` or ``core`` shard holds nothing
+    of its own.
     :func:`save_sharded_artifact` writes these dicts."""
     shared = {k: np.asarray(v) for k, v in arrays.items()}
     eff = bounds.size - 1
@@ -336,15 +343,20 @@ def _write_sharded(
     :func:`_partition_arrays` shape), each staged as
     ``shard-XXXX/<name>.npy`` as soon as it arrives and popped from its
     dict, so a streaming producer never holds a finished shard.
-    ``shared`` becomes ``shared/arrays.npz`` (when non-empty).  Every
+    ``shared`` becomes ``shared/arrays.npz`` (when non-empty), except its
+    dense :data:`~repro.oracle.artifact._NPY_KEYS` arrays, which become
+    mappable ``shared/<key>.npy`` files as in a plain save.  Every
     array is stored as :func:`~repro.oracle.artifact._narrow` gives it.
     ``manifest()`` is called once every part is staged, so a producer's
     stats are complete; the written manifest adds the logical-array
     ``checksums`` (streamed from the staged shard files, plus the shared
     arrays' digests) and the shard map."""
     shared = {k: _narrow(v) for k, v in shared.items()}
+    mapped = {k: shared.pop(k) for k in _NPY_KEYS if k in shared}
 
     def shard_files() -> Iterator[Tuple[str, np.ndarray]]:
+        for name, arr in mapped.items():
+            yield os.path.join(SHARED_DIR, f"{name}.npy"), arr
         for i, part in enumerate(parts):
             for name in list(part):
                 rel = os.path.join(_shard_dir(i), f"{name}.npy")
@@ -354,7 +366,9 @@ def _write_sharded(
         out = dict(manifest())
         out["format_version"] = FORMAT_VERSION
         checksums = _logical_checksums(staged, kind, bounds)
-        checksums.update({k: _array_digest(v) for k, v in shared.items()})
+        checksums.update({
+            k: _array_digest(v) for k, v in {**shared, **mapped}.items()
+        })
         out["checksums"] = checksums
         out[SHARD_MAP_KEY] = {
             "layout_version": SHARD_LAYOUT_VERSION,
@@ -555,20 +569,22 @@ def _read_sharded_manifest(path: str) -> Tuple[Dict[str, object], np.ndarray]:
 
 
 def _load_shared_arrays(path: str) -> Dict[str, np.ndarray]:
-    npz = os.path.join(path, SHARED_DIR, ARRAYS_NAME)
-    arrays: Dict[str, np.ndarray] = {}
-    if not os.path.isfile(npz):
-        return arrays
-    try:
-        with np.load(npz, allow_pickle=False) as data:
-            for key in data.files:
-                arrays[key] = data[key]
-    except Exception as exc:
-        raise ArtifactCorrupt(
-            f"unreadable shared array payload {npz!r} ({exc}); "
-            "rebuild the artifact"
-        )
-    _check_dtypes(arrays, npz)
+    """The arrays every shard shares: ``shared/arrays.npz`` loaded, and
+    any ``shared/<key>.npy`` mapped read-only."""
+    shared = os.path.join(path, SHARED_DIR)
+    arrays = _map_npy_files(shared)
+    npz = os.path.join(shared, ARRAYS_NAME)
+    if os.path.isfile(npz):
+        try:
+            with np.load(npz, allow_pickle=False) as data:
+                for key in data.files:
+                    arrays[key] = data[key]
+        except Exception as exc:
+            raise ArtifactCorrupt(
+                f"unreadable shared array payload {npz!r} ({exc}); "
+                "rebuild the artifact"
+            )
+    _check_dtypes(arrays, shared)
     return arrays
 
 
@@ -580,6 +596,7 @@ def _load_shard_files(path: str, kind: str, index: int) -> Dict[str, np.ndarray]
         "bunches": ("indptr", "cols", "ds"),
         "matrix": ("estimates",),
         "edges": (),
+        "core": (),
     }[kind]
     out: Dict[str, np.ndarray] = {}
     for name in names:
@@ -658,7 +675,7 @@ class ShardBackend:
         hi: int,
         index: int,
         path: str,
-        csr=None,
+        decoded=None,
     ):
         self.n = int(n)
         self.kind = kind
@@ -673,9 +690,10 @@ class ShardBackend:
         # bunches gather reads B(v) from ``peers[shard_of(bounds, v)]``.
         self.bounds: Optional[np.ndarray] = None
         self.peers: Sequence["ShardBackend"] = ()
-        # An edges shard answers over the whole graph: the one
-        # load-time CSR (``edges_csr``), shared by every backend.
-        self.csr = csr
+        # An edges or core shard answers over the whole graph: the one
+        # load-time decode of the shared arrays (``edges_csr`` /
+        # ``core_labels``), shared by every backend.
+        self.decoded = decoded
 
     # -- loading -------------------------------------------------------
     def ensure_loaded(self) -> None:
@@ -722,7 +740,9 @@ class ShardBackend:
             )
             return values, np.full(us.size, -1, dtype=np.int64)
         if self.kind == "edges":
-            return edges_sssp_batch(self.csr, us, vs)
+            return edges_sssp_batch(self.decoded, us, vs)
+        if self.kind == "core":
+            return core_label_batch(self.decoded, us, vs)
         # bunches: B(u) is local; B(v) is read from v's shard — this
         # backend when v is local, else the peer's (lazily mapped) files.
         values = np.empty(us.size, dtype=np.float64)
@@ -915,9 +935,10 @@ class ShardedOracle(DistanceOracle):
         The layout is served *as stored*: each worker maps its own
         shard directory, plus the peer shards it reads ``B(v)`` slabs
         from (bunches kind), and the parent loads nothing but the
-        manifest — and, for the edges kind, the shared edge list, which
-        it decodes once (:func:`~repro.oracle.engine.edges_csr`) for
-        every worker to inherit.  ``expected_graph`` is checked as
+        manifest — and, for the edges and core kinds, the shared arrays,
+        which it decodes once (:func:`~repro.oracle.engine.edges_csr`,
+        :func:`~repro.oracle.engine.core_labels`) for every worker to
+        inherit.  ``expected_graph`` is checked as
         :meth:`~repro.oracle.artifact.OracleArtifact.check_graph` checks
         a plain load.  ``pool=None`` forks one worker per shard when
         there are several and fork is available; ``pool=False`` serves
@@ -929,14 +950,15 @@ class ShardedOracle(DistanceOracle):
         self._init_common(header)
         self._sharded_dir = os.path.abspath(path)
         self._payload: Optional[OracleArtifact] = None
-        csr = (
-            edges_csr(self.n, _load_shared_arrays(path))
-            if self.kind == "edges" else None
+        decode = {"edges": edges_csr, "core": core_labels}.get(self.kind)
+        decoded = (
+            None if decode is None
+            else decode(self.n, _load_shared_arrays(path))
         )
         backends = [
             ShardBackend(
                 self.n, self.kind, int(bounds[i]), int(bounds[i + 1]), i,
-                self._sharded_dir, csr=csr,
+                self._sharded_dir, decoded=decoded,
             )
             for i in range(bounds.size - 1)
         ]
@@ -1046,7 +1068,8 @@ class ShardedOracle(DistanceOracle):
         """Every query is owned by ``shard(u)``, whatever the kind: a
         matrix shard holds its row range whole, an edges shard's SSSP
         rows reach their fixpoints independently of how the batch is
-        split, and a bunches shard reads ``B(v)`` from the peer shard's
+        split, a core shard answers each pair from the shared labels
+        alone, and a bunches shard reads ``B(v)`` from the peer shard's
         files itself (:meth:`ShardBackend.gather`) — one pool round."""
         values = np.empty(us.size, dtype=np.float64)
         wits = np.full(us.size, -1, dtype=np.int64)

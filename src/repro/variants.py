@@ -185,7 +185,7 @@ class VariantSpec:
     """
 
     name: str
-    kind: str  # artifact kind: "matrix" | "bunches" | "sources"
+    kind: str  # artifact kind: one of ARTIFACT_KINDS
     summary: str
     guarantee: str
     build: Callable[..., VariantBuild]
@@ -248,7 +248,7 @@ _VARIANTS: Dict[str, VariantSpec] = {}
 #: Known artifact kinds.  A new kind must be added here *and* given an
 #: engine branch (``oracle/engine.py``) plus a ``_KIND_ARRAYS`` entry
 #: (``oracle/artifact.py``) — see DESIGN.md §1 "Adding a variant".
-ARTIFACT_KINDS = ("matrix", "bunches", "sources", "edges")
+ARTIFACT_KINDS = ("matrix", "bunches", "sources", "edges", "core")
 
 
 def register_variant(spec: VariantSpec) -> VariantSpec:

@@ -10,9 +10,11 @@ from repro.graph.distances import (
     all_pairs_distances,
     ball,
     bfs_distances,
+    core_distances,
     diameter,
     dijkstra,
     eccentricity,
+    hanging_tree_labels,
     hop_limited_bellman_ford,
     k_nearest_within,
     multi_source_bfs,
@@ -458,8 +460,9 @@ class TestWeightedAllPairsPeel:
 
         monkeypatch.setattr(distances_mod.csgraph, "dijkstra", counted)
         weighted_all_pairs(wg)
-        # The cycle is the core; the pendant paths are its deep branches.
-        assert shapes == [(k, k), (2 * k, 2 * k)]
+        # The cycle is the core and the only Dijkstra; pairs on one
+        # pendant path take the tree distance from the labels.
+        assert shapes == [(k, k)]
         self.check(wg)
 
     def test_sums_past_2_53_keep_the_whole_graph_route(self):
@@ -482,15 +485,69 @@ class TestWeightedAllPairsPeel:
         from repro.apsp import near_additive
 
         caught = []
+        labels = near_additive.hanging_tree_labels
 
-        def capture(wg, *args, **kwargs):
+        def capture(wg):
             caught.append(wg)
-            return weighted_all_pairs(wg, *args, **kwargs)
+            return labels(wg)
 
-        monkeypatch.setattr(near_additive, "weighted_all_pairs", capture)
+        monkeypatch.setattr(near_additive, "hanging_tree_labels", capture)
         near_additive.apsp_near_additive(
             gen.make_family("er_sparse", 400, seed=0), eps=0.5,
             rng=np.random.default_rng(0),
         )
         (emulator,) = caught
         self.check(emulator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_core_label_query_equals_expanded_matrix(data):
+    """The ``core`` artifact's query (the labels and edge keys in their
+    stored dtypes, answered by ``core_label_batch``) equals the expanded
+    matrix — ``TreeLabels.rows`` with ``G``'s edges folded in at weight 1
+    and a zero diagonal — on every pair of a random core with hung trees:
+    pairs on one branch, on two branches of one root, across roots and
+    components, ``u == v``, and ``G``-edges whose emulator distance is
+    above, at or (unreachable) beyond 1.  The expansion itself equals
+    Dijkstra on the whole graph."""
+    from repro.apsp.near_additive import NearAdditiveLabels
+    from repro.cliquesim.ledger import RoundLedger
+    from repro.oracle.artifact import _narrow
+    from repro.oracle.engine import core_label_batch, core_labels
+
+    wg = hanging_forest(data, st.integers(1, 40).map(float))
+    n = wg.n
+    if n < 2:
+        return
+    labels = hanging_tree_labels(wg)
+    dc = core_distances(wg, labels)
+    expanded = labels.rows(dc, labels.root, np.arange(n))
+    assert np.array_equal(expanded, reference_all_pairs(wg))
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))),
+        unique=True, max_size=12,
+    ), label="G edges")
+    us, vs, _ = wg.edge_arrays()
+    edges = sorted(set(pairs) | {
+        (int(u), int(v)) for u, v in zip(us, vs) if data.draw(st.booleans())
+    })
+    graph_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    result = NearAdditiveLabels(
+        labels=labels, core_dist=dc, graph_edges=graph_edges, name="t",
+        multiplicative=1.0, additive=0.0, ledger=RoundLedger(),
+    )
+    want = result.estimates()
+    kernels.fold_in_edges(expanded, graph_edges[:, 0], graph_edges[:, 1])
+    assert np.array_equal(want, expanded)
+    arrays = {
+        "core_dist": dc, "root": labels.root, "depth": labels.depth,
+        "parent": labels.parent, "hops": labels.hops,
+        "edge_keys": result.edge_keys(n),
+    }
+    core = core_labels(n, {k: _narrow(a) for k, a in arrays.items()})
+    qu, qv = (a.ravel() for a in np.indices((n, n)))
+    got, wits = core_label_batch(core, qu, qv)
+    assert np.array_equal(got, want[qu, qv])
+    assert (wits == -1).all()

@@ -409,7 +409,7 @@ class TestBadDtypes:
     def plain_dirs(self, graph, tmp_path_factory):
         root = tmp_path_factory.mktemp("plain")
         out = {}
-        for variant in ("tz", "near-additive", "emulator-sssp"):
+        for variant in ("tz", "near-additive", "emulator-sssp", "2eps"):
             out[variant] = str(root / variant)
             save_artifact(
                 build_oracle(graph, variant=variant,
@@ -424,6 +424,8 @@ class TestBadDtypes:
         ("tz", "graph_edges", np.uint16),
         ("emulator-sssp", "emu_ws", np.complex128),
         ("emulator-sssp", "emu_us", np.float32),
+        ("near-additive", "depth", np.int32),
+        ("near-additive", "parent", np.float64),
     ])
     def test_npz_array(self, plain_dirs, variant, name, dtype, tmp_path):
         path = str(tmp_path / "a")
@@ -434,9 +436,16 @@ class TestBadDtypes:
 
     def test_complex_estimates(self, plain_dirs, tmp_path):
         path = str(tmp_path / "a")
-        shutil.copytree(plain_dirs["near-additive"], path)
+        shutil.copytree(plain_dirs["2eps"], path)
         _rewrite_npy(os.path.join(path, "estimates.npy"), np.complex128)
         with pytest.raises(ArtifactCorrupt, match="'estimates'"):
+            DistanceOracle.load(path)
+
+    def test_complex_core_dist(self, plain_dirs, tmp_path):
+        path = str(tmp_path / "a")
+        shutil.copytree(plain_dirs["near-additive"], path)
+        _rewrite_npy(os.path.join(path, "core_dist.npy"), np.complex128)
+        with pytest.raises(ArtifactCorrupt, match="'core_dist'"):
             DistanceOracle.load(path)
 
     @pytest.mark.parametrize("name,dtype", [

@@ -98,7 +98,7 @@ class TestBuild:
         assert m["format_version"] == oracle.FORMAT_VERSION
         assert m["n"] == served_graph.n
         assert m["graph_hash"] == graph_fingerprint(served_graph)
-        assert m["kind"] in ("matrix", "bunches", "sources", "edges")
+        assert m["kind"] in ("matrix", "bunches", "sources", "edges", "core")
         assert float(m["multiplicative"]) >= 1.0
         assert float(m["additive"]) >= 0.0
         json.dumps(m)  # the whole manifest must be JSON-serializable
@@ -157,6 +157,45 @@ class TestSoundness:
             eng.query(0, eng.n)
         with pytest.raises(IndexError):
             eng.query_batch([-1], [0])
+
+    def test_weighted_near_additive_oracle(self, tmp_path):
+        """A weighted near-additive artifact (labels over the subdivided
+        graph) serves ``apsp_weighted``'s estimates bit for bit, sound and
+        within the guarantee, and only for original vertex ids."""
+        from repro.apsp.weighted import apsp_weighted
+
+        base = gen.make_family("er_sparse", 120, seed=2)
+        rng = np.random.default_rng(4)
+        wg = WeightedGraph(base.n)
+        for u, v in base.edges():
+            wg.add_edge(int(u), int(v), float(rng.integers(1, 7)))
+        art = build_oracle(
+            wg, variant="near-additive", rng=np.random.default_rng(1)
+        )
+        assert art.kind == "core"
+        assert art.arrays["root"].size == art.manifest["stats"]["subdivided_n"]
+        path = str(tmp_path / "na-weighted")
+        save_artifact(art, path)
+        eng = DistanceOracle.load(path, expected_graph=wg)
+        want = apsp_weighted(
+            wg, eps=art.params["eps"], r=art.params["r"],
+            rng=np.random.default_rng(1),
+        ).estimates
+        us, vs = (a.ravel() for a in np.indices((wg.n,) * 2))
+        vals = eng.query_batch(us, vs)
+        assert np.array_equal(
+            vals.view(np.uint64), want[us, vs].view(np.uint64)
+        )
+        exact = weighted_all_pairs(wg)[us, vs]
+        finite = np.isfinite(exact)
+        assert np.array_equal(finite, np.isfinite(vals))
+        assert (vals[finite] >= exact[finite]).all()
+        assert (
+            vals[finite]
+            <= art.multiplicative * exact[finite] + art.additive + 1e-9
+        ).all()
+        with pytest.raises(IndexError):
+            eng.query_batch([0], [wg.n])
 
 
 class TestTZCombine:
@@ -272,7 +311,8 @@ class TestPersistence:
         np.savez_compressed(
             os.path.join(path, oracle.artifact.ARRAYS_NAME), **arrays
         )
-        npy = os.path.join(path, oracle.artifact.ESTIMATES_NAME)
+        # estimates.npy or core_dist.npy, when the kind maps its array
+        npy = os.path.join(path, f"{required}.npy")
         if os.path.exists(npy):
             os.remove(npy)
         with pytest.raises(ArtifactError, match=required):

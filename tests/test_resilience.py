@@ -70,8 +70,7 @@ def served_graph():
 def matrix_artifact(served_graph):
     """A matrix-kind artifact (has the mapped estimates.npy)."""
     return build_oracle(
-        served_graph, variant="near-additive",
-        rng=np.random.default_rng(2),
+        served_graph, variant="2eps", rng=np.random.default_rng(2),
     )
 
 

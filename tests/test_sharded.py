@@ -236,7 +236,7 @@ class TestShardedLayout:
 
     def test_matrix_kind_shards(self, graph_u, tmp_path):
         art = build_oracle(
-            graph_u, variant="near-additive", rng=np.random.default_rng(2)
+            graph_u, variant="2eps", rng=np.random.default_rng(2)
         )
         path = str(tmp_path / "mx")
         save_sharded_artifact(art, path, shards=4)
@@ -475,9 +475,7 @@ class TestShardedBitIdentity:
         # A matrix path is a BFS of the embedded graph: the parent reads
         # the shared arrays, never the (n, n) estimates of the shards.
         g = gen.make_family("grid", 400, seed=0)
-        art = build_oracle(
-            g, variant="near-additive", rng=np.random.default_rng(0)
-        )
+        art = build_oracle(g, variant="2eps", rng=np.random.default_rng(0))
         path = str(tmp_path / "mx2")
         save_sharded_artifact(art, path, shards=2)
         so = ShardedOracle.load(path, pool=False)
@@ -509,6 +507,52 @@ class TestShardedBitIdentity:
                 )
             finally:
                 so.close()
+
+    def test_core_kind_routing(self, graph_u, tmp_path):
+        # A near-additive (core kind) artifact saved as a layout: every
+        # array is shared, no shard holds a file, and the pool and
+        # serial backends answer as the plain oracle does.
+        art = build_oracle(
+            graph_u, variant="near-additive", rng=np.random.default_rng(2)
+        )
+        assert art.kind == "core"
+        ref = DistanceOracle(art)
+        path = str(tmp_path / "na3")
+        save_sharded_artifact(art, path, shards=3)
+        assert sorted(os.listdir(path)) == ["manifest.json", "shared"]
+        assert sorted(os.listdir(os.path.join(path, "shared"))) == [
+            "arrays.npz", "core_dist.npy",
+        ]
+        merged = load_sharded_artifact(path, verify=True)
+        assert set(merged.arrays) == set(art.arrays)
+        us, vs = _pairs(graph_u.n, 300, seed=9)
+        us[:20] = vs[:20]
+        want = ref.query_batch(us, vs)
+        for pool in (False, True):
+            so = ShardedOracle.load(path, pool=pool)
+            try:
+                assert so.shards == 3
+                assert np.array_equal(so.query_batch(us, vs), want)
+                assert so.query(1, graph_u.n - 1) == ref.query(
+                    1, graph_u.n - 1
+                )
+            finally:
+                so.close()
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_core_bad_shape_fails_at_load(self, tmp_path, pool):
+        g = gen.make_family("er_sparse", 60, seed=5)
+        art = build_oracle(
+            g, variant="near-additive", rng=np.random.default_rng(5)
+        )
+        path = str(tmp_path / "na-bad")
+        save_sharded_artifact(art, path, shards=2)
+        npy = os.path.join(path, "shared", "core_dist.npy")
+        np.save(npy, np.load(npy)[1:])
+        with pytest.raises(ArtifactError, match="core_dist of shape"):
+            ShardedOracle.load(path, pool=pool)
+        with pytest.raises(ArtifactError, match="core_dist of shape"):
+            DistanceOracle(load_artifact(path))
 
     @pytest.mark.parametrize("pool", [False, True])
     def test_edges_bad_vertex_id_fails_at_load(self, tmp_path, pool):

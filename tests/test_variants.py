@@ -74,7 +74,9 @@ class TestRegistry:
             "spanner", "mssp", "tz", "emulator-sssp",
         }
         for spec in specs:
-            assert spec.kind in ("matrix", "bunches", "sources", "edges")
+            assert spec.kind in (
+                "matrix", "bunches", "sources", "edges", "core"
+            )
             assert spec.summary and spec.guarantee
             assert callable(spec.build)
             assert spec.stretch is None or callable(spec.stretch)
@@ -423,10 +425,9 @@ class TestEdgesKind:
 class TestMmap:
     def test_mmap_answers_identical(self, small_graph, tmp_path):
         artifact = build_oracle(
-            small_graph, variant="near-additive",
-            rng=np.random.default_rng(7),
+            small_graph, variant="3eps", rng=np.random.default_rng(7),
         )
-        path = str(tmp_path / "na")
+        path = str(tmp_path / "mx")
         save_artifact(artifact, path)
         assert os.path.isfile(os.path.join(path, oracle.artifact.ESTIMATES_NAME))
         rng = np.random.default_rng(2)
@@ -451,8 +452,7 @@ class TestMmap:
         mapped file is never rewritten: the live oracle keeps answering
         the old values bit for bit, a fresh load answers the new ones."""
         old_art = build_oracle(
-            small_graph, variant="near-additive",
-            rng=np.random.default_rng(7),
+            small_graph, variant="3eps", rng=np.random.default_rng(7),
         )
         new_art = build_oracle(small_graph, variant="exact")
         old_est = np.asarray(old_art.arrays["estimates"], dtype=np.float64)
