@@ -169,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--shards", type=int, default=None, metavar="S",
         help="write the sharded artifact layout with S vertex-range "
-             "shards; the tz variant then streams bunch arcs shard-at-"
+             "shards (bunches and edges kinds only; any other variant "
+             "is refused before it builds); the tz variant streams "
+             "bunch arcs shard-at-"
              "a-time so peak build memory is O(payload/S) (serve with "
              "--artifact NAME=PATH — the layout is detected)",
     )

@@ -3,9 +3,8 @@
 One :class:`~repro.oracle.engine.DistanceOracle` answers every query
 from one process over one artifact — fine at ``n = 10^4``,
 hopeless at ``n = 10^5+`` where even the ``O(k n^{1+1/k})``
-Thorup–Zwick bunch relation is hundreds of megabytes and a matrix
-artifact is out of the question.  This module splits both the *storage*
-and the *serving* across vertex ranges:
+Thorup–Zwick bunch relation is hundreds of megabytes.  This module
+splits both the *storage* and the *serving* across vertex ranges:
 
 **Sharded artifact layout** (``save_sharded_artifact`` /
 ``build_sharded_oracle``)::
@@ -13,7 +12,6 @@ and the *serving* across vertex ranges:
     <path>/
       manifest.json          # ordinary manifest + "shard_map"
       shared/arrays.npz      # non-sharded arrays (tz_levels, graph_*)
-      shared/core_dist.npy   # core kind: the mapped core distances
       shard-0000/            # vertex range [bounds[0], bounds[1])
         indptr.npy           # bunches: full (n+1) *clamped local* CSR
         cols.npy ds.npy      #   — rows outside the range read empty
@@ -21,19 +19,21 @@ and the *serving* across vertex ranges:
 
 Every file holds the dtype the one dtype rule
 (:func:`~repro.oracle.artifact._narrow`) gives it — int32 ``indptr`` and
-``cols``, float32 ``ds`` and ``estimates`` when lossless.
+``cols``, float32 ``ds`` when lossless.
 
 The shard map (``{"layout_version": 1, "shards": S, "bounds": [...]}``)
 lives in the manifest; ``bounds`` comes from
 :func:`repro.kernels.parallel.shard_edges`, the *canonical* vertex
 split — the writer, the router, and every worker derive their ranges
-from the same array, so they always agree.  ``matrix`` artifacts shard
-the estimate matrix by row range (``shard-XXXX/estimates.npy``);
-``edges`` and ``core`` artifacts keep their whole (small) payload in
-``shared/`` and shard only the query routing (every shard answers over
-the same load-time decode: the edge list's CSR, or the widened labels);
-``sources`` artifacts cannot be
-sharded (either endpoint may answer, so no id-range owns a query).
+from the same array, so they always agree.  Only two kinds shard, the
+ones whose serving work splits by vertex: ``bunches`` (the relation
+itself, by source range) and ``edges``, which keeps its small edge list
+in ``shared/`` and shards the query routing, so the pool runs the
+per-source Dijkstra in parallel over one load-time CSR.  Every other
+kind is refused before anything is built or written: a ``matrix`` or
+``core`` payload is mapped whole by a plain mount, so a row split saves
+nothing on one host, and in a ``sources`` artifact either endpoint may
+answer, so no id range owns a query.
 
 Every layout is written by :func:`_write_sharded`, which takes the
 per-shard array dicts as an iterator and writes through the one staged
@@ -65,8 +65,8 @@ or the generator's cluster-pass working set if that is larger (the
 manifest records ``stats.peak_resident_arcs``).  Its front half and its
 manifest summary are the unsharded build's, so ``name``, the stretch,
 ``params`` and ``stats`` (``bunch_edges`` counts stored arcs in both)
-agree with ``build_oracle``.  Other variants build in memory and
-are partitioned on save.
+agree with ``build_oracle``.  An ``edges`` variant builds in memory
+and is partitioned on save.
 
 **ShardedOracle** (``ShardedOracle.load(path)``) — routes batched
 queries by vertex id to a persistent pool of forked worker processes,
@@ -132,13 +132,11 @@ from .artifact import (
     ArtifactCorrupt,
     ArtifactError,
     OracleArtifact,
-    _NPY_KEYS,
     _array_digest,
     _check_dtypes,
     _embed_graph,
     _manifest_base,
     _manifest_finish,
-    _map_npy_files,
     _narrow,
     _read_manifest,
     _resolve_build,
@@ -150,8 +148,6 @@ from .engine import (
     DistanceOracle,
     _directed_csr,
     combine_bunch_slabs,
-    core_label_batch,
-    core_labels,
     edges_csr,
     edges_sssp_batch,
 )
@@ -173,9 +169,9 @@ SHARD_MAP_KEY = "shard_map"
 SHARD_LAYOUT_VERSION = 1
 SHARED_DIR = "shared"
 
-#: Kinds that can be sharded (``sources`` cannot: either endpoint may
-#: answer a query, so no vertex range owns it).
-_SHARDABLE_KINDS = ("bunches", "matrix", "edges", "core")
+#: Kinds that can be sharded: the ones whose serving work splits by
+#: vertex range (see the module docstring for why the others do not).
+_SHARDABLE_KINDS = ("bunches", "edges")
 
 #: Worker liveness poll while waiting on a shard reply.
 _POLL = 0.05
@@ -194,6 +190,17 @@ def _shard_bounds(n: int, shards: int) -> np.ndarray:
     if shards < 1:
         raise ArtifactError(f"shards must be >= 1, got {shards}")
     return shard_edges(n, int(shards))
+
+
+def _check_shardable(what: str, kind: str) -> None:
+    """Refuse a kind outside :data:`_SHARDABLE_KINDS` with a typed
+    :class:`ArtifactError` naming ``what``, the kind and the remedy."""
+    if kind not in _SHARDABLE_KINDS:
+        raise ArtifactError(
+            f"{what} has kind {kind!r}, which cannot be sharded "
+            f"(shardable kinds: {list(_SHARDABLE_KINDS)}); rebuild "
+            "without --shards"
+        )
 
 
 def shard_of(bounds: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -258,18 +265,13 @@ def _logical_checksums(
     value, so hashing the shards' values under their common dtype
     reproduces ``_array_digest`` of the merged array — and of an
     unsharded save — exactly."""
-    n = int(bounds[-1])
-    files = [
-        _load_shard_files(staged, kind, i) for i in range(bounds.size - 1)
-    ]
+    if kind != "bunches":
+        return {}
+    files = [_load_shard_files(staged, i) for i in range(bounds.size - 1)]
 
     def digest(shape, chunks: List[np.ndarray]) -> str:
         return _streamed_digest(np.result_type(*chunks), shape, chunks)
 
-    if kind == "matrix":
-        return {"estimates": digest((n, n), [f["estimates"] for f in files])}
-    if kind != "bunches":
-        return {}
     cols = [f["cols"] for f in files]
     shape = (sum(int(c.size) for c in cols),)
     ids = np.result_type(*cols)
@@ -293,9 +295,8 @@ def _partition_arrays(
 
     ``bunches`` becomes each shard's clamped local CSR of the canonical
     relation (``_directed_csr`` is a stable sort, so canonical input —
-    every builder's output — passes through unchanged) and ``matrix``
-    each shard's row range; an ``edges`` or ``core`` shard holds nothing
-    of its own.
+    every builder's output — passes through unchanged); an ``edges``
+    shard holds nothing of its own.
     :func:`save_sharded_artifact` writes these dicts."""
     shared = {k: np.asarray(v) for k, v in arrays.items()}
     eff = bounds.size - 1
@@ -315,15 +316,6 @@ def _partition_arrays(
                 "cols": cols[a:b],
                 "ds": ds[a:b],
             }
-    elif kind == "matrix":
-        est = shared.pop("estimates")
-        if est.shape != (n, n):
-            raise ArtifactError(
-                f"matrix artifact has estimates of shape {est.shape}, "
-                f"expected {(n, n)}"
-            )
-        for i in range(eff):
-            parts[i] = {"estimates": est[bounds[i]:bounds[i + 1]]}
     return parts, shared
 
 
@@ -343,20 +335,15 @@ def _write_sharded(
     :func:`_partition_arrays` shape), each staged as
     ``shard-XXXX/<name>.npy`` as soon as it arrives and popped from its
     dict, so a streaming producer never holds a finished shard.
-    ``shared`` becomes ``shared/arrays.npz`` (when non-empty), except its
-    dense :data:`~repro.oracle.artifact._NPY_KEYS` arrays, which become
-    mappable ``shared/<key>.npy`` files as in a plain save.  Every
+    ``shared`` becomes ``shared/arrays.npz`` (when non-empty).  Every
     array is stored as :func:`~repro.oracle.artifact._narrow` gives it.
     ``manifest()`` is called once every part is staged, so a producer's
     stats are complete; the written manifest adds the logical-array
     ``checksums`` (streamed from the staged shard files, plus the shared
     arrays' digests) and the shard map."""
     shared = {k: _narrow(v) for k, v in shared.items()}
-    mapped = {k: shared.pop(k) for k in _NPY_KEYS if k in shared}
 
     def shard_files() -> Iterator[Tuple[str, np.ndarray]]:
-        for name, arr in mapped.items():
-            yield os.path.join(SHARED_DIR, f"{name}.npy"), arr
         for i, part in enumerate(parts):
             for name in list(part):
                 rel = os.path.join(_shard_dir(i), f"{name}.npy")
@@ -366,9 +353,7 @@ def _write_sharded(
         out = dict(manifest())
         out["format_version"] = FORMAT_VERSION
         checksums = _logical_checksums(staged, kind, bounds)
-        checksums.update({
-            k: _array_digest(v) for k, v in {**shared, **mapped}.items()
-        })
+        checksums.update({k: _array_digest(v) for k, v in shared.items()})
         out["checksums"] = checksums
         out[SHARD_MAP_KEY] = {
             "layout_version": SHARD_LAYOUT_VERSION,
@@ -392,11 +377,7 @@ def save_sharded_artifact(
     result verifies and serves bit-identically to the original.  Returns
     the written manifest."""
     kind = artifact.kind
-    if kind not in _SHARDABLE_KINDS:
-        raise ArtifactError(
-            f"artifact kind {kind!r} cannot be sharded; supported kinds: "
-            f"{list(_SHARDABLE_KINDS)}"
-        )
+    _check_shardable(f"artifact {artifact.variant!r}", kind)
     bounds = _shard_bounds(artifact.n, shards)
     parts, shared = _partition_arrays(
         kind, artifact.n, artifact.arrays, bounds
@@ -492,10 +473,15 @@ def build_sharded_oracle(
     hierarchy sampling, the per-range arc rule, the canonical ordering
     and the manifest summary are :func:`build_oracle`'s, so the merged
     load and the manifest's ``name``, stretch, ``params`` and ``stats``
-    equal an unsharded build with the same seed.  Any other variant
-    builds in memory via :func:`build_oracle` and re-partitions."""
-    bounds = _shard_bounds(g.n, shards)  # a bad count fails before the build
-    if variant != "tz":
+    equal an unsharded build with the same seed.  An ``edges`` variant
+    builds in memory via :func:`build_oracle` and re-partitions.
+
+    A bad shard count, an unknown variant or one whose kind cannot be
+    sharded fails before anything is built or written."""
+    bounds = _shard_bounds(g.n, shards)
+    spec, resolved, rng = _resolve_build(g, variant, eps, r, params, rng)
+    _check_shardable(f"variant {spec.name!r}", spec.kind)
+    if spec.kind != "bunches":
         artifact = build_oracle(
             g, variant=variant, eps=eps, r=r, rng=rng,
             include_graph=include_graph, params=params, **extra,
@@ -506,7 +492,6 @@ def build_sharded_oracle(
     from ..emulator.sampling import sample_hierarchy
     from ..emulator.thorup_zwick import _tz_summary
 
-    spec, resolved, rng = _resolve_build(g, variant, eps, r, params, rng)
     hierarchy = sample_hierarchy(g.n, int(resolved["r"]), rng)
     shared: Dict[str, np.ndarray] = {
         "tz_levels": np.asarray(hierarchy.levels, dtype=np.int64),
@@ -560,19 +545,14 @@ def _read_sharded_manifest(path: str) -> Tuple[Dict[str, object], np.ndarray]:
             f"shard map bounds in {path!r} do not partition "
             f"range({n}) into {shards} shards"
         )
-    kind = str(manifest["kind"])
-    if kind not in _SHARDABLE_KINDS:
-        raise ArtifactError(
-            f"sharded artifact {path!r} has unshardable kind {kind!r}"
-        )
+    _check_shardable(f"sharded artifact {path!r}", str(manifest["kind"]))
     return manifest, bounds
 
 
 def _load_shared_arrays(path: str) -> Dict[str, np.ndarray]:
-    """The arrays every shard shares: ``shared/arrays.npz`` loaded, and
-    any ``shared/<key>.npy`` mapped read-only."""
+    """The arrays every shard shares: ``shared/arrays.npz``, loaded."""
     shared = os.path.join(path, SHARED_DIR)
-    arrays = _map_npy_files(shared)
+    arrays: Dict[str, np.ndarray] = {}
     npz = os.path.join(shared, ARRAYS_NAME)
     if os.path.isfile(npz):
         try:
@@ -588,18 +568,13 @@ def _load_shared_arrays(path: str) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _load_shard_files(path: str, kind: str, index: int) -> Dict[str, np.ndarray]:
-    """The per-shard arrays of one shard directory, mapped read-only, in
-    their stored dtypes."""
+def _load_shard_files(path: str, index: int) -> Dict[str, np.ndarray]:
+    """One bunches shard's clamped local CSR (``indptr``, ``cols``,
+    ``ds``), mapped read-only, in its stored dtypes.  Only ``bunches``
+    stores per-shard files."""
     d = os.path.join(path, _shard_dir(index))
-    names = {
-        "bunches": ("indptr", "cols", "ds"),
-        "matrix": ("estimates",),
-        "edges": (),
-        "core": (),
-    }[kind]
     out: Dict[str, np.ndarray] = {}
-    for name in names:
+    for name in ("indptr", "cols", "ds"):
         fp = os.path.join(d, f"{name}.npy")
         try:
             out[name] = np.load(fp, mmap_mode="r", allow_pickle=False)
@@ -626,14 +601,14 @@ def load_sharded_artifact(
     save — including its ``checksums``, which is what ``verify=True``
     (the ``repro verify-artifact`` path) recomputes."""
     manifest, bounds = _read_sharded_manifest(path)
-    kind = str(manifest["kind"])
-    shards = bounds.size - 1
     arrays = _load_shared_arrays(path)
-    # A validated shard map has at least one shard, so every concatenate
-    # below has a part; it promotes mixed stored dtypes to their common
-    # one, as the checksums do (_logical_checksums).
-    files = [_load_shard_files(path, kind, i) for i in range(shards)]
-    if kind == "bunches":
+    if manifest["kind"] == "bunches":
+        # A validated shard map has at least one shard, so every
+        # concatenate below has a part; it promotes mixed stored dtypes
+        # to their common one, as the checksums do (_logical_checksums).
+        files = [
+            _load_shard_files(path, i) for i in range(bounds.size - 1)
+        ]
         arrays["bunch_dsts"] = np.concatenate([f["cols"] for f in files])
         arrays["bunch_srcs"] = np.concatenate([
             _shard_srcs(int(bounds[i]), int(bounds[i + 1]), f["indptr"],
@@ -641,10 +616,6 @@ def load_sharded_artifact(
             for i, f in enumerate(files)
         ])
         arrays["bunch_ds"] = np.concatenate([f["ds"] for f in files])
-    elif kind == "matrix":
-        arrays["estimates"] = np.concatenate(
-            [f["estimates"] for f in files], axis=0
-        )
     artifact = OracleArtifact(manifest=manifest, arrays=arrays)
     if verify:
         artifact.verify()
@@ -690,29 +661,21 @@ class ShardBackend:
         # bunches gather reads B(v) from ``peers[shard_of(bounds, v)]``.
         self.bounds: Optional[np.ndarray] = None
         self.peers: Sequence["ShardBackend"] = ()
-        # An edges or core shard answers over the whole graph: the one
-        # load-time decode of the shared arrays (``edges_csr`` /
-        # ``core_labels``), shared by every backend.
+        # An edges shard answers over the whole graph: the one load-time
+        # ``edges_csr`` decode of the shared arrays, shared by every
+        # backend.
         self.decoded = decoded
 
     # -- loading -------------------------------------------------------
     def ensure_loaded(self) -> None:
         if self._loaded:
             return
-        arrays = _load_shard_files(self._path, self.kind, self.index)
-        # Arrays keep their stored dtype; gather widens what it reads.
         if self.kind == "bunches":
+            # Arrays keep their stored dtype; gather widens what it reads.
+            arrays = _load_shard_files(self._path, self.index)
             self.indptr = arrays["indptr"]
             self.cols = arrays["cols"]
             self.ds = arrays["ds"]
-        elif self.kind == "matrix":
-            self.est = arrays["estimates"]
-            if self.est.shape != (self.hi - self.lo, self.n):
-                raise ArtifactError(
-                    f"shard {self.index} has estimates of shape "
-                    f"{self.est.shape}, expected "
-                    f"{(self.hi - self.lo, self.n)}"
-                )
         self._loaded = True
 
     # -- dispatch ------------------------------------------------------
@@ -734,15 +697,8 @@ class ShardBackend:
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool = True
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Answer pairs whose source ``u`` this shard owns."""
-        if self.kind == "matrix":
-            values = np.asarray(
-                self.est[us - self.lo, vs], dtype=np.float64
-            )
-            return values, np.full(us.size, -1, dtype=np.int64)
         if self.kind == "edges":
             return edges_sssp_batch(self.decoded, us, vs)
-        if self.kind == "core":
-            return core_label_batch(self.decoded, us, vs)
         # bunches: B(u) is local; B(v) is read from v's shard — this
         # backend when v is local, else the peer's (lazily mapped) files.
         values = np.empty(us.size, dtype=np.float64)
@@ -935,10 +891,9 @@ class ShardedOracle(DistanceOracle):
         The layout is served *as stored*: each worker maps its own
         shard directory, plus the peer shards it reads ``B(v)`` slabs
         from (bunches kind), and the parent loads nothing but the
-        manifest — and, for the edges and core kinds, the shared arrays,
-        which it decodes once (:func:`~repro.oracle.engine.edges_csr`,
-        :func:`~repro.oracle.engine.core_labels`) for every worker to
-        inherit.  ``expected_graph`` is checked as
+        manifest — and, for the edges kind, the shared arrays, which it
+        decodes once (:func:`~repro.oracle.engine.edges_csr`) for every
+        worker to inherit.  ``expected_graph`` is checked as
         :meth:`~repro.oracle.artifact.OracleArtifact.check_graph` checks
         a plain load.  ``pool=None`` forks one worker per shard when
         there are several and fork is available; ``pool=False`` serves
@@ -950,10 +905,9 @@ class ShardedOracle(DistanceOracle):
         self._init_common(header)
         self._sharded_dir = os.path.abspath(path)
         self._payload: Optional[OracleArtifact] = None
-        decode = {"edges": edges_csr, "core": core_labels}.get(self.kind)
         decoded = (
-            None if decode is None
-            else decode(self.n, _load_shared_arrays(path))
+            edges_csr(self.n, _load_shared_arrays(path))
+            if self.kind == "edges" else None
         )
         backends = [
             ShardBackend(
@@ -1065,12 +1019,11 @@ class ShardedOracle(DistanceOracle):
     def _route(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every query is owned by ``shard(u)``, whatever the kind: a
-        matrix shard holds its row range whole, an edges shard's SSSP
-        rows reach their fixpoints independently of how the batch is
-        split, a core shard answers each pair from the shared labels
-        alone, and a bunches shard reads ``B(v)`` from the peer shard's
-        files itself (:meth:`ShardBackend.gather`) — one pool round."""
+        """Every query is owned by ``shard(u)``, whatever the kind: an
+        edges shard's SSSP rows reach their fixpoints independently of
+        how the batch is split, and a bunches shard reads ``B(v)`` from
+        the peer shard's files itself (:meth:`ShardBackend.gather`) —
+        one pool round."""
         values = np.empty(us.size, dtype=np.float64)
         wits = np.full(us.size, -1, dtype=np.int64)
         if us.size == 0:
@@ -1174,9 +1127,8 @@ class ShardedOracle(DistanceOracle):
 
     # -- path queries ------------------------------------------------
     def _payload_artifact(self) -> OracleArtifact:
-        # Only a bunches path reads the bunch arrays; every other kind's
-        # path needs just the embedded graph in the shared arrays, so the
-        # parent never merges a matrix's estimates.
+        # Only a bunches path reads the bunch arrays; an edges path
+        # needs just the embedded graph in the shared arrays.
         if self._payload is None:
             self._payload = (
                 load_sharded_artifact(self._sharded_dir)

@@ -13,8 +13,8 @@ dtype and widen to float64 only where values are combined, so:
   save/load round trip is pinned in ``tests/test_variants.py``);
 * arrays the rule cannot narrow losslessly (weights of 0.1) stay
   float64 and answer as before;
-* old int64/float64 artifacts re-saved sharded narrow, verify and
-  answer unchanged;
+* old int64/float64 bunches artifacts re-saved sharded narrow, verify
+  and answer unchanged, and the old matrix fixture is refused;
 * a payload array of any other dtype is an ``ArtifactCorrupt`` naming
   it, and a served query that reads such a shard file answers 500.
 """
@@ -307,29 +307,35 @@ class TestLossyFallback:
         )
 
     def test_shards_of_mixed_stored_dtypes(self, tmp_path):
-        """One shard's rows narrow and the other's do not: the merged
-        array and its checksum are the whole-array save's (float64)."""
+        """One shard's distances narrow and the other's do not: the
+        merged arrays and their checksums are the whole-array save's
+        (float64 ``bunch_ds``)."""
         n = 6
-        est = np.arange(n * n, dtype=np.float64).reshape(n, n)
-        est[n - 1, 0] = 0.1  # only the last shard is lossy
+        srcs = np.repeat(np.arange(n), 2)
+        dsts = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        dsts = np.sort(dsts, axis=1).ravel()  # canonical: (src, dst) order
+        ds = np.where(srcs == dsts, 0.0, 1.0)
+        ds[-2] = 0.1  # arc 5 -> 0: only the last shard is lossy
         art = OracleArtifact(
             manifest={
-                "format_version": 2, "kind": "matrix", "variant": "exact",
-                "n": n, "multiplicative": 1.0, "additive": 0.0,
+                "format_version": 2, "kind": "bunches", "variant": "tz",
+                "n": n, "multiplicative": 3.0, "additive": 0.0,
                 "graph_hash": "0" * 64, "includes_graph": False,
             },
-            arrays={"estimates": est},
+            arrays={"bunch_srcs": srcs, "bunch_dsts": dsts, "bunch_ds": ds},
         )
         path = str(tmp_path / "mixed")
         save_sharded_artifact(art, path, shards=2)
-        assert np.load(
-            os.path.join(path, "shard-0000", "estimates.npy")
-        ).dtype == np.float32
+        for shard, dtype in (("shard-0000", np.float32),
+                             ("shard-0001", np.float64)):
+            fp = os.path.join(path, shard, "ds.npy")
+            assert np.load(fp).dtype == dtype
         plain = str(tmp_path / "plain")
         save_artifact(art, plain)
         merged = load_sharded_artifact(path, verify=True)
-        assert merged.arrays["estimates"].dtype == np.float64
-        assert np.array_equal(merged.arrays["estimates"], est)
+        assert merged.arrays["bunch_ds"].dtype == np.float64
+        for key in ("bunch_srcs", "bunch_dsts", "bunch_ds"):
+            assert np.array_equal(merged.arrays[key], art.arrays[key]), key
         with open(os.path.join(plain, "manifest.json")) as fh:
             assert json.load(fh)["checksums"] == merged.manifest["checksums"]
 
@@ -355,9 +361,16 @@ class TestOldArtifacts:
     @pytest.mark.parametrize("variant", ["near-additive", "tz"])
     def test_sharded_resave_verifies(self, variant, queries, tmp_path):
         out = str(tmp_path / variant)
-        save_sharded_artifact(
-            load_artifact(os.path.join(FIXTURES, variant)), out, shards=3
-        )
+        art = load_artifact(os.path.join(FIXTURES, variant))
+        if art.kind == "matrix":
+            # The format-1 near-additive fixture stores a matrix, which
+            # a plain mount maps whole: it is refused, and nothing is
+            # written.
+            with pytest.raises(ArtifactError, match="cannot be sharded"):
+                save_sharded_artifact(art, out, shards=3)
+            assert not os.path.exists(out)
+            return
+        save_sharded_artifact(art, out, shards=3)
         merged = load_sharded_artifact(out, verify=True)
         assert {a.dtype for a in merged.arrays.values()} <= NARROW
         want = np.load(os.path.join(FIXTURES, f"{variant}-answers.npy"))

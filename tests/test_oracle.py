@@ -334,6 +334,18 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match="not a JSON object"):
             oracle.ShardedOracle.load(path)
 
+    def test_core_bad_shape_fails_at_load(self, tmp_path):
+        g = gen.make_family("er_sparse", 60, seed=5)
+        art = build_oracle(
+            g, variant="near-additive", rng=np.random.default_rng(5)
+        )
+        path = str(tmp_path / "na-bad")
+        save_artifact(art, path)
+        npy = os.path.join(path, "core_dist.npy")
+        np.save(npy, np.load(npy)[1:])
+        with pytest.raises(ArtifactError, match="core_dist of shape"):
+            DistanceOracle.load(path)
+
     @pytest.mark.parametrize(
         "key, value, match",
         [

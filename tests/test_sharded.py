@@ -234,22 +234,6 @@ class TestShardedLayout:
                 np.asarray(merged.arrays[key]), np.asarray(art_u.arrays[key])
             ), key
 
-    def test_matrix_kind_shards(self, graph_u, tmp_path):
-        art = build_oracle(
-            graph_u, variant="2eps", rng=np.random.default_rng(2)
-        )
-        path = str(tmp_path / "mx")
-        save_sharded_artifact(art, path, shards=4)
-        merged = load_sharded_artifact(path, verify=True)
-        assert np.array_equal(
-            np.asarray(merged.arrays["estimates"]),
-            np.asarray(art.arrays["estimates"]),
-        )
-        ref = DistanceOracle(art)
-        so = ShardedOracle.load(path, pool=False)
-        us, vs = _pairs(graph_u.n, 400, 5)
-        assert np.array_equal(so.query_batch(us, vs), ref.query_batch(us, vs))
-
     def test_sources_kind_rejected(self, graph_u, tmp_path):
         art = build_oracle(
             graph_u, variant="mssp", rng=np.random.default_rng(2),
@@ -257,6 +241,54 @@ class TestShardedLayout:
         )
         with pytest.raises(ArtifactError, match="cannot be sharded"):
             save_sharded_artifact(art, str(tmp_path / "bad"), shards=2)
+
+    @pytest.mark.parametrize("variant", ["mssp", "2eps", "near-additive"])
+    def test_unshardable_variant_refused_before_build(
+        self, graph_u, variant, tmp_path, monkeypatch,
+    ):
+        # The kind is checked against the registry before any build
+        # work, so a refused variant costs nothing and writes nothing.
+        from repro.oracle import sharded
+
+        def no_build(*args, **kwargs):
+            pytest.fail("build_oracle ran for an unshardable variant")
+
+        monkeypatch.setattr(sharded, "build_oracle", no_build)
+        path = str(tmp_path / variant)
+        with pytest.raises(ArtifactError, match="cannot be sharded"):
+            build_sharded_oracle(
+                graph_u, path, shards=2, variant=variant,
+                rng=np.random.default_rng(0),
+            )
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("kind", ["matrix", "core"])
+    def test_layout_of_a_dropped_kind_refused(
+        self, sharded_dir, kind, tmp_path, capsys,
+    ):
+        # A layout whose manifest names a kind that no longer shards
+        # (matrix and core layouts were once written) is a typed error
+        # naming the kind and the remedy, never a traceback.
+        import shutil
+
+        from repro.cli import main
+
+        old = str(tmp_path / kind)
+        shutil.copytree(sharded_dir, old)
+        mpath = os.path.join(old, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["kind"] = kind
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        match = f"kind '{kind}'.*rebuild without --shards"
+        with pytest.raises(ArtifactError, match=match):
+            ShardedOracle.load(old, pool=False)
+        with pytest.raises(ArtifactError, match=match):
+            load_artifact(old)
+        assert main(["verify-artifact", "--artifact", old]) == 2
+        err = capsys.readouterr().err
+        assert "rebuild without --shards" in err and "Traceback" not in err
 
     def test_corrupt_shard_map_rejected(self, sharded_dir, tmp_path):
         import shutil
@@ -471,20 +503,6 @@ class TestShardedBitIdentity:
         so = ShardedOracle.load(sharded_dir, pool=False)
         assert so.path(3, 40) == ref_u.path(3, 40)
 
-    def test_matrix_path_reads_no_estimates(self, tmp_path):
-        # A matrix path is a BFS of the embedded graph: the parent reads
-        # the shared arrays, never the (n, n) estimates of the shards.
-        g = gen.make_family("grid", 400, seed=0)
-        art = build_oracle(g, variant="2eps", rng=np.random.default_rng(0))
-        path = str(tmp_path / "mx2")
-        save_sharded_artifact(art, path, shards=2)
-        so = ShardedOracle.load(path, pool=False)
-        try:
-            assert so.path(0, 399) == DistanceOracle(art).path(0, 399)
-            assert "estimates" not in so._payload_artifact().arrays
-        finally:
-            so.close()
-
     def test_edges_kind_routing(self, graph_u, tmp_path):
         # An emulator-sssp (edges kind) artifact saved as a layout,
         # served by the pool and serially.
@@ -507,52 +525,6 @@ class TestShardedBitIdentity:
                 )
             finally:
                 so.close()
-
-    def test_core_kind_routing(self, graph_u, tmp_path):
-        # A near-additive (core kind) artifact saved as a layout: every
-        # array is shared, no shard holds a file, and the pool and
-        # serial backends answer as the plain oracle does.
-        art = build_oracle(
-            graph_u, variant="near-additive", rng=np.random.default_rng(2)
-        )
-        assert art.kind == "core"
-        ref = DistanceOracle(art)
-        path = str(tmp_path / "na3")
-        save_sharded_artifact(art, path, shards=3)
-        assert sorted(os.listdir(path)) == ["manifest.json", "shared"]
-        assert sorted(os.listdir(os.path.join(path, "shared"))) == [
-            "arrays.npz", "core_dist.npy",
-        ]
-        merged = load_sharded_artifact(path, verify=True)
-        assert set(merged.arrays) == set(art.arrays)
-        us, vs = _pairs(graph_u.n, 300, seed=9)
-        us[:20] = vs[:20]
-        want = ref.query_batch(us, vs)
-        for pool in (False, True):
-            so = ShardedOracle.load(path, pool=pool)
-            try:
-                assert so.shards == 3
-                assert np.array_equal(so.query_batch(us, vs), want)
-                assert so.query(1, graph_u.n - 1) == ref.query(
-                    1, graph_u.n - 1
-                )
-            finally:
-                so.close()
-
-    @pytest.mark.parametrize("pool", [False, True])
-    def test_core_bad_shape_fails_at_load(self, tmp_path, pool):
-        g = gen.make_family("er_sparse", 60, seed=5)
-        art = build_oracle(
-            g, variant="near-additive", rng=np.random.default_rng(5)
-        )
-        path = str(tmp_path / "na-bad")
-        save_sharded_artifact(art, path, shards=2)
-        npy = os.path.join(path, "shared", "core_dist.npy")
-        np.save(npy, np.load(npy)[1:])
-        with pytest.raises(ArtifactError, match="core_dist of shape"):
-            ShardedOracle.load(path, pool=pool)
-        with pytest.raises(ArtifactError, match="core_dist of shape"):
-            DistanceOracle(load_artifact(path))
 
     @pytest.mark.parametrize("pool", [False, True])
     def test_edges_bad_vertex_id_fails_at_load(self, tmp_path, pool):
