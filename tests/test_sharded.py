@@ -527,6 +527,48 @@ class TestShardedBitIdentity:
                 so.close()
 
     @pytest.mark.parametrize("pool", [False, True])
+    def test_core_bad_shape_fails_at_load(self, tmp_path, pool):
+        # A core layout as one was once written (the manifest with a
+        # shard map, every array under shared/), its core_dist cut by a
+        # row: the load is refused by kind, naming the remedy, before
+        # the broken payload is read or any pool worker forks.  The
+        # shape check of a plain save is TestPersistence's.
+        import multiprocessing
+        import shutil
+
+        g = gen.make_family("er_sparse", 60, seed=5)
+        art = build_oracle(
+            g, variant="near-additive", rng=np.random.default_rng(5)
+        )
+        plain = str(tmp_path / "na-plain")
+        save_artifact(art, plain)
+        path = str(tmp_path / "na-bad")
+        os.makedirs(os.path.join(path, "shared"))
+        for name in os.listdir(plain):
+            if name != "manifest.json":
+                shutil.copy(
+                    os.path.join(plain, name),
+                    os.path.join(path, "shared", name),
+                )
+        with open(os.path.join(plain, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        manifest["shard_map"] = {
+            "layout_version": 1, "shards": 2, "bounds": [0, g.n // 2, g.n],
+        }
+        with open(os.path.join(path, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        npy = os.path.join(path, "shared", "core_dist.npy")
+        np.save(npy, np.load(npy)[1:])
+        assert is_sharded_artifact(path)
+        children = len(multiprocessing.active_children())
+        match = "kind 'core'.*rebuild without --shards"
+        with pytest.raises(ArtifactError, match=match):
+            ShardedOracle.load(path, pool=pool)
+        assert len(multiprocessing.active_children()) == children
+        with pytest.raises(ArtifactError, match=match):
+            DistanceOracle(load_artifact(path))
+
+    @pytest.mark.parametrize("pool", [False, True])
     def test_edges_bad_vertex_id_fails_at_load(self, tmp_path, pool):
         g = gen.make_family("er_sparse", 60, seed=5)
         art = build_oracle(
